@@ -183,6 +183,11 @@ Result<std::string> ReadFileBinary(const std::string& path) {
                                       path.c_str(), std::strerror(errno)));
   }
   std::string out;
+  // Reserve the file's size so appending never doubles the buffer.
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.reserve(static_cast<size_t>(st.st_size));
+  }
   char buf[1 << 16];
   for (;;) {
     ssize_t n = ::read(fd, buf, sizeof(buf));

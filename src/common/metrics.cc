@@ -189,15 +189,16 @@ DDGMS_HOT void Histogram::Observe(double value) {
   size_t idx = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  // count_ is updated LAST: a concurrent Snapshot() that observes
-  // count > 0 then (almost always) sees min/max/sum/bucket updates
-  // from at least that many completed observations, instead of e.g.
-  // count=1 with min still at the +inf sentinel.
+  // count_ is updated LAST, with release, and Snapshot() reads it
+  // FIRST, with acquire: a snapshot that sees count = n also sees the
+  // bucket, sum and min/max updates of at least n completed
+  // observations, instead of e.g. count=1 with min still at the +inf
+  // sentinel or a bucket total below the count.
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   AtomicDoubleAdd(&sum_bits_, value);
   AtomicDoubleMin(&min_bits_, value);
   AtomicDoubleMax(&max_bits_, value);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 double Histogram::sum() const {
@@ -208,18 +209,19 @@ HistogramSnapshot Histogram::Snapshot(const std::string& name) const {
   HistogramSnapshot snap;
   snap.name = name;
   snap.bounds = bounds_;
+  // Count first (see Observe): every observation it includes has
+  // already landed in the buckets read below.
+  snap.count = count_.load(std::memory_order_acquire);
   snap.buckets.reserve(bounds_.size() + 1);
   for (size_t i = 0; i <= bounds_.size(); ++i) {
     snap.buckets.push_back(buckets_[i].load(std::memory_order_relaxed));
   }
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum();
   if (snap.count > 0) {
     const uint64_t min_bits = min_bits_.load(std::memory_order_relaxed);
     const uint64_t max_bits = max_bits_.load(std::memory_order_relaxed);
-    // Relaxed ordering means a sampler racing a writer could still
-    // catch count ahead of the min/max CAS; never surface the +/-inf
-    // sentinels.
+    // A Reset() racing a writer can still leave count ahead of the
+    // min/max CAS; never surface the +/-inf sentinels.
     snap.min = min_bits == kPosInfBits ? 0.0 : BitsToDouble(min_bits);
     snap.max = max_bits == kNegInfBits ? 0.0 : BitsToDouble(max_bits);
   }

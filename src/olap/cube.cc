@@ -1,8 +1,13 @@
 #include "olap/cube.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <thread>
+#include <optional>
+#include <span>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/annotations.h"
 #include "common/log.h"
@@ -17,6 +22,15 @@ using warehouse::Dimension;
 using warehouse::Warehouse;
 
 namespace {
+
+/// Column type for an axis's members: the type of the first non-null
+/// member (null sorts first), or string when every member is null.
+DataType MemberType(const std::vector<Value>& members) {
+  for (const Value& v : members) {
+    if (!v.is_null()) return v.type();
+  }
+  return DataType::kString;
+}
 
 uint64_t ValueApproxBytes(const Value& v) {
   uint64_t bytes = sizeof(Value);
@@ -66,6 +80,281 @@ class StageTimer {
   std::chrono::steady_clock::time_point start_;
   uint64_t bytes_at_entry_ = 0;
 };
+
+/// Above this many possible cells (the product of the axis member
+/// counts) the scan finds cell slots through a hash of the packed cell
+/// index instead of a dense int32 array: 64Ki slots is a 256 KiB array,
+/// and the [Telemetry] cube's Snapshot axis grows for as long as the
+/// server runs.
+constexpr uint64_t kDenseSlotLimit = uint64_t{1} << 16;
+
+/// Dictionary codes of one dimension attribute column, built once per
+/// query: every surrogate key gets the code of its value, codes are
+/// numbered by first appearance, and null is a member of its own.
+struct AttributeCodes {
+  std::vector<int32_t> code_of_key;  // by surrogate key
+  std::vector<size_t> first_key;     // by code: first key holding it
+  std::vector<int32_t> probe_codes;  // by probe Value; -1 = absent
+};
+
+/// Codes `col` with a hash over its typed storage (`key_of_row`), then
+/// looks each probe Value up in the same dictionary (`key_of_value`
+/// returns nullopt for a type that never equals this column's values).
+template <typename Key, typename KeyOfRow, typename KeyOfValue>
+AttributeCodes CodeColumn(const ColumnVector& col, KeyOfRow key_of_row,
+                          KeyOfValue key_of_value,
+                          std::span<const Value> probes) {
+  AttributeCodes out;
+  const std::span<const uint8_t> valid = col.validity();
+  std::unordered_map<Key, int32_t> codes;
+  int32_t null_code = -1;
+  out.code_of_key.resize(valid.size());
+  for (size_t key = 0; key < valid.size(); ++key) {
+    const auto next = static_cast<int32_t>(out.first_key.size());
+    int32_t code = null_code;
+    if (valid[key] != 0) {
+      code = codes.try_emplace(key_of_row(key), next).first->second;
+    } else if (null_code < 0) {
+      code = null_code = next;
+    }
+    if (code == next) out.first_key.push_back(key);
+    out.code_of_key[key] = code;
+  }
+  out.probe_codes.reserve(probes.size());
+  for (const Value& v : probes) {
+    int32_t code = -1;
+    if (v.is_null()) {
+      code = null_code;
+    } else if (std::optional<Key> k = key_of_value(v)) {
+      auto it = codes.find(*k);
+      if (it != codes.end()) code = it->second;
+    }
+    out.probe_codes.push_back(code);
+  }
+  return out;
+}
+
+/// Value compares int64 and double numerically, so both are keyed by
+/// their double image (5 and 5.0 are one member; so are 0.0 and -0.0).
+uint64_t NumericKey(double d) {
+  return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
+}
+
+/// Codes an attribute column of any type under ValueEq semantics
+/// without boxing a Value per dimension member.
+AttributeCodes CodeAttribute(const ColumnVector& col,
+                             std::span<const Value> probes) {
+  auto numeric = [](const Value& v) -> std::optional<uint64_t> {
+    if (v.type() == DataType::kInt64) {
+      return NumericKey(static_cast<double>(v.int_value()));
+    }
+    if (v.type() == DataType::kDouble) return NumericKey(v.double_value());
+    return std::nullopt;
+  };
+  switch (col.type()) {
+    case DataType::kString: {
+      const std::span<const std::string> values = col.strings();
+      return CodeColumn<std::string_view>(
+          col, [values](size_t k) { return std::string_view(values[k]); },
+          [](const Value& v) -> std::optional<std::string_view> {
+            if (v.type() != DataType::kString) return std::nullopt;
+            return std::string_view(v.string_value());
+          },
+          probes);
+    }
+    case DataType::kInt64: {
+      const std::span<const int64_t> values = col.ints();
+      return CodeColumn<uint64_t>(
+          col,
+          [values](size_t k) {
+            return NumericKey(static_cast<double>(values[k]));
+          },
+          numeric, probes);
+    }
+    case DataType::kDouble: {
+      const std::span<const double> values = col.doubles();
+      return CodeColumn<uint64_t>(
+          col, [values](size_t k) { return NumericKey(values[k]); },
+          numeric, probes);
+    }
+    case DataType::kBool: {
+      const std::span<const uint8_t> values = col.bools();
+      return CodeColumn<uint64_t>(
+          col, [values](size_t k) { return uint64_t{values[k]}; },
+          [](const Value& v) -> std::optional<uint64_t> {
+            if (v.type() != DataType::kBool) return std::nullopt;
+            return uint64_t{v.bool_value() ? 1u : 0u};
+          },
+          probes);
+    }
+    case DataType::kDate: {
+      const std::span<const int32_t> values = col.dates();
+      return CodeColumn<uint64_t>(
+          col, [values](size_t k) { return static_cast<uint64_t>(values[k]); },
+          [](const Value& v) -> std::optional<uint64_t> {
+            if (v.type() != DataType::kDate) return std::nullopt;
+            return static_cast<uint64_t>(v.date_value().days_since_epoch());
+          },
+          probes);
+    }
+    case DataType::kNull:
+      break;  // excluded by ColumnVector's constructor contract
+  }
+  return AttributeCodes{};
+}
+
+/// A resolved axis. Its members are a member restriction's Values
+/// (deduplicated under ValueEq, first spelling kept), or else the
+/// attribute's codes, each named by the first surrogate key holding it.
+struct ScanAxis {
+  std::span<const int64_t> keys;       // the fact's foreign-key column
+  std::vector<int32_t> member_of_key;  // by surrogate key; -1 = off axis
+  uint64_t stride = 0;                 // mixed-radix place value
+  const ColumnVector* column = nullptr;  // the attribute column
+  std::vector<Value> restriction;
+  std::vector<size_t> first_key;  // by code, when unrestricted
+
+  size_t num_members() const {
+    return restriction.empty() ? first_key.size() : restriction.size();
+  }
+};
+
+/// A slicer as the scan reads it.
+struct ScanSlicer {
+  std::span<const int64_t> keys;
+  std::vector<uint8_t> admit;  // by surrogate key
+};
+
+/// A measure fed from typed arrays: count(*) (no arrays), or an int64
+/// or double column under count, count_valid, sum, avg, variance or
+/// stddev.
+struct TypedMeasure {
+  size_t index;  // position in CubeQuery::measures
+  std::span<const uint8_t> valid;
+  std::span<const int64_t> ints;     // set for an int64 column
+  std::span<const double> doubles;   // set for a double column
+};
+
+/// A measure fed boxed Values: min, max, count_distinct, or a column
+/// type the typed path does not read.
+struct BoxedMeasure {
+  size_t index;
+  const ColumnVector* column;
+};
+
+struct ScanInput {
+  size_t rows = 0;
+  std::vector<ScanAxis> axes;
+  std::vector<ScanSlicer> slicers;
+  std::vector<TypedMeasure> typed;
+  std::vector<BoxedMeasure> boxed;
+};
+
+/// The accumulators of every cell the scan touches: one run of one
+/// accumulator per measure for each slot, slots numbered in first-touch
+/// order. A cell finds its slot through a dense int32 array indexed by
+/// the packed cell index while the cell space is at most
+/// kDenseSlotLimit, and through a hash of the same index above it.
+class CellSlots {
+ public:
+  CellSlots(uint64_t cell_space, const std::vector<AggSpec>& measures)
+      : measures_(measures), dense_(cell_space <= kDenseSlotLimit) {
+    if (dense_) slot_of_cell_.assign(cell_space, -1);
+  }
+
+  bool dense() const { return dense_; }
+  size_t size() const { return cell_of_slot_.size(); }
+  uint64_t cell(size_t slot) const { return cell_of_slot_[slot]; }
+  const Accumulator* accumulators(size_t slot) const {
+    return &accs_[slot * measures_.size()];
+  }
+
+  /// The accumulators of `cell`, opened on its first touch.
+  Accumulator* At(uint64_t cell) {
+    int32_t slot = -1;
+    if (dense_) {
+      slot = slot_of_cell_[cell];
+    } else if (auto it = hashed_.find(cell); it != hashed_.end()) {
+      slot = it->second;
+    }
+    if (slot < 0) slot = Open(cell);
+    return &accs_[static_cast<size_t>(slot) * measures_.size()];
+  }
+
+ private:
+  // Once per cell, not per row.
+  int32_t Open(uint64_t cell) {
+    const auto slot = static_cast<int32_t>(cell_of_slot_.size());
+    if (dense_) {
+      slot_of_cell_[cell] = slot;
+    } else {
+      hashed_.emplace(cell, slot);
+    }
+    cell_of_slot_.push_back(cell);
+    for (const AggSpec& m : measures_) accs_.emplace_back(m.fn);
+    return slot;
+  }
+
+  const std::vector<AggSpec>& measures_;
+  const bool dense_;
+  std::vector<int32_t> slot_of_cell_;
+  std::unordered_map<uint64_t, int32_t> hashed_;
+  std::vector<uint64_t> cell_of_slot_;
+  std::vector<Accumulator> accs_;
+};
+
+/// Feeds the boxed measures of one admitted row. Kept out of the hot
+/// scan because it boxes a Value per measure.
+void AddBoxed(const std::vector<BoxedMeasure>& boxed, size_t row,
+              Accumulator* accs) {
+  for (const BoxedMeasure& m : boxed) {
+    accs[m.index].Add(m.column->GetValue(row));
+  }
+}
+
+// The fact scan, once per fact row: rows a slicer rejects or that fall
+// outside an axis restriction are skipped; every other row feeds the
+// accumulators of the cell at its mixed-radix index. Returns the number
+// of rows aggregated.
+DDGMS_HOT size_t ScanFacts(const ScanInput& in, CellSlots* slots) {
+  size_t admitted = 0;
+  for (size_t row = 0; row < in.rows; ++row) {
+    bool keep = true;
+    for (const ScanSlicer& s : in.slicers) {
+      if (s.admit[static_cast<size_t>(s.keys[row])] == 0) {
+        keep = false;
+        break;
+      }
+    }
+    if (!keep) continue;
+    uint64_t cell = 0;
+    for (const ScanAxis& axis : in.axes) {
+      const int32_t member =
+          axis.member_of_key[static_cast<size_t>(axis.keys[row])];
+      if (member < 0) {
+        keep = false;
+        break;
+      }
+      cell += static_cast<uint64_t>(member) * axis.stride;
+    }
+    if (!keep) continue;
+    Accumulator* accs = slots->At(cell);
+    for (const TypedMeasure& m : in.typed) {
+      Accumulator& acc = accs[m.index];
+      if (m.valid.empty()) {
+        acc.AddNumeric(1.0);  // count(*)
+      } else if (m.valid[row] == 0) {
+        acc.AddNull();
+      } else {
+        acc.AddNumeric(m.ints.empty() ? m.doubles[row]
+                                      : static_cast<double>(m.ints[row]));
+      }
+    }
+    if (!in.boxed.empty()) AddBoxed(in.boxed, row, accs);
+    ++admitted;
+  }
+  return admitted;
+}
 
 }  // namespace
 
@@ -243,16 +532,10 @@ Result<Cube> Cube::Dice(const std::string& dimension,
 
 Result<Table> Cube::ToTable() const {
   std::vector<Field> fields;
-  for (const AxisSpec& a : query_.axes) {
+  for (size_t ax = 0; ax < query_.axes.size(); ++ax) {
     // Axis output column named after the attribute; type from members.
-    DataType t = DataType::kString;
-    for (size_t ax = 0; ax < axis_members_.size(); ++ax) {
-      if (&query_.axes[ax] == &a && !axis_members_[ax].empty()) {
-        t = axis_members_[ax].front().type();
-      }
-    }
-    if (t == DataType::kNull) t = DataType::kString;
-    fields.push_back(Field{a.attribute, t});
+    fields.push_back(
+        Field{query_.axes[ax].attribute, MemberType(axis_members_[ax])});
   }
   for (const AggSpec& m : query_.measures) {
     DataType t;
@@ -321,9 +604,8 @@ Result<Table> Cube::Pivot(size_t row_axis, size_t col_axis,
       break;
   }
   std::vector<Field> fields;
-  fields.push_back(Field{query_.axes[row_axis].attribute,
-                         rows.empty() ? DataType::kString
-                                      : rows.front().type()});
+  fields.push_back(
+      Field{query_.axes[row_axis].attribute, MemberType(rows)});
   for (const Value& c : cols) {
     fields.push_back(Field{c.ToString(), measure_type});
   }
@@ -481,19 +763,14 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     plan->rows_in = fact.num_rows();
   }
 
+  ScanInput scan;
+  scan.rows = fact.num_rows();
+
   StageTimer axes_timer(plan, "olap.cube.resolve_axes", accounting);
-  // Resolve axes. For speed, the scan works on small integer member
-  // indices: each dimension surrogate key is pre-mapped to the index of
-  // its attribute value among the axis's distinct members (-1 =
-  // excluded by a member restriction), so the per-fact-row work is an
-  // array lookup and an integer-tuple hash instead of Value hashing.
-  struct ResolvedAxis {
-    const ColumnVector* key_col;
-    std::vector<int32_t> key_to_member;  // by surrogate key
-    std::vector<Value> members;          // by member index
-  };
-  std::vector<ResolvedAxis> axes;
-  axes.reserve(query.axes.size());
+  // Resolve axes: code the attribute column, then map each surrogate
+  // key to its member id on the axis (-1 = outside a member
+  // restriction) and give the axis its mixed-radix place value.
+  uint64_t cell_space = 1;
   for (const AxisSpec& spec : query.axes) {
     DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
                            warehouse_->dimension(spec.dimension));
@@ -507,48 +784,49 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
         fact.ColumnByName(Warehouse::KeyColumnName(spec.dimension)));
     DDGMS_ASSIGN_OR_RETURN(const ColumnVector* attr_col,
                            dim->table().ColumnByName(spec.attribute));
-    ResolvedAxis axis;
-    axis.key_col = key_col;
-    axis.key_to_member.assign(dim->num_members(), -1);
-    std::unordered_map<Value, int32_t, ValueHash, ValueEq> member_index;
-    if (!spec.members.empty()) {
-      for (const Value& m : spec.members) {
-        if (member_index.emplace(m, static_cast<int32_t>(
-                                        axis.members.size()))
-                .second) {
-          axis.members.push_back(m);
+    ScanAxis axis;
+    axis.keys = key_col->ints();
+    axis.column = attr_col;
+    std::unordered_set<Value, ValueHash, ValueEq> listed;
+    for (const Value& m : spec.members) {
+      if (listed.insert(m).second) axis.restriction.push_back(m);
+    }
+    AttributeCodes codes = CodeAttribute(*attr_col, axis.restriction);
+    if (spec.members.empty()) {
+      axis.first_key = std::move(codes.first_key);
+      axis.member_of_key = std::move(codes.code_of_key);
+    } else {
+      std::vector<int32_t> member_of_code(codes.first_key.size(), -1);
+      for (size_t m = 0; m < codes.probe_codes.size(); ++m) {
+        if (codes.probe_codes[m] >= 0) {
+          member_of_code[static_cast<size_t>(codes.probe_codes[m])] =
+              static_cast<int32_t>(m);
         }
       }
-    }
-    for (size_t key = 0; key < dim->num_members(); ++key) {
-      Value v = attr_col->GetValue(key);
-      auto it = member_index.find(v);
-      if (it != member_index.end()) {
-        axis.key_to_member[key] = it->second;
-      } else if (spec.members.empty()) {
-        int32_t idx = static_cast<int32_t>(axis.members.size());
-        member_index.emplace(v, idx);
-        axis.members.push_back(std::move(v));
-        axis.key_to_member[key] = idx;
+      axis.member_of_key.resize(codes.code_of_key.size());
+      for (size_t key = 0; key < codes.code_of_key.size(); ++key) {
+        axis.member_of_key[key] =
+            member_of_code[static_cast<size_t>(codes.code_of_key[key])];
       }
     }
-    axes.push_back(std::move(axis));
+    axis.stride = cell_space;
+    if (__builtin_mul_overflow(cell_space, axis.num_members(),
+                               &cell_space)) {
+      return Status::InvalidArgument(
+          "cube query has more cells than a 64-bit index can address: " +
+          query.ToString());
+    }
+    scan.axes.push_back(std::move(axis));
   }
   if (PlanNode* node = axes_timer.Finish()) {
     node->rows_in = query.axes.size();
     uint64_t members = 0;
-    for (const ResolvedAxis& a : axes) members += a.members.size();
+    for (const ScanAxis& a : scan.axes) members += a.num_members();
     node->rows_out = members;
   }
 
   StageTimer slicers_timer(plan, "olap.cube.resolve_slicers", accounting);
-  // Resolve slicers into per-dimension-member admission bitsets.
-  struct ResolvedSlicer {
-    const ColumnVector* key_col;
-    std::vector<uint8_t> admit;  // by surrogate key
-  };
-  std::vector<ResolvedSlicer> slicers;
-  slicers.reserve(query.slicers.size());
+  // Resolve slicers into per-surrogate-key admission flags.
   for (const SlicerSpec& spec : query.slicers) {
     DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
                            warehouse_->dimension(spec.dimension));
@@ -557,197 +835,140 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     DDGMS_ASSIGN_OR_RETURN(
         const ColumnVector* key_col,
         fact.ColumnByName(Warehouse::KeyColumnName(spec.dimension)));
-    ResolvedSlicer rs;
-    rs.key_col = key_col;
-    rs.admit.assign(dim->num_members(), 0);
-    for (size_t k = 0; k < dim->num_members(); ++k) {
-      Value v = attr_col->GetValue(k);
-      for (const Value& want : spec.values) {
-        if (v.Equals(want)) {
-          rs.admit[k] = 1;
-          break;
-        }
-      }
+    AttributeCodes codes = CodeAttribute(*attr_col, spec.values);
+    std::vector<uint8_t> admit_code(codes.first_key.size(), 0);
+    for (int32_t code : codes.probe_codes) {
+      if (code >= 0) admit_code[static_cast<size_t>(code)] = 1;
     }
-    slicers.push_back(std::move(rs));
+    ScanSlicer slicer;
+    slicer.keys = key_col->ints();
+    slicer.admit.resize(codes.code_of_key.size());
+    for (size_t key = 0; key < codes.code_of_key.size(); ++key) {
+      slicer.admit[key] =
+          admit_code[static_cast<size_t>(codes.code_of_key[key])];
+    }
+    scan.slicers.push_back(std::move(slicer));
   }
   if (PlanNode* node = slicers_timer.Finish()) {
     node->rows_in = query.slicers.size();
     uint64_t admitted = 0;
-    for (const ResolvedSlicer& s : slicers) {
+    for (const ScanSlicer& s : scan.slicers) {
       for (uint8_t a : s.admit) admitted += a;
     }
     node->rows_out = admitted;
   }
 
-  // Resolve measures.
-  std::vector<const ColumnVector*> measure_cols(query.measures.size(),
-                                                nullptr);
+  // Resolve measures: count(*) and int64/double columns under the
+  // sum-family functions read typed arrays; the rest stay boxed.
   for (size_t m = 0; m < query.measures.size(); ++m) {
     const AggSpec& spec = query.measures[m];
+    const bool typed_fn = spec.fn != AggFn::kMin && spec.fn != AggFn::kMax &&
+                          spec.fn != AggFn::kCountDistinct;
     if (spec.column.empty()) {
       if (spec.fn != AggFn::kCount) {
         return Status::InvalidArgument(
             StrFormat("measure %s needs a column", AggFnName(spec.fn)));
       }
+      scan.typed.push_back(TypedMeasure{m, {}, {}, {}});
       continue;
     }
-    DDGMS_ASSIGN_OR_RETURN(measure_cols[m],
+    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
                            fact.ColumnByName(spec.column));
+    if (typed_fn && col->type() == DataType::kInt64) {
+      scan.typed.push_back(TypedMeasure{m, col->validity(), col->ints(), {}});
+    } else if (typed_fn && col->type() == DataType::kDouble) {
+      scan.typed.push_back(
+          TypedMeasure{m, col->validity(), {}, col->doubles()});
+    } else {
+      scan.boxed.push_back(BoxedMeasure{m, col});
+    }
   }
 
-  // Single scan of the fact table, grouping on integer member tuples.
   Cube cube;
   cube.warehouse_ = warehouse_;
   cube.query_ = query;
-
-  struct IdVectorHash {
-    size_t operator()(const std::vector<int32_t>& ids) const {
-      size_t h = 0xcbf29ce484222325ULL;
-      for (int32_t id : ids) {
-        h ^= static_cast<size_t>(id) + 0x9e3779b9;
-        h *= 0x100000001b3ULL;
-      }
-      return h;
-    }
-  };
-  using AccMap = std::unordered_map<std::vector<int32_t>,
-                                    std::vector<Accumulator>,
-                                    IdVectorHash>;
-  const size_t n = fact.num_rows();
-
-  // Scans rows [begin, end) into a local map; returns admitted count.
-  auto scan_range = [&](size_t begin, size_t end, AccMap* local) {
-    size_t admitted_count = 0;
-    std::vector<int32_t> coord_ids(query.axes.size());
-    for (size_t i = begin; i < end; ++i) {
-      bool admitted = true;
-      for (const ResolvedSlicer& s : slicers) {
-        int64_t key = s.key_col->IntAt(i);
-        if (s.admit[static_cast<size_t>(key)] == 0) {
-          admitted = false;
-          break;
-        }
-      }
-      if (!admitted) continue;
-
-      bool on_axes = true;
-      for (size_t a = 0; a < axes.size(); ++a) {
-        int64_t key = axes[a].key_col->IntAt(i);
-        int32_t member =
-            axes[a].key_to_member[static_cast<size_t>(key)];
-        if (member < 0) {
-          on_axes = false;
-          break;
-        }
-        coord_ids[a] = member;
-      }
-      if (!on_axes) continue;
-
-      auto it = local->find(coord_ids);
-      if (it == local->end()) {
-        std::vector<Accumulator> cell_accs;
-        cell_accs.reserve(query.measures.size());
-        for (const AggSpec& spec : query.measures) {
-          cell_accs.emplace_back(spec.fn);
-        }
-        it = local->emplace(coord_ids, std::move(cell_accs)).first;
-      }
-      for (size_t m = 0; m < query.measures.size(); ++m) {
-        it->second[m].Add(measure_cols[m] == nullptr
-                              ? Value::Int(1)
-                              : measure_cols[m]->GetValue(i));
-      }
-      ++admitted_count;
-    }
-    return admitted_count;
-  };
-
-  AccMap accs;
   StageTimer scan_timer(plan, "olap.cube.scan", accounting);
-  size_t threads = options_.num_threads;
-  if (threads <= 1 || n < options_.parallel_threshold) {
-    threads = 1;
-    cube.facts_aggregated_ = scan_range(0, n, &accs);
-  } else {
-    threads = std::min(threads, n);
-    std::vector<AccMap> partials(threads);
-    std::vector<size_t> counts(threads, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    size_t chunk = (n + threads - 1) / threads;
-    for (size_t t = 0; t < threads; ++t) {
-      size_t begin = t * chunk;
-      size_t end = std::min(n, begin + chunk);
-      workers.emplace_back([&, t, begin, end] {
-        counts[t] = scan_range(begin, end, &partials[t]);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    for (size_t t = 0; t < threads; ++t) {
-      cube.facts_aggregated_ += counts[t];
-      for (auto& [ids, cell_accs] : partials[t]) {
-        auto it = accs.find(ids);
-        if (it == accs.end()) {
-          accs.emplace(ids, std::move(cell_accs));
-          continue;
-        }
-        for (size_t m = 0; m < cell_accs.size(); ++m) {
-          it->second[m].Merge(cell_accs[m]);
-        }
-      }
-    }
-  }
+  CellSlots slots(cell_space, query.measures);
+  cube.facts_aggregated_ = ScanFacts(scan, &slots);
+  const char* slot_kind = slots.dense() ? "dense" : "hashed";
   if (PlanNode* node = scan_timer.Finish()) {
-    node->rows_in = n;
+    node->rows_in = scan.rows;
     node->rows_out = cube.facts_aggregated_;
-    node->AddProp("threads", static_cast<uint64_t>(threads));
-    node->AddProp("groups", static_cast<uint64_t>(accs.size()));
+    node->AddProp("slots", slot_kind);
+    node->AddProp("groups", static_cast<uint64_t>(slots.size()));
   }
 
   StageTimer materialize_timer(plan, "olap.cube.materialize", accounting);
-  // Materialize cells (converting id tuples to value coordinates) and
-  // axis member lists.
-  std::vector<std::vector<bool>> seen(query.axes.size());
-  for (size_t a = 0; a < axes.size(); ++a) {
-    seen[a].assign(axes[a].members.size(), false);
+  // Materialize: decode each touched cell's packed index into member
+  // ids, box its coordinates once and finish its accumulators.
+  const std::vector<ScanAxis>& axes = scan.axes;
+  const size_t num_axes = axes.size();
+  auto member_id = [&](uint64_t cell, size_t a) {
+    return static_cast<size_t>(cell / axes[a].stride %
+                               axes[a].num_members());
+  };
+  std::vector<std::vector<uint8_t>> seen(num_axes);
+  for (size_t a = 0; a < num_axes; ++a) {
+    seen[a].assign(axes[a].num_members(), 0);
   }
-  for (auto& [ids, cell_accs] : accs) {
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    for (size_t a = 0; a < num_axes; ++a) {
+      seen[a][member_id(slots.cell(slot), a)] = 1;
+    }
+  }
+  // Member Values: a restriction's own spelling, else the attribute at
+  // the member's first surrogate key (boxed only for seen members).
+  std::vector<std::vector<Value>> members(num_axes);
+  for (size_t a = 0; a < num_axes; ++a) {
+    if (!axes[a].restriction.empty()) {
+      members[a] = axes[a].restriction;
+      continue;
+    }
+    members[a].resize(axes[a].num_members());
+    for (size_t m = 0; m < members[a].size(); ++m) {
+      if (seen[a][m] != 0) {
+        members[a][m] = axes[a].column->GetValue(axes[a].first_key[m]);
+      }
+    }
+  }
+
+  const size_t width = query.measures.size();
+  cube.cells_.reserve(slots.size());
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    const Accumulator* accs = slots.accumulators(slot);
     Cube::Cell cell;
-    cell.fact_count = cell_accs.empty() ? 0 : cell_accs[0].rows();
-    cell.measure_values.reserve(cell_accs.size());
-    for (const Accumulator& acc : cell_accs) {
-      cell.measure_values.push_back(acc.Finish());
+    cell.fact_count = accs[0].rows();
+    cell.measure_values.reserve(width);
+    for (size_t m = 0; m < width; ++m) {
+      cell.measure_values.push_back(accs[m].Finish());
     }
     std::vector<Value> coord;
-    coord.reserve(ids.size());
-    for (size_t a = 0; a < ids.size(); ++a) {
-      coord.push_back(axes[a].members[static_cast<size_t>(ids[a])]);
-      seen[a][static_cast<size_t>(ids[a])] = true;
+    coord.reserve(num_axes);
+    for (size_t a = 0; a < num_axes; ++a) {
+      coord.push_back(members[a][member_id(slots.cell(slot), a)]);
     }
     cube.cells_.emplace(std::move(coord), std::move(cell));
   }
-  cube.axis_members_.resize(query.axes.size());
-  for (size_t a = 0; a < query.axes.size(); ++a) {
-    if (!query.axes[a].members.empty()) {
+
+  cube.axis_members_.resize(num_axes);
+  for (size_t a = 0; a < num_axes; ++a) {
+    std::vector<Value>& out = cube.axis_members_[a];
+    if (!axes[a].restriction.empty()) {
       // An explicit member list fixes the axis order (clinical band
       // labels such as "<40" do not sort lexicographically).
-      for (size_t m = 0; m < axes[a].members.size(); ++m) {
-        if (seen[a][m] || !query.non_empty) {
-          cube.axis_members_[a].push_back(axes[a].members[m]);
+      for (size_t m = 0; m < members[a].size(); ++m) {
+        if (seen[a][m] != 0 || !query.non_empty) {
+          out.push_back(members[a][m]);
         }
       }
       continue;
     }
-    for (size_t m = 0; m < axes[a].members.size(); ++m) {
-      if (seen[a][m]) {
-        cube.axis_members_[a].push_back(axes[a].members[m]);
-      }
+    for (size_t m = 0; m < members[a].size(); ++m) {
+      if (seen[a][m] != 0) out.push_back(std::move(members[a][m]));
     }
-    std::sort(cube.axis_members_[a].begin(), cube.axis_members_[a].end(),
-              [](const Value& x, const Value& y) {
-                return x.Compare(y) < 0;
-              });
+    std::sort(out.begin(), out.end(), [](const Value& x, const Value& y) {
+      return x.Compare(y) < 0;
+    });
   }
 
   // The cube's retained footprint is the engine's materialized output;
@@ -755,7 +976,7 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   // stage's byte delta below covers it by construction).
   DDGMS_RESOURCE_CHARGE(cube.ApproxBytes());
   if (PlanNode* node = materialize_timer.Finish()) {
-    node->rows_in = accs.size();
+    node->rows_in = slots.size();
     node->rows_out = cube.cells_.size();
   }
   if (plan != nullptr) {
@@ -770,17 +991,17 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
                   static_cast<uint64_t>(cube.facts_aggregated_));
   }
 
-  exec_span.SetAttribute("threads", threads);
+  exec_span.SetAttribute("slots", slot_kind);
   exec_span.SetAttribute("cells", cube.cells_.size());
   exec_span.SetAttribute("facts_aggregated", cube.facts_aggregated_);
   DDGMS_LOG_DEBUG("olap.cube.execute")
       .With("axes", query.axes.size())
       .With("cells", cube.cells_.size())
-      .With("facts_scanned", n)
+      .With("facts_scanned", scan.rows)
       .With("facts_aggregated", cube.facts_aggregated_);
   DDGMS_METRIC_INC("ddgms.olap.queries");
   DDGMS_METRIC_ADD("ddgms.olap.cells_materialized", cube.cells_.size());
-  DDGMS_METRIC_ADD("ddgms.olap.facts_scanned", n);
+  DDGMS_METRIC_ADD("ddgms.olap.facts_scanned", scan.rows);
   DDGMS_METRIC_ADD("ddgms.olap.facts_aggregated", cube.facts_aggregated_);
   return cube;
 }

@@ -149,26 +149,23 @@ class Cube {
   size_t facts_aggregated_ = 0;
 };
 
-/// Engine tuning knobs.
-struct CubeEngineOptions {
-  /// Worker threads for the fact scan. 1 = serial. Parallel scans
-  /// partition the fact table and merge per-thread accumulators;
-  /// results are identical up to floating-point addition order.
-  size_t num_threads = 1;
-  /// Below this many fact rows the scan stays serial regardless.
-  size_t parallel_threshold = 16384;
-};
-
 /// Executes CubeQueries against a Warehouse. Stateless aside from the
 /// warehouse pointer; the warehouse must outlive the engine and all
 /// cubes it produces.
+///
+/// One serial kernel answers every query. Resolve dictionary-codes each
+/// axis and slicer attribute column with a typed hash; the scan turns
+/// each admitted fact row into a mixed-radix cell index and feeds that
+/// cell's accumulators straight from the typed measure arrays. Cell
+/// slots sit in a dense array while the product of the axis member
+/// counts stays small, and in a hash of the packed index above that.
 class CubeEngine {
  public:
   explicit CubeEngine(const warehouse::Warehouse* wh) : warehouse_(wh) {}
-  CubeEngine(const warehouse::Warehouse* wh, CubeEngineOptions options)
-      : warehouse_(wh), options_(options) {}
 
   /// Validates the query, scans the fact table once and aggregates.
+  /// InvalidArgument when the product of the axis member counts does
+  /// not fit in 64 bits.
   Result<Cube> Execute(const CubeQuery& query) const {
     return Execute(query, nullptr);
   }
@@ -181,7 +178,6 @@ class CubeEngine {
 
  private:
   const warehouse::Warehouse* warehouse_;
-  CubeEngineOptions options_;
 };
 
 }  // namespace ddgms::olap

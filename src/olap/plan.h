@@ -37,7 +37,7 @@ struct PlanNode {
   /// Bytes charged to the active resource pool while this operator
   /// ran (exclusive of children for interior nodes that wrap stages).
   uint64_t bytes = 0;
-  /// Free-form operator detail ("threads"="4", "cache"="hit").
+  /// Free-form operator detail ("slots"="dense", "cache"="hit").
   std::vector<std::pair<std::string, std::string>> props;
   std::vector<PlanNode> children;
 

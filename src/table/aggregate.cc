@@ -87,25 +87,6 @@ DDGMS_HOT void Accumulator::Add(const Value& v) {
   }
 }
 
-void Accumulator::Merge(const Accumulator& other) {
-  rows_ += other.rows_;
-  valid_ += other.valid_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-  numeric_ok_ = numeric_ok_ && other.numeric_ok_;
-  if (!other.min_.is_null() &&
-      (min_.is_null() || other.min_.Compare(min_) < 0)) {
-    min_ = other.min_;
-  }
-  if (!other.max_.is_null() &&
-      (max_.is_null() || other.max_.Compare(max_) > 0)) {
-    max_ = other.max_;
-  }
-  for (const Value& v : other.distinct_) {
-    distinct_.insert(v);
-  }
-}
-
 Value Accumulator::Finish() const {
   switch (fn_) {
     case AggFn::kCount:

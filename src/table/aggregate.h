@@ -1,6 +1,7 @@
 #ifndef DDGMS_TABLE_AGGREGATE_H_
 #define DDGMS_TABLE_AGGREGATE_H_
 
+#include <cassert>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -52,10 +53,20 @@ class Accumulator {
   /// Feeds one cell. Nulls count toward kCount only.
   void Add(const Value& v);
 
-  /// Folds another accumulator of the same function into this one
-  /// (partitioned/parallel aggregation). Merging accumulators of
-  /// different functions is a programming error.
-  void Merge(const Accumulator& other);
+  /// Typed entry points for scans that read typed column arrays. They
+  /// serve kCount, kCountValid, kSum, kAvg, kVariance and kStdDev only;
+  /// kMin, kMax and kCountDistinct need the Value and use Add.
+  /// AddNumeric(x) feeds one non-null numeric cell (a bool as 0 or 1)
+  /// and equals Add of that cell; AddNull() equals Add(Value::Null()).
+  void AddNumeric(double x) {
+    assert(fn_ != AggFn::kMin && fn_ != AggFn::kMax &&
+           fn_ != AggFn::kCountDistinct);
+    ++rows_;
+    ++valid_;
+    sum_ += x;
+    sum_sq_ += x * x;
+  }
+  void AddNull() { ++rows_; }
 
   /// Number of rows fed (including nulls).
   size_t rows() const { return rows_; }

@@ -92,6 +92,11 @@ Status ColumnVector::Append(const Value& value) {
                 name_.c_str()));
 }
 
+void ColumnVector::Reserve(size_t rows) {
+  std::visit([rows](auto& values) { values.reserve(rows); }, data_);
+  validity_.reserve(rows);
+}
+
 void ColumnVector::AppendNull() {
   switch (type_) {
     case DataType::kBool:
@@ -277,7 +282,7 @@ ColumnVector ColumnVector::Take(const std::vector<size_t>& indices) const {
 uint64_t ColumnVector::ApproxBytes() const {
   uint64_t bytes = static_cast<uint64_t>(size()) * SlotBytes(type_);
   if (type_ == DataType::kString) {
-    for (const std::string& s : Strings()) bytes += s.size();
+    for (const std::string& s : strings()) bytes += s.size();
   }
   return bytes;
 }

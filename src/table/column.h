@@ -2,6 +2,7 @@
 #define DDGMS_TABLE_COLUMN_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -31,6 +32,10 @@ class ColumnVector {
 
   bool IsNull(size_t row) const { return validity_[row] == 0; }
 
+  /// Reserves storage for `rows` entries in total (decoders that know
+  /// the row count up front append without regrowing).
+  void Reserve(size_t rows);
+
   /// Appends a value; the value must be null or match the column type
   /// (int64 literals are accepted into double columns).
   Status Append(const Value& value);
@@ -52,11 +57,34 @@ class ColumnVector {
   Status SetValue(size_t row, const Value& value);
 
   /// Typed accessors; undefined if the row is null or type mismatches.
-  bool BoolAt(size_t row) const { return Bools()[row] != 0; }
-  int64_t IntAt(size_t row) const { return Ints()[row]; }
-  double DoubleAt(size_t row) const { return Doubles()[row]; }
-  const std::string& StringAt(size_t row) const { return Strings()[row]; }
-  Date DateAt(size_t row) const { return Date(Dates()[row]); }
+  bool BoolAt(size_t row) const { return bools()[row] != 0; }
+  int64_t IntAt(size_t row) const { return ints()[row]; }
+  double DoubleAt(size_t row) const { return doubles()[row]; }
+  const std::string& StringAt(size_t row) const { return strings()[row]; }
+  Date DateAt(size_t row) const { return Date(dates()[row]); }
+
+  /// Read-only views of the typed storage, one entry per row, for scans
+  /// that must not box cells. validity()[row] is 0 for a null row, whose
+  /// typed entry is zero (or empty) and must not be interpreted. Taking
+  /// the view of another type than type() is a programming error
+  /// (std::bad_variant_access).
+  std::span<const uint8_t> validity() const { return validity_; }
+  std::span<const uint8_t> bools() const {
+    return std::get<std::vector<uint8_t>>(data_);
+  }
+  std::span<const int64_t> ints() const {
+    return std::get<std::vector<int64_t>>(data_);
+  }
+  std::span<const double> doubles() const {
+    return std::get<std::vector<double>>(data_);
+  }
+  std::span<const std::string> strings() const {
+    return std::get<std::vector<std::string>>(data_);
+  }
+  /// Days since the epoch.
+  std::span<const int32_t> dates() const {
+    return std::get<std::vector<int32_t>>(data_);
+  }
 
   /// Numeric view of a cell: int64/double/bool coerce to double.
   /// Error if null or non-numeric type.
@@ -79,22 +107,6 @@ class ColumnVector {
   Value Max() const;
 
  private:
-  const std::vector<uint8_t>& Bools() const {
-    return std::get<std::vector<uint8_t>>(data_);
-  }
-  const std::vector<int64_t>& Ints() const {
-    return std::get<std::vector<int64_t>>(data_);
-  }
-  const std::vector<double>& Doubles() const {
-    return std::get<std::vector<double>>(data_);
-  }
-  const std::vector<std::string>& Strings() const {
-    return std::get<std::vector<std::string>>(data_);
-  }
-  const std::vector<int32_t>& Dates() const {
-    return std::get<std::vector<int32_t>>(data_);
-  }
-
   std::string name_;
   DataType type_;
   std::variant<std::vector<uint8_t>,   // bool

@@ -1,5 +1,7 @@
 #include "warehouse/snapshot.h"
 
+#include <algorithm>
+#include <cassert>
 #include <vector>
 
 #include "common/checksum.h"
@@ -65,6 +67,57 @@ void EncodeColumn(const ColumnVector& col, std::string* out) {
   }
 }
 
+/// Bytes EncodeColumn appends for `col`.
+size_t EncodedColumnSize(const ColumnVector& col) {
+  const size_t rows = col.size();
+  size_t bytes = 4 + col.name().size() + 1 + (rows + 7) / 8;
+  switch (col.type()) {
+    case DataType::kBool:
+      bytes += rows;
+      break;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      bytes += 8 * rows;
+      break;
+    case DataType::kDate:
+      bytes += 4 * rows;
+      break;
+    case DataType::kString:
+      bytes += 4 * rows;
+      for (size_t i = 0; i < rows; ++i) {
+        if (!col.IsNull(i)) bytes += col.StringAt(i).size();
+      }
+      break;
+    case DataType::kNull:
+      break;
+  }
+  return bytes;
+}
+
+/// Bytes EncodeTable appends for `table`.
+size_t EncodedTableSize(const Table& table) {
+  size_t bytes = 4 + 8;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    bytes += EncodedColumnSize(table.column(c));
+  }
+  return bytes;
+}
+
+/// Smallest typed-page entry of a column type: a row count larger than
+/// the remaining bytes over this cannot be genuine.
+size_t MinRowBytes(DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return 8;
+    case DataType::kDate:
+    case DataType::kString:
+      return 4;
+    default:
+      return 1;
+  }
+}
+
 Result<ColumnVector> DecodeColumn(ByteReader* reader, size_t rows) {
   DDGMS_ASSIGN_OR_RETURN(std::string_view name,
                          reader->ReadLengthPrefixed());
@@ -82,6 +135,10 @@ Result<ColumnVector> DecodeColumn(ByteReader* reader, size_t rows) {
     return (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1u;
   };
   ColumnVector col(std::string(name), type);
+  // Reserve up front, but never more rows than the remaining bytes can
+  // hold: a corrupt row count must surface as a short read, not as a
+  // huge allocation.
+  col.Reserve(std::min(rows, reader->remaining() / MinRowBytes(type)));
   for (size_t i = 0; i < rows; ++i) {
     switch (type) {
       case DataType::kBool: {
@@ -137,13 +194,37 @@ Result<ColumnVector> DecodeColumn(ByteReader* reader, size_t rows) {
   return col;
 }
 
+constexpr size_t kHeaderSize = kMagicSize + 3 * 4;
+
+/// Bytes AppendSection adds for a payload of `payload_size` bytes.
+size_t SectionSize(std::string_view name, size_t payload_size) {
+  return 1 + 4 + name.size() + 8 + 4 + payload_size;
+}
+
+/// Overwrites `width` bytes at `offset` with `v`, little-endian.
+void PatchLittleEndian(std::string* out, size_t offset, uint64_t v,
+                       size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    (*out)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Appends one section. `encode_payload(out)` appends the payload in
+/// place behind the section header, whose payload length and CRC are
+/// patched afterwards, so no payload temporary is ever held.
+template <typename EncodePayload>
 void AppendSection(std::string* out, SectionKind kind,
-                   std::string_view name, std::string_view payload) {
+                   std::string_view name, EncodePayload encode_payload) {
   PutU8(out, static_cast<uint8_t>(kind));
   PutLengthPrefixed(out, name);
-  PutU64(out, payload.size());
-  PutU32(out, MaskCrc32c(Crc32c(payload)));
-  out->append(payload.data(), payload.size());
+  const size_t length_at = out->size();
+  PutU64(out, 0);  // payload length, patched below
+  PutU32(out, 0);  // masked payload CRC, patched below
+  const size_t payload_at = out->size();
+  encode_payload(out);
+  const std::string_view payload = std::string_view(*out).substr(payload_at);
+  PatchLittleEndian(out, length_at, payload.size(), 8);
+  PatchLittleEndian(out, length_at + 8, MaskCrc32c(Crc32c(payload)), 4);
 }
 
 struct Section {
@@ -205,22 +286,30 @@ Result<Table> DecodeTable(std::string_view bytes) {
 }
 
 std::string EncodeSnapshot(const Warehouse& wh) {
+  // The image is built in one buffer reserved to its exact size: a
+  // growing buffer would hold up to twice the file while it doubles.
+  const std::string schema = SerializeSchemaDef(wh.def());
+  size_t size = kHeaderSize + SectionSize("schema", schema.size()) +
+                SectionSize("fact", EncodedTableSize(wh.fact()));
+  for (const Dimension& dim : wh.dimensions()) {
+    size += SectionSize(dim.name(), EncodedTableSize(dim.table()));
+  }
   std::string out;
+  out.reserve(size);
   out.append(kMagic, kMagicSize);
   PutU32(&out, kSnapshotFormatVersion);
   PutU32(&out, static_cast<uint32_t>(2 + wh.dimensions().size()));
   PutU32(&out, MaskCrc32c(Crc32c(out)));
 
   AppendSection(&out, kSchemaSection, "schema",
-                SerializeSchemaDef(wh.def()));
-  std::string payload;
-  EncodeTable(wh.fact(), &payload);
-  AppendSection(&out, kFactSection, "fact", payload);
+                [&schema](std::string* o) { o->append(schema); });
+  AppendSection(&out, kFactSection, "fact",
+                [&wh](std::string* o) { EncodeTable(wh.fact(), o); });
   for (const Dimension& dim : wh.dimensions()) {
-    payload.clear();
-    EncodeTable(dim.table(), &payload);
-    AppendSection(&out, kDimensionSection, dim.name(), payload);
+    AppendSection(&out, kDimensionSection, dim.name(),
+                  [&dim](std::string* o) { EncodeTable(dim.table(), o); });
   }
+  assert(out.size() == size);
   return out;
 }
 

@@ -114,7 +114,9 @@ TEST(ExplainTest, PlanTreeGoldenShapeAndCardinalities) {
   EXPECT_EQ(exec->children[2].op, "olap.cube.scan");
   EXPECT_EQ(exec->children[2].rows_in, 6u);
   EXPECT_EQ(exec->children[2].rows_out, 6u);  // every fact aggregated
-  EXPECT_NE(FindProp(exec->children[2], "threads"), nullptr);
+  const std::string* slots = FindProp(exec->children[2], "slots");
+  ASSERT_NE(slots, nullptr);
+  EXPECT_EQ(*slots, "dense");  // two genders: a two-slot dense table
   EXPECT_EQ(exec->children[3].op, "olap.cube.materialize");
   EXPECT_EQ(exec->children[3].rows_out, 2u);
 

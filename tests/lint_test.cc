@@ -555,6 +555,30 @@ TEST(HotPathTest, FlagsAllocationsOnlyInHotFunctions) {
   }
 }
 
+TEST(HotPathTest, FlagsValueBoxingInHotFunctions) {
+  FileFacts facts = ExtractFileFacts(
+      {"olap/kernel.cc",
+       "DDGMS_HOT size_t Scan(const Column& col, Acc* acc) {\n"
+       "  acc->Add(col.GetValue(0));\n"
+       "  acc->Add(Value::Int(1));\n"
+       "  acc->Add(Value::Str(name));\n"
+       "  if (col.empty()) return Value::Null().is_null();\n"
+       "  acc->AddNumeric(col.doubles()[0]);\n"
+       "  return 0;\n"
+       "}\n"
+       "void AddBoxed(const Column& col, Acc* acc) {\n"
+       "  acc->Add(col.GetValue(0));\n"
+       "}\n"});
+  EXPECT_EQ(CountRuleIn(facts.findings, "hot-path-alloc"), 3u);
+  for (const Finding& f : facts.findings) {
+    if (f.rule == "hot-path-alloc") {
+      EXPECT_GE(f.line, 2u);
+      EXPECT_LE(f.line, 4u);
+      EXPECT_NE(f.message.find("Value boxing"), std::string::npos);
+    }
+  }
+}
+
 TEST(HotPathTest, ReserveAndNolintSanctionAppends) {
   FileFacts facts = ExtractFileFacts(
       {"olap/kernel.cc",

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/baseline.h"
 #include "olap/cube.h"
 #include "warehouse/warehouse.h"
 
@@ -292,28 +297,128 @@ TEST(CubeTest, ZeroAxesGrandTotal) {
   EXPECT_EQ(cube->CellValue({}, 0), Value::Int(8));
 }
 
-TEST(CubeTest, ParallelScanMatchesSerial) {
-  // Build a bigger warehouse so the parallel path engages, then check
-  // every cell of a multi-measure query against the serial engine.
+// ---------------------------------------------------------------------
+// Kernel: every cube below is checked cell for cell against the
+// baseline DGMS, which answers the same CubeQuery by a boxed group-by
+// over the flat extract.
+// ---------------------------------------------------------------------
+
+// Optional values: null on every `every`-th row (offset `at`).
+bool NullAt(int i, int every, int at) { return i % every == at; }
+
+// A 40k-row extract. G, B and V are the original parallel-scan input;
+// N (string) and K (int64) carry nulls for the axis cases; IV (int64)
+// and DV (double) are nullable measures; P, Q, R span a 47 x 43 x 53
+// cell space, past the dense slot limit.
+Table MakeKernelExtract() {
   auto schema = Schema::Make({{"G", DataType::kString},
                               {"B", DataType::kString},
-                              {"V", DataType::kDouble}});
+                              {"V", DataType::kDouble},
+                              {"N", DataType::kString},
+                              {"K", DataType::kInt64},
+                              {"IV", DataType::kInt64},
+                              {"DV", DataType::kDouble},
+                              {"P", DataType::kInt64},
+                              {"Q", DataType::kString},
+                              {"R", DataType::kInt64}});
   Table t(std::move(schema).value());
   for (int i = 0; i < 40000; ++i) {
-    ASSERT_TRUE(
-        t.AppendRow({Value::Str(i % 2 == 0 ? "x" : "y"),
-                     Value::Str(std::to_string(i % 7)),
-                     Value::Real(static_cast<double>(i % 113) / 3.0)})
-            .ok());
+    Row row = {
+        Value::Str(i % 2 == 0 ? "x" : "y"),
+        Value::Str(std::to_string(i % 7)),
+        Value::Real(static_cast<double>(i % 113) / 3.0),
+        NullAt(i, 11, 0) ? Value::Null() : Value::Str(i % 3 == 0 ? "a" : "b"),
+        NullAt(i, 13, 5) ? Value::Null() : Value::Int((i % 6) * 10),
+        NullAt(i, 9, 0) ? Value::Null() : Value::Int((i * 37) % 101 - 50),
+        NullAt(i, 7, 3) ? Value::Null() : Value::Real((i % 89) * 0.25 - 3.5),
+        Value::Int(i % 47),
+        Value::Str(std::to_string((i / 47) % 43)),
+        Value::Int((i * 7) % 53)};
+    EXPECT_TRUE(t.AppendRow(row).ok());
   }
-  StarSchemaDef def;
-  def.fact_name = "F";
-  def.measures = {MeasureDef{"V", "V"}};
-  DimensionDef d{"D", {"G", "B"}, {}};
-  def.dimensions = {d};
-  auto wh = StarSchemaBuilder(def).Build(t);
-  ASSERT_TRUE(wh.ok());
+  return t;
+}
 
+class CubeKernelTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    extract_ = new Table(MakeKernelExtract());
+    StarSchemaDef def;
+    def.fact_name = "F";
+    def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
+                    MeasureDef{"DV", "DV"}};
+    def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
+                      DimensionDef{"W", {"P", "Q", "R"}, {}}};
+    auto wh = StarSchemaBuilder(def).Build(*extract_);
+    ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+    warehouse_ = new Warehouse(std::move(wh).value());
+  }
+
+  static void TearDownTestSuite() {
+    delete warehouse_;
+    delete extract_;
+  }
+
+  // Executes `q` and checks it against the baseline: the same cells,
+  // each with the same fact count and measure values. Returns the cube
+  // for case-specific checks.
+  static Cube ExpectMatchesBaseline(const CubeQuery& q,
+                                    PlanNode* plan = nullptr) {
+    auto cube = CubeEngine(warehouse_).Execute(q, plan);
+    EXPECT_TRUE(cube.ok()) << cube.status().ToString();
+    if (!cube.ok()) return Cube();
+    auto flat = core::BaselineDgms(extract_).Execute(q);
+    EXPECT_TRUE(flat.ok()) << flat.status().ToString();
+    if (!flat.ok()) return std::move(cube).value();
+    EXPECT_EQ(cube->num_cells(), flat->num_rows()) << q.ToString();
+    size_t facts = 0;
+    for (size_t r = 0; r < flat->num_rows(); ++r) {
+      std::vector<Value> coord;
+      std::string where;
+      for (const AxisSpec& a : q.axes) {
+        coord.push_back(*flat->GetCell(r, a.attribute));
+        where += a.attribute + "=" + coord.back().ToString() + " ";
+      }
+      EXPECT_GT(cube->CellCount(coord), 0u) << where;
+      facts += cube->CellCount(coord);
+      for (size_t m = 0; m < q.measures.size(); ++m) {
+        const Value want = *flat->GetCell(r, q.measures[m].OutputName());
+        const Value got = cube->CellValue(coord, m);
+        if (want.type() == DataType::kDouble &&
+            got.type() == DataType::kDouble) {
+          EXPECT_NEAR(got.double_value(), want.double_value(),
+                      1e-9 * std::max(1.0, std::fabs(want.double_value())))
+              << where << q.measures[m].OutputName();
+        } else {
+          EXPECT_TRUE(got.Equals(want) && got.type() == want.type())
+              << where << q.measures[m].OutputName() << ": got '"
+              << got.ToString() << "' want '" << want.ToString() << "'";
+        }
+      }
+    }
+    EXPECT_EQ(facts, cube->facts_aggregated());
+    return std::move(cube).value();
+  }
+
+  static const std::string* ScanProp(const PlanNode& plan,
+                                     const std::string& key) {
+    for (const PlanNode& child : plan.children) {
+      if (child.op != "olap.cube.scan") continue;
+      for (const auto& [k, v] : child.props) {
+        if (k == key) return &v;
+      }
+    }
+    return nullptr;
+  }
+
+  static Table* extract_;
+  static Warehouse* warehouse_;
+};
+
+Table* CubeKernelTest::extract_ = nullptr;
+Warehouse* CubeKernelTest::warehouse_ = nullptr;
+
+TEST_F(CubeKernelTest, FortyThousandRowsFiveMeasures) {
   CubeQuery q;
   q.axes = {AxisSpec{"D", "G", {}}, AxisSpec{"D", "B", {}}};
   q.measures = {AggSpec{AggFn::kCount, "", "n"},
@@ -321,32 +426,147 @@ TEST(CubeTest, ParallelScanMatchesSerial) {
                 AggSpec{AggFn::kMin, "V", "lo"},
                 AggSpec{AggFn::kMax, "V", "hi"},
                 AggSpec{AggFn::kCountDistinct, "V", "d"}};
-  auto serial = CubeEngine(&*wh).Execute(q);
-  ASSERT_TRUE(serial.ok());
-  CubeEngineOptions opt;
-  opt.num_threads = 4;
-  opt.parallel_threshold = 1000;
-  auto parallel = CubeEngine(&*wh, opt).Execute(q);
-  ASSERT_TRUE(parallel.ok());
+  Cube cube = ExpectMatchesBaseline(q);
+  EXPECT_EQ(cube.num_cells(), 14u);
+  EXPECT_EQ(cube.facts_aggregated(), 40000u);
+}
 
-  EXPECT_EQ(parallel->num_cells(), serial->num_cells());
-  EXPECT_EQ(parallel->facts_aggregated(), serial->facts_aggregated());
-  for (const Value& g : serial->AxisMembers(0)) {
-    for (const Value& b : serial->AxisMembers(1)) {
-      for (size_t m = 0; m < q.measures.size(); ++m) {
-        Value sv = serial->CellValue({g, b}, m);
-        Value pv = parallel->CellValue({g, b}, m);
-        if (sv.is_null() || pv.is_null()) {
-          EXPECT_EQ(sv.is_null(), pv.is_null());
-        } else if (sv.type() == DataType::kDouble) {
-          EXPECT_NEAR(sv.double_value(), pv.double_value(),
-                      1e-6 * std::max(1.0, std::fabs(sv.double_value())));
-        } else {
-          EXPECT_TRUE(sv.Equals(pv));
-        }
-      }
+TEST_F(CubeKernelTest, AllAggregatesOverNullableIntAndDouble) {
+  const AggFn fns[] = {AggFn::kCount,    AggFn::kCountValid,
+                       AggFn::kCountDistinct, AggFn::kSum,
+                       AggFn::kAvg,      AggFn::kMin,
+                       AggFn::kMax,      AggFn::kVariance,
+                       AggFn::kStdDev};
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "B", {}}};
+  for (const char* column : {"IV", "DV"}) {
+    for (AggFn fn : fns) q.measures.push_back(AggSpec{fn, column, ""});
+  }
+  Cube cube = ExpectMatchesBaseline(q);
+  // Nulls count toward count but not count_valid.
+  const std::vector<Value> cell = {Value::Str("0")};
+  EXPECT_GT(cube.CellValue(cell, 0).int_value(),
+            cube.CellValue(cell, 1).int_value());
+}
+
+TEST_F(CubeKernelTest, AxisWithNullMembers) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "N", {}}, AxisSpec{"D", "G", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "DV", "avg"}};
+  Cube cube = ExpectMatchesBaseline(q);
+  ASSERT_EQ(cube.AxisMembers(0).size(), 3u);  // null, "a", "b"
+  EXPECT_TRUE(cube.AxisMembers(0).front().is_null());
+
+  // A null listed in a member restriction selects the null rows.
+  CubeQuery restricted;
+  restricted.axes = {AxisSpec{"D", "N", {Value::Str("b"), Value::Null()}}};
+  restricted.measures = {AggSpec{AggFn::kCount, "", "n"}};
+  auto r = CubeEngine(warehouse_).Execute(restricted);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->AxisMembers(0).size(), 2u);
+  EXPECT_EQ(r->AxisMembers(0)[0], Value::Str("b"));
+  EXPECT_TRUE(r->AxisMembers(0)[1].is_null());
+  EXPECT_EQ(r->CellCount({Value::Null()}), 40000u / 11 + 1);
+}
+
+TEST_F(CubeKernelTest, IntTypedAxisAttribute) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "K", {}}, AxisSpec{"D", "B", {}}};
+  q.slicers = {SlicerSpec{"D", "G", {Value::Str("x")}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kSum, "IV", "s"},
+                AggSpec{AggFn::kStdDev, "DV", "sd"}};
+  Cube cube = ExpectMatchesBaseline(q);
+  // Even rows only: null, 0, 20, 40, sorted with null first.
+  EXPECT_EQ(cube.AxisMembers(0),
+            (std::vector<Value>{Value::Null(), Value::Int(0), Value::Int(20),
+                                Value::Int(40)}));
+
+  // Int members match int64 and double spellings alike, as ValueEq
+  // says; the restriction's own spelling names the member.
+  CubeQuery spelled;
+  spelled.axes = {AxisSpec{"D", "K", {Value::Real(10.0), Value::Int(30)}}};
+  spelled.slicers = {SlicerSpec{"D", "K", {Value::Int(10), Value::Real(30)}}};
+  spelled.measures = {AggSpec{AggFn::kCount, "", "n"}};
+  Cube s = ExpectMatchesBaseline(spelled);
+  ASSERT_EQ(s.AxisMembers(0).size(), 2u);
+  EXPECT_EQ(s.AxisMembers(0)[0].type(), DataType::kDouble);
+}
+
+TEST_F(CubeKernelTest, RestrictedAxesWithDuplicateAndAbsentMembers) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "B",
+                     {Value::Str("3"), Value::Str("1"), Value::Str("3"),
+                      Value::Str("9")}},
+            AxisSpec{"D", "G",
+                     {Value::Str("y"), Value::Str("z"), Value::Str("y")}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "IV", "avg"}};
+  Cube cube = ExpectMatchesBaseline(q);
+  // Restriction order, duplicates dropped, absent members hidden.
+  EXPECT_EQ(cube.AxisMembers(0),
+            (std::vector<Value>{Value::Str("3"), Value::Str("1")}));
+  EXPECT_EQ(cube.AxisMembers(1), (std::vector<Value>{Value::Str("y")}));
+
+  q.non_empty = false;  // absent members stay visible
+  auto padded = CubeEngine(warehouse_).Execute(q);
+  ASSERT_TRUE(padded.ok());
+  EXPECT_EQ(padded->AxisMembers(0),
+            (std::vector<Value>{Value::Str("3"), Value::Str("1"),
+                                Value::Str("9")}));
+  EXPECT_EQ(padded->num_cells(), cube.num_cells());
+}
+
+TEST_F(CubeKernelTest, ZeroAxisGrandTotal) {
+  CubeQuery q;
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kSum, "IV", "s"},
+                AggSpec{AggFn::kVariance, "DV", "var"},
+                AggSpec{AggFn::kMax, "DV", "hi"}};
+  Cube cube = ExpectMatchesBaseline(q);
+  EXPECT_EQ(cube.num_cells(), 1u);
+  EXPECT_EQ(cube.CellValue({}, 0), Value::Int(40000));
+
+  q.slicers = {SlicerSpec{"D", "B", {Value::Str("2"), Value::Str("5")}}};
+  ExpectMatchesBaseline(q);
+}
+
+TEST_F(CubeKernelTest, HashedSlotsPastTheDenseLimit) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"W", "P", {}}, AxisSpec{"W", "Q", {}},
+            AxisSpec{"W", "R", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "DV", "avg"},
+                AggSpec{AggFn::kMax, "IV", "hi"}};
+  PlanNode plan;
+  ExpectMatchesBaseline(q, &plan);  // 47 * 43 * 53 = 107113 cells
+  const std::string* slots = ScanProp(plan, "slots");
+  ASSERT_NE(slots, nullptr);
+  EXPECT_EQ(*slots, "hashed");
+
+  q.axes.pop_back();  // 47 * 43 = 2021 cells
+  PlanNode dense_plan;
+  ExpectMatchesBaseline(q, &dense_plan);
+  slots = ScanProp(dense_plan, "slots");
+  ASSERT_NE(slots, nullptr);
+  EXPECT_EQ(*slots, "dense");
+}
+
+TEST_F(CubeKernelTest, CellSpacePast64BitsIsInvalidArgument) {
+  // (47 * 43 * 53)^4 is about 1.3e20 cells, past 2^64.
+  CubeQuery q;
+  for (int i = 0; i < 4; ++i) {
+    for (const char* attr : {"P", "Q", "R"}) {
+      q.axes.push_back(AxisSpec{"W", attr, {}});
     }
   }
+  q.measures = {AggSpec{AggFn::kCount, "", "n"}};
+  EXPECT_TRUE(CubeEngine(warehouse_).Execute(q).status().IsInvalidArgument());
+  q.axes.resize(9);  // about 1.2e15 cells: hashed, and fine
+  auto cube = CubeEngine(warehouse_).Execute(q);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  EXPECT_EQ(cube->facts_aggregated(), 40000u);
 }
 
 TEST(CubeTest, TopCellsRanking) {
@@ -403,6 +623,78 @@ TEST(CubeTest, NullAttributeValuesFormCoordinates) {
   EXPECT_TRUE(cube->AxisMembers(0).front().is_null());
 }
 
+// A one-dimension warehouse over MakeExtract() with nulls planted in
+// Diabetes (rows 1 and 5) and an int64 attribute Visits that is null
+// on row 3.
+Warehouse MakeNullFirstWarehouse() {
+  Table extract = MakeExtract();
+  EXPECT_TRUE(extract.SetCell(0, "Diabetes", Value::Null()).ok());
+  EXPECT_TRUE(extract.SetCell(4, "Diabetes", Value::Null()).ok());
+  ColumnVector visits("Visits", DataType::kInt64);
+  for (size_t i = 0; i < extract.num_rows(); ++i) {
+    if (i == 2) {
+      visits.AppendNull();
+    } else {
+      visits.AppendInt(static_cast<int64_t>(i % 3));
+    }
+  }
+  EXPECT_TRUE(extract.AddColumn(std::move(visits)).ok());
+  StarSchemaDef def;
+  def.fact_name = "Facts";
+  def.measures = {MeasureDef{"FBG", "FBG"}};
+  def.dimensions = {DimensionDef{"Person", {"Gender", "Diabetes", "Visits"},
+                                 {}}};
+  auto wh = StarSchemaBuilder(def).Build(extract);
+  EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+  return std::move(wh).value();
+}
+
+TEST(CubeTest, PivotRowsWithNullFirstMember) {
+  Warehouse wh = MakeNullFirstWarehouse();
+  CubeQuery q;
+  q.axes = {AxisSpec{"Person", "Diabetes", {}},
+            AxisSpec{"Person", "Gender", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"}};
+  auto cube = CubeEngine(&wh).Execute(q);
+  ASSERT_TRUE(cube.ok());
+  ASSERT_TRUE(cube->AxisMembers(0).front().is_null());
+  auto grid = cube->Pivot(0, 1);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  EXPECT_EQ(grid->schema().field(0).type, DataType::kString);
+  ASSERT_EQ(grid->num_rows(), 3u);  // null, No, Yes
+  EXPECT_TRUE(grid->column(0).IsNull(0));
+  // Rows 0 (F) and 4 (M) carry the null diagnosis.
+  EXPECT_EQ(*grid->GetCell(0, "F"), Value::Int(1));
+  EXPECT_EQ(*grid->GetCell(0, "M"), Value::Int(1));
+  EXPECT_TRUE(cube->PivotShare(0, 1, Cube::ShareBasis::kRow).ok());
+}
+
+TEST(CubeTest, ToTableIntAxisWithNullMember) {
+  Warehouse wh = MakeNullFirstWarehouse();
+  CubeQuery q;
+  q.axes = {AxisSpec{"Person", "Visits", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"}};
+  auto cube = CubeEngine(&wh).Execute(q);
+  ASSERT_TRUE(cube.ok());
+  auto table = cube->ToTable();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->schema().field(0).type, DataType::kInt64);
+  ASSERT_EQ(table->num_rows(), 4u);  // null, 0, 1, 2
+  EXPECT_TRUE(table->column(0).IsNull(0));
+  EXPECT_EQ(*table->GetCell(0, "n"), Value::Int(1));
+  EXPECT_EQ(*table->GetCell(1, "Visits"), Value::Int(0));
+
+  // An axis whose only member is null still gets a (string) column.
+  CubeQuery only_null = q;
+  only_null.slicers = {SlicerSpec{"Person", "Visits", {Value::Null()}}};
+  auto null_cube = CubeEngine(&wh).Execute(only_null);
+  ASSERT_TRUE(null_cube.ok());
+  auto null_table = null_cube->ToTable();
+  ASSERT_TRUE(null_table.ok()) << null_table.status().ToString();
+  EXPECT_EQ(null_table->schema().field(0).type, DataType::kString);
+  EXPECT_EQ(null_table->num_rows(), 1u);
+}
+
 TEST(CubeTest, RestrictedMemberAbsentFromDimensionIsEmpty) {
   Warehouse wh = MakeWarehouse();
   CubeQuery q;
@@ -438,9 +730,12 @@ TEST(CubeTest, DuplicateRestrictionMembersDeduplicated) {
 }
 
 // Property sweep: for any axis attribute, per-cell counts sum to the
-// slicer-admitted fact count.
-class CubePartitionTest : public ::testing::TestWithParam<
-                              std::pair<const char*, const char*>> {};
+// slicer-admitted fact count. The (dimension, attribute) parameters
+// are strings rather than `const char*`, so the test names print the
+// names and not pointer values.
+using DimAttr = std::pair<std::string, std::string>;
+
+class CubePartitionTest : public ::testing::TestWithParam<DimAttr> {};
 
 TEST_P(CubePartitionTest, CellCountsPartitionFacts) {
   Warehouse wh = MakeWarehouse();
@@ -459,10 +754,10 @@ TEST_P(CubePartitionTest, CellCountsPartitionFacts) {
 
 INSTANTIATE_TEST_SUITE_P(
     Axes, CubePartitionTest,
-    ::testing::Values(std::make_pair("Person", "Gender"),
-                      std::make_pair("Person", "AgeBand10"),
-                      std::make_pair("Person", "AgeBand5"),
-                      std::make_pair("Condition", "Diabetes")));
+    ::testing::Values(DimAttr("Person", "Gender"),
+                      DimAttr("Person", "AgeBand10"),
+                      DimAttr("Person", "AgeBand5"),
+                      DimAttr("Condition", "Diabetes")));
 
 }  // namespace
 }  // namespace ddgms::olap

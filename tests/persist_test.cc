@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/faults.h"
 #include "common/io.h"
 #include "core/dd_dgms.h"
@@ -68,6 +69,40 @@ olap::CubeQuery CountByGenderQuery() {
   return q;
 }
 
+/// A small hand-built warehouse covering every column type, nulls, an
+/// empty string and a negative zero: its snapshot bytes are pinned.
+Result<warehouse::Warehouse> MakeFixedWarehouse() {
+  DDGMS_ASSIGN_OR_RETURN(Schema schema,
+                         Schema::Make({{"Sex", DataType::kString},
+                                       {"Visits", DataType::kInt64},
+                                       {"Bmi", DataType::kDouble},
+                                       {"Smoker", DataType::kBool},
+                                       {"Seen", DataType::kDate},
+                                       {"FBG", DataType::kDouble},
+                                       {"Age", DataType::kInt64}}));
+  Table t(std::move(schema));
+  const Value null = Value::Null();
+  const std::vector<Row> rows = {
+      {Value::Str("F"), Value::Int(1), Value::Real(22.5), Value::Bool(true),
+       Value::FromDate(Date(15000)), Value::Real(5.5), Value::Int(71)},
+      {Value::Str("M"), null, Value::Real(31.25), Value::Bool(false),
+       Value::FromDate(Date(15001)), null, Value::Int(64)},
+      {null, Value::Int(3), null, null, null, Value::Real(7.25),
+       Value::Int(80)},
+      {Value::Str(""), Value::Int(3), Value::Real(-0.0), Value::Bool(true),
+       Value::FromDate(Date(0)), Value::Real(6.0), Value::Int(55)},
+      {Value::Str("F"), Value::Int(0), Value::Real(27.0), Value::Bool(false),
+       Value::FromDate(Date(-3)), Value::Real(4.75), Value::Int(49)},
+  };
+  for (const Row& row : rows) DDGMS_RETURN_IF_ERROR(t.AppendRow(row));
+  warehouse::StarSchemaDef def;
+  def.fact_name = "Exams";
+  def.measures = {{"FBG", "FBG"}, {"Age", "Age"}};
+  def.dimensions = {{"Person", {"Sex", "Visits", "Smoker"}, {}},
+                    {"Exam", {"Bmi", "Seen"}, {}}};
+  return warehouse::StarSchemaBuilder(def).Build(t);
+}
+
 // ----------------------------------------------------- snapshot codec
 
 TEST(SnapshotCodecTest, RoundTripBitExact) {
@@ -92,6 +127,25 @@ TEST(SnapshotCodecTest, RoundTripBitExact) {
   for (const Value& m : ca->AxisMembers(0)) {
     EXPECT_EQ(ca->CellValue({m}), cb->CellValue({m}));
   }
+}
+
+constexpr size_t kFixedImageSize = 659;
+constexpr uint32_t kFixedImageCrc32c = 426883221;
+
+TEST(SnapshotCodecTest, FixedWarehouseBytesArePinned) {
+  // Size and CRC32C of this warehouse's image as the format's original
+  // encoder wrote it. Any change to them changes the bytes on disk and
+  // needs a kSnapshotFormatVersion bump.
+  auto wh = MakeFixedWarehouse();
+  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+  const std::string image = warehouse::EncodeSnapshot(*wh);
+  EXPECT_EQ(image.size(), kFixedImageSize);
+  EXPECT_EQ(Crc32c(image), kFixedImageCrc32c);
+  // Every column type, null and the empty string re-encode unchanged.
+  auto decoded = warehouse::DecodeSnapshot(image);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->num_fact_rows(), 5u);
+  EXPECT_EQ(warehouse::EncodeSnapshot(*decoded), image);
 }
 
 TEST(SnapshotCodecTest, TableEmptyStringDistinctFromNull) {

@@ -113,7 +113,8 @@ TEST(CondVarTest, WaitForTimesOutWhenPredicateStaysFalse) {
 TEST(CondVarTest, NotifyAllReleasesEveryWaiter) {
   constexpr int kWaiters = 6;
   Mutex mu;
-  CondVar cv;
+  CondVar cv;         // waiters park here until `go`
+  CondVar parked_cv;  // only the main thread waits here
   bool go = false;     // guarded by mu
   int waiting = 0;     // guarded by mu
   int released = 0;    // guarded by mu
@@ -124,14 +125,16 @@ TEST(CondVarTest, NotifyAllReleasesEveryWaiter) {
     threads.emplace_back([&] {
       MutexLock lock(mu);
       ++waiting;
-      cv.NotifyOne();  // tell the main thread we are parked
+      // Tell the main thread we are parked. A NotifyOne on `cv` could
+      // wake a sibling waiter instead of main and lose the wakeup.
+      parked_cv.NotifyOne();
       cv.Wait(mu, [&] { return go; });
       ++released;
     });
   }
   {
     MutexLock lock(mu);
-    cv.Wait(mu, [&] { return waiting == kWaiters; });
+    parked_cv.Wait(mu, [&] { return waiting == kWaiters; });
     go = true;
   }
   cv.NotifyAll();

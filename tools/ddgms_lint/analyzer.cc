@@ -377,6 +377,20 @@ class Extractor {
         flag(At(i).line, "Value boxing (Value temporary)");
         continue;
       }
+      // A Value factory boxes one cell (Value::Null() carries nothing),
+      // and so does reading a column through GetValue.
+      if (t == "Value" && !qualified && IsPunct(i + 1, "::") &&
+          IsIdent(i + 2) && At(i + 2).text != "Null" &&
+          IsPunct(i + 3, "(")) {
+        flag(At(i).line, "Value boxing (Value::" + At(i + 2).text + ")");
+        continue;
+      }
+      if (t == "GetValue" && i >= 1 &&
+          (IsPunct(i - 1, ".") || IsPunct(i - 1, "->")) &&
+          IsPunct(i + 1, "(")) {
+        flag(At(i).line, "Value boxing (GetValue)");
+        continue;
+      }
     }
   }
 
@@ -838,7 +852,7 @@ std::string FormatFindings(const std::vector<Finding>& findings,
 
 namespace {
 
-constexpr const char kCacheHeader[] = "ddgms-analyzer-cache v1";
+constexpr const char kCacheHeader[] = "ddgms-analyzer-cache v2";
 
 std::string EscapeLine(const std::string& s) {
   std::string out;
@@ -1183,12 +1197,16 @@ int RunSelfTest() {
                    "  for (auto& r : rows) {\n"
                    "    out.push_back(r);\n"
                    "    std::string key = r.key();\n"
+                   "    acc.Add(col->GetValue(r.i));\n"
+                   "    acc.Add(Value::Int(1));\n"
                    "  }\n"
+                   "  return Value::Null();\n"
                    "}\n"
                    "void Cold(Rows& rows) { std::string s; }\n"};
     FileFacts facts = ExtractFileFacts(hot);
-    Expect(CountRule(facts.findings, "hot-path-alloc") == 2,
-           "hot function flags push_back + std::string, cold is quiet");
+    Expect(CountRule(facts.findings, "hot-path-alloc") == 4,
+           "hot function flags push_back, std::string and two boxings; "
+           "Value::Null and the cold function are quiet");
     SourceFile suppressed{
         "olap/kernel.cc",
         "DDGMS_HOT void Accumulate(Rows& rows) {\n"
