@@ -38,6 +38,25 @@ uint64_t ValueApproxBytes(const Value& v) {
   return bytes;
 }
 
+/// A member restriction's members: duplicates under ValueEq dropped,
+/// the first spelling kept, in the listed order.
+std::vector<Value> DistinctMembers(const std::vector<Value>& listed) {
+  std::vector<Value> out;
+  std::unordered_set<Value, ValueHash, ValueEq> seen;
+  for (const Value& m : listed) {
+    if (seen.insert(m).second) out.push_back(m);
+  }
+  return out;
+}
+
+/// True when an axis with member restriction `restriction` (empty = all
+/// members) admits the facts whose attribute equals `v`.
+bool Admits(const std::vector<Value>& restriction, const Value& v) {
+  return restriction.empty() ||
+         std::any_of(restriction.begin(), restriction.end(),
+                     [&v](const Value& m) { return m.Equals(v); });
+}
+
 /// Per-stage stopwatch for EXPLAIN ANALYZE: measures wall time and the
 /// resource-pool byte delta across one engine stage and writes them
 /// into a fresh child of `plan`. Fully inert when `plan` is null, so
@@ -265,7 +284,7 @@ class CellSlots {
   bool dense() const { return dense_; }
   size_t size() const { return cell_of_slot_.size(); }
   uint64_t cell(size_t slot) const { return cell_of_slot_[slot]; }
-  const Accumulator* accumulators(size_t slot) const {
+  Accumulator* accumulators(size_t slot) {
     return &accs_[slot * measures_.size()];
   }
 
@@ -409,15 +428,93 @@ std::string CubeQuery::ToString() const {
 DDGMS_HOT Value Cube::CellValue(const std::vector<Value>& coords,
                                 size_t measure_index) const {
   auto it = cells_.find(coords);
-  if (it == cells_.end() || measure_index >= it->second.measure_values.size()) {
+  if (it == cells_.end() ||
+      measure_index >= it->second.accumulators.size()) {
     return Value::Null();
   }
-  return it->second.measure_values[measure_index];
+  return it->second.accumulators[measure_index].Finish();
 }
 
 size_t Cube::CellCount(const std::vector<Value>& coords) const {
   auto it = cells_.find(coords);
-  return it == cells_.end() ? 0 : it->second.fact_count;
+  return it == cells_.end() ? 0 : it->second.fact_count();
+}
+
+std::optional<size_t> Cube::SoleAxis(const std::string& dimension,
+                                     const std::string& attribute) const {
+  std::optional<size_t> found;
+  for (size_t i = 0; i < query_.axes.size(); ++i) {
+    if (query_.axes[i].dimension == dimension &&
+        query_.axes[i].attribute == attribute) {
+      if (found) return std::nullopt;
+      found = i;
+    }
+  }
+  return found;
+}
+
+bool Cube::CellsCurrent() const {
+  return warehouse_ != nullptr && warehouse_->generation() == generation_ &&
+         std::none_of(query_.measures.begin(), query_.measures.end(),
+                      [](const AggSpec& m) {
+                        return m.fn == AggFn::kCountDistinct;
+                      });
+}
+
+Cube Cube::Derive(
+    CubeQuery query, size_t axis,
+    const std::function<const Value*(const Value&)>& member_of) const {
+  ScopedAccounting accounting("olap.cube");
+  const bool drop_axis = query.axes.size() < query_.axes.size();
+  Cube out;
+  out.warehouse_ = warehouse_;
+  out.generation_ = generation_;
+  out.query_ = std::move(query);
+  for (const auto& [coord, cell] : cells_) {
+    const Value* member = member_of(coord[axis]);
+    if (member == nullptr) continue;
+    std::vector<Value> key = coord;
+    if (drop_axis) {
+      key.erase(key.begin() + static_cast<ptrdiff_t>(axis));
+    } else {
+      key[axis] = *member;
+    }
+    auto [it, fresh] = out.cells_.try_emplace(std::move(key), cell);
+    if (!fresh) {
+      for (size_t m = 0; m < cell.accumulators.size(); ++m) {
+        it->second.accumulators[m].Merge(cell.accumulators[m]);
+      }
+    }
+    out.facts_aggregated_ += cell.fact_count();
+  }
+
+  // Axis members follow the engine's rule: a restricted axis lists its
+  // restriction in order, hiding unseen members unless non_empty is
+  // off, and an unrestricted axis lists its seen members sorted. This
+  // cube's lists are in that order and a derived cube sees no member
+  // this one did not, so filtering them by what the derived cells see
+  // is enough; a diced axis starts from its new restriction.
+  const std::vector<AxisSpec>& axes = out.query_.axes;
+  out.axis_members_.resize(axes.size());
+  for (size_t a = 0; a < axes.size(); ++a) {
+    std::vector<Value> members;
+    if (a == axis && !drop_axis) {
+      members = DistinctMembers(axes[a].members);
+    } else {
+      members = axis_members_[drop_axis && a >= axis ? a + 1 : a];
+    }
+    if (!axes[a].members.empty() && !out.query_.non_empty) {
+      out.axis_members_[a] = std::move(members);
+      continue;
+    }
+    std::unordered_set<Value, ValueHash, ValueEq> seen;
+    for (const auto& [coord, cell] : out.cells_) seen.insert(coord[a]);
+    for (Value& m : members) {
+      if (seen.count(m) != 0) out.axis_members_[a].push_back(std::move(m));
+    }
+  }
+  DDGMS_RESOURCE_CHARGE(out.ApproxBytes());
+  return out;
 }
 
 Result<Cube> Cube::RollUp(size_t axis) const {
@@ -430,6 +527,13 @@ Result<Cube> Cube::RollUp(size_t axis) const {
   DDGMS_LOG_DEBUG("olap.rollup").With("axis", axis);
   CubeQuery q = query_;
   q.axes.erase(q.axes.begin() + static_cast<ptrdiff_t>(axis));
+  // The engine answers without the axis's member restriction, so the
+  // cells of a restricted axis hold too few facts.
+  if (CellsCurrent() && query_.axes[axis].members.empty()) {
+    span.SetAttribute("from", "cube");
+    return Derive(std::move(q), axis, [](const Value& v) { return &v; });
+  }
+  span.SetAttribute("from", "warehouse");
   return CubeEngine(warehouse_).Execute(q);
 }
 
@@ -499,7 +603,15 @@ Result<Cube> Cube::Slice(const std::string& dimension,
       break;
     }
   }
-  q.slicers.push_back(SlicerSpec{dimension, attribute, {std::move(value)}});
+  q.slicers.push_back(SlicerSpec{dimension, attribute, {value}});
+  const std::optional<size_t> axis = SoleAxis(dimension, attribute);
+  if (axis && CellsCurrent() && Admits(query_.axes[*axis].members, value)) {
+    span.SetAttribute("from", "cube");
+    return Derive(std::move(q), *axis, [&value](const Value& v) {
+      return v.Equals(value) ? &value : nullptr;
+    });
+  }
+  span.SetAttribute("from", "warehouse");
   return CubeEngine(warehouse_).Execute(q);
 }
 
@@ -527,6 +639,25 @@ Result<Cube> Cube::Dice(const std::string& dimension,
     q.slicers.push_back(
         SlicerSpec{dimension, attribute, std::move(values)});
   }
+  // An empty list leaves the axis unrestricted, which the engine
+  // answers.
+  const std::optional<size_t> axis = SoleAxis(dimension, attribute);
+  if (axis && CellsCurrent() && !values.empty() &&
+      std::all_of(values.begin(), values.end(),
+                  [this, &axis](const Value& v) {
+                    return Admits(query_.axes[*axis].members, v);
+                  })) {
+    span.SetAttribute("from", "cube");
+    // A cell takes the first listed spelling of its member.
+    return Derive(std::move(q), *axis,
+                  [&values](const Value& v) -> const Value* {
+                    for (const Value& m : values) {
+                      if (m.Equals(v)) return &m;
+                    }
+                    return nullptr;
+                  });
+  }
+  span.SetAttribute("from", "warehouse");
   return CubeEngine(warehouse_).Execute(q);
 }
 
@@ -568,9 +699,11 @@ Result<Table> Cube::ToTable() const {
             });
   for (const std::vector<Value>* c : coords) {
     const Cell& cell = cells_.at(*c);
-    if (query_.non_empty && cell.fact_count == 0) continue;
+    if (query_.non_empty && cell.fact_count() == 0) continue;
     Row row = *c;
-    for (const Value& mv : cell.measure_values) row.push_back(mv);
+    for (const Accumulator& acc : cell.accumulators) {
+      row.push_back(acc.Finish());
+    }
     DDGMS_RETURN_IF_ERROR(out.AppendRow(row));
   }
   return out;
@@ -702,10 +835,10 @@ Result<std::vector<Cube::RankedCell>> Cube::TopCells(
   std::vector<RankedCell> ranked;
   ranked.reserve(cells_.size());
   for (const auto& [coord, cell] : cells_) {
-    if (measure_index >= cell.measure_values.size()) continue;
-    Result<double> v = cell.measure_values[measure_index].AsDouble();
+    if (measure_index >= cell.accumulators.size()) continue;
+    Result<double> v = cell.accumulators[measure_index].Finish().AsDouble();
     if (!v.ok()) continue;
-    ranked.push_back(RankedCell{coord, *v, cell.fact_count});
+    ranked.push_back(RankedCell{coord, *v, cell.fact_count()});
   }
   auto better = [largest](const RankedCell& a, const RankedCell& b) {
     if (a.value != b.value) {
@@ -730,8 +863,8 @@ uint64_t Cube::ApproxBytes() const {
   for (const auto& [coord, cell] : cells_) {
     bytes += kCellOverhead;
     for (const Value& v : coord) bytes += ValueApproxBytes(v);
-    for (const Value& v : cell.measure_values) {
-      bytes += ValueApproxBytes(v);
+    for (const Accumulator& acc : cell.accumulators) {
+      bytes += acc.ApproxBytes();
     }
   }
   for (const std::vector<Value>& members : axis_members_) {
@@ -787,10 +920,7 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     ScanAxis axis;
     axis.keys = key_col->ints();
     axis.column = attr_col;
-    std::unordered_set<Value, ValueHash, ValueEq> listed;
-    for (const Value& m : spec.members) {
-      if (listed.insert(m).second) axis.restriction.push_back(m);
-    }
+    axis.restriction = DistinctMembers(spec.members);
     AttributeCodes codes = CodeAttribute(*attr_col, axis.restriction);
     if (spec.members.empty()) {
       axis.first_key = std::move(codes.first_key);
@@ -886,6 +1016,7 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
 
   Cube cube;
   cube.warehouse_ = warehouse_;
+  cube.generation_ = warehouse_->generation();
   cube.query_ = query;
   StageTimer scan_timer(plan, "olap.cube.scan", accounting);
   CellSlots slots(cell_space, query.measures);
@@ -900,7 +1031,8 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
 
   StageTimer materialize_timer(plan, "olap.cube.materialize", accounting);
   // Materialize: decode each touched cell's packed index into member
-  // ids, box its coordinates once and finish its accumulators.
+  // ids, box its coordinates once and move its accumulators into the
+  // cube, where navigation can merge them.
   const std::vector<ScanAxis>& axes = scan.axes;
   const size_t num_axes = axes.size();
   auto member_id = [&](uint64_t cell, size_t a) {
@@ -935,12 +1067,13 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   const size_t width = query.measures.size();
   cube.cells_.reserve(slots.size());
   for (size_t slot = 0; slot < slots.size(); ++slot) {
-    const Accumulator* accs = slots.accumulators(slot);
+    Accumulator* accs = slots.accumulators(slot);
     Cube::Cell cell;
-    cell.fact_count = accs[0].rows();
-    cell.measure_values.reserve(width);
+    cell.accumulators.reserve(width);
     for (size_t m = 0; m < width; ++m) {
-      cell.measure_values.push_back(accs[m].Finish());
+      // A cached cube must not hold every distinct fact value.
+      accs[m].DropDistinctValues();
+      cell.accumulators.push_back(std::move(accs[m]));
     }
     std::vector<Value> coord;
     coord.reserve(num_axes);

@@ -1,6 +1,9 @@
 #ifndef DDGMS_OLAP_CUBE_H_
 #define DDGMS_OLAP_CUBE_H_
 
+#include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,8 +51,8 @@ struct CubeQuery {
 };
 
 /// Materialized result of a CubeQuery: a sparse map from axis coordinates
-/// to aggregated measure values, retaining enough context (warehouse +
-/// query) to support OLAP navigation:
+/// to each cell's measure accumulators, retaining enough context
+/// (warehouse + query) to support OLAP navigation:
 ///
 ///  * RollUp(axis)            — drop an axis, re-aggregating.
 ///  * RollUpToCoarser(axis)   — move the axis up its hierarchy.
@@ -58,8 +61,17 @@ struct CubeQuery {
 ///  * Slice(dim, attr, v)     — fix one member and remove that axis.
 ///  * Dice(dim, attr, values) — restrict to a member subset.
 ///
-/// Navigation re-executes against the warehouse (ROLAP style), so a Cube
-/// must not outlive its Warehouse.
+/// RollUp, Slice and Dice derive their cube from this one's cells when
+/// these cells hold every fact the answer needs: the warehouse is still
+/// at the generation this cube was computed under, no measure is
+/// count_distinct, the attribute is exactly one axis, and that axis's
+/// member restriction (if any) covers the answer. RollUp then merges
+/// the cells that share their other coordinates, Slice keeps one
+/// member's cells and drops the axis, and Dice keeps the listed
+/// members' cells. Every other navigation, and DrillDown and
+/// RollUpToCoarser always, re-executes against the warehouse (ROLAP
+/// style). Either way the result equals what CubeEngine returns for
+/// the navigated query, and a Cube must not outlive its Warehouse.
 class Cube {
  public:
   const CubeQuery& query() const { return query_; }
@@ -128,19 +140,47 @@ class Cube {
                                            bool largest = true) const;
 
   /// Estimated heap footprint of the materialized cube (cells, their
-  /// coordinate and measure Values, axis member lists). This is the
-  /// amount Execute charges to the "olap.cube" resource pool.
+  /// coordinate Values and measure accumulators, axis member lists).
+  /// This is the amount Execute, and a navigation that derives its
+  /// cube from this one, charge to the "olap.cube" resource pool.
   uint64_t ApproxBytes() const;
 
  private:
   friend class CubeEngine;
 
+  /// The scan's accumulators, one per measure. Values come from
+  /// Finish; navigation merges them. A count_distinct accumulator
+  /// keeps only its count (DropDistinctValues).
   struct Cell {
-    std::vector<Value> measure_values;
-    size_t fact_count = 0;
+    std::vector<Accumulator> accumulators;
+
+    size_t fact_count() const { return accumulators.front().rows(); }
   };
 
+  /// The axis whose attribute is `attribute` of `dimension`, when
+  /// exactly one axis is; nullopt otherwise.
+  std::optional<size_t> SoleAxis(const std::string& dimension,
+                                 const std::string& attribute) const;
+
+  /// True when this cube's cells can still answer a navigation: the
+  /// warehouse has not changed since they were computed and no
+  /// measure is count_distinct.
+  bool CellsCurrent() const;
+
+  /// Builds the cube for `query` from this cube's cells. `query` is
+  /// this cube's query navigated along `axis`: without that axis
+  /// (roll-up, slice), or with its members restricted (dice).
+  /// `member_of` maps a cell's coordinate on `axis` to the coordinate
+  /// the cell keeps (unused when the axis goes), or to nullptr to
+  /// leave the cell out.
+  Cube Derive(CubeQuery query, size_t axis,
+              const std::function<const Value*(const Value&)>& member_of)
+      const;
+
   const warehouse::Warehouse* warehouse_ = nullptr;
+  /// Warehouse::generation() the cells were computed under; a derived
+  /// cube inherits its parent's.
+  uint64_t generation_ = 0;
   CubeQuery query_;
   std::unordered_map<std::vector<Value>, Cell, ValueVectorHash,
                      ValueVectorEq>

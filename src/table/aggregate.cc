@@ -79,12 +79,49 @@ DDGMS_HOT void Accumulator::Add(const Value& v) {
       break;
     }
     case AggFn::kMin:
-      if (min_.is_null() || v.Compare(min_) < 0) min_ = v;
-      break;
     case AggFn::kMax:
-      if (max_.is_null() || v.Compare(max_) > 0) max_ = v;
+      Extend(v);
       break;
   }
+}
+
+void Accumulator::Extend(const Value& v) {
+  if (extreme_.is_null()) {
+    extreme_ = v;
+    return;
+  }
+  const int c = v.Compare(extreme_);
+  if (fn_ == AggFn::kMin ? c < 0 : c > 0) extreme_ = v;
+}
+
+void Accumulator::Merge(const Accumulator& other) {
+  assert(fn_ == other.fn_);
+  assert(dropped_distinct_ == 0 && other.dropped_distinct_ == 0);
+  rows_ += other.rows_;
+  valid_ += other.valid_;
+  sum_ += other.sum_;
+  sum_sq_ += other.sum_sq_;
+  numeric_ok_ = numeric_ok_ && other.numeric_ok_;
+  if (!other.extreme_.is_null()) Extend(other.extreme_);
+  distinct_.insert(other.distinct_.begin(), other.distinct_.end());
+}
+
+void Accumulator::DropDistinctValues() {
+  if (distinct_.empty()) return;  // nothing to free
+  dropped_distinct_ += distinct_.size();
+  std::unordered_set<Value, ValueHash, ValueEq>().swap(distinct_);
+}
+
+uint64_t Accumulator::ApproxBytes() const {
+  auto payload = [](const Value& v) -> uint64_t {
+    return v.type() == DataType::kString ? v.string_value().size() : 0;
+  };
+  uint64_t bytes = sizeof(Accumulator) + payload(extreme_);
+  // A set node holds the value, its cached hash and the next pointer.
+  for (const Value& v : distinct_) {
+    bytes += sizeof(Value) + 2 * sizeof(void*) + payload(v);
+  }
+  return bytes;
 }
 
 Value Accumulator::Finish() const {
@@ -94,7 +131,8 @@ Value Accumulator::Finish() const {
     case AggFn::kCountValid:
       return Value::Int(static_cast<int64_t>(valid_));
     case AggFn::kCountDistinct:
-      return Value::Int(static_cast<int64_t>(distinct_.size()));
+      return Value::Int(
+          static_cast<int64_t>(dropped_distinct_ + distinct_.size()));
     case AggFn::kSum:
       if (!numeric_ok_) return Value::Null();
       return Value::Real(sum_);
@@ -102,9 +140,8 @@ Value Accumulator::Finish() const {
       if (!numeric_ok_ || valid_ == 0) return Value::Null();
       return Value::Real(sum_ / static_cast<double>(valid_));
     case AggFn::kMin:
-      return min_;
     case AggFn::kMax:
-      return max_;
+      return extreme_;
     case AggFn::kVariance:
     case AggFn::kStdDev: {
       if (!numeric_ok_ || valid_ == 0) return Value::Null();

@@ -2,6 +2,7 @@
 #define DDGMS_TABLE_AGGREGATE_H_
 
 #include <cassert>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -68,6 +69,21 @@ class Accumulator {
   }
   void AddNull() { ++rows_; }
 
+  /// Folds another accumulator of the same function into this one:
+  /// merging the accumulators of the parts of a split stream equals
+  /// feeding the whole stream (up to the order of a double sum). Cube
+  /// navigation merges a parent cube's cells this way.
+  void Merge(const Accumulator& other);
+
+  /// Frees a count_distinct accumulator's value set and keeps only the
+  /// count Finish reports; Add and Merge must not follow. A no-op for
+  /// the other functions.
+  void DropDistinctValues();
+
+  /// Estimated heap footprint: the accumulator itself, a string
+  /// min or max, and the count_distinct value set.
+  uint64_t ApproxBytes() const;
+
   /// Number of rows fed (including nulls).
   size_t rows() const { return rows_; }
 
@@ -76,15 +92,21 @@ class Accumulator {
   Value Finish() const;
 
  private:
+  /// kMin/kMax: keeps `v` when it is below (kMin) or above (kMax) the
+  /// extreme so far.
+  void Extend(const Value& v);
+
+  // Cubes keep one accumulator per cell and measure, so its size is a
+  // cube's footprint: one extreme serves min and max.
   AggFn fn_;
+  bool numeric_ok_ = true;
   size_t rows_ = 0;
   size_t valid_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-  bool numeric_ok_ = true;
-  Value min_ = Value::Null();
-  Value max_ = Value::Null();
+  Value extreme_ = Value::Null();
   std::unordered_set<Value, ValueHash, ValueEq> distinct_;
+  size_t dropped_distinct_ = 0;  // count kept by DropDistinctValues
 };
 
 }  // namespace ddgms

@@ -199,8 +199,23 @@ TEST_F(ObservabilityTest, OlapOpsCountPerOperation) {
   MetricsSnapshot snap = core::DdDgms::MetricsSnapshot();
   EXPECT_EQ(CounterValue(snap, "ddgms.olap.ops:slice"), 1u);
   EXPECT_EQ(CounterValue(snap, "ddgms.olap.ops:rollup"), 1u);
-  // Base query + slice + rollup each ran the engine.
-  EXPECT_EQ(CounterValue(snap, "ddgms.olap.queries"), 3u);
+  // Only the base query ran the engine: the slice and the roll-up of
+  // unrestricted axes derive their cubes from the base cube's cells.
+  EXPECT_EQ(CounterValue(snap, "ddgms.olap.queries"), 1u);
+
+  // Each navigation span says where its cube came from.
+  std::vector<SpanRecord> spans = TraceCollector::Global().Snapshot();
+  size_t navigations = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.name != "olap.slice" && s.name != "olap.rollup") continue;
+    ++navigations;
+    std::string from;
+    for (const auto& [key, value] : s.attributes) {
+      if (key == "from") from = value;
+    }
+    EXPECT_EQ(from, "cube") << s.name;
+  }
+  EXPECT_EQ(navigations, 2u);
 }
 
 TEST_F(ObservabilityTest, QuarantineCountersPerStage) {

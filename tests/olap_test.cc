@@ -9,7 +9,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/resource.h"
+#include "common/rng.h"
+#include "common/trace.h"
 #include "core/baseline.h"
+#include "discri/cohort.h"
+#include "discri/model.h"
 #include "olap/cube.h"
 #include "warehouse/warehouse.h"
 
@@ -758,6 +763,500 @@ INSTANTIATE_TEST_SUITE_P(
                       DimAttr("Person", "AgeBand10"),
                       DimAttr("Person", "AgeBand5"),
                       DimAttr("Condition", "Diabetes")));
+
+// ---------------------------------------------------------------------
+// Navigation from the parent cube. RollUp, Slice and Dice derive their
+// cube from the parent's cells when those hold every fact the answer
+// needs, and otherwise re-run the engine. Every result below is checked
+// against a fresh engine run of its own query, and the `from` attribute
+// of its span against the rule for which path it should take.
+// ---------------------------------------------------------------------
+
+// A seeded DiScRi extract after ETL. Its measures are nullable doubles
+// and a null-free int64 Age, so it gains AgeOrNull, a nullable int64
+// copy of Age.
+Table MakeNavigationExtract(size_t patients, uint64_t seed) {
+  discri::CohortOptions opt;
+  opt.num_patients = patients;
+  opt.seed = seed;
+  auto raw = discri::GenerateCohort(opt);
+  EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+  Table t = std::move(raw).value();
+  EXPECT_TRUE(discri::MakeDiscriPipeline().Run(&t).ok());
+  const ColumnVector& age = *t.ColumnByName("Age").value();
+  ColumnVector age_or_null("AgeOrNull", DataType::kInt64);
+  for (size_t r = 0; r < age.size(); ++r) {
+    if (r % 7 == 3 || age.IsNull(r)) {
+      age_or_null.AppendNull();
+    } else {
+      age_or_null.AppendInt(age.ints()[r]);
+    }
+  }
+  EXPECT_TRUE(t.AddColumn(std::move(age_or_null)).ok());
+  return t;
+}
+
+Warehouse BuildNavigationWarehouse(const Table& extract) {
+  StarSchemaDef def = discri::MakeDiscriSchemaDef();
+  def.measures.push_back(MeasureDef{"AgeOrNull", "AgeOrNull"});
+  auto wh = StarSchemaBuilder(def).Build(extract);
+  EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+  return std::move(wh).value();
+}
+
+bool SameValue(const Value& a, const Value& b) {
+  return a.type() == b.type() && a.Equals(b);
+}
+
+bool Lists(const std::vector<Value>& values, const Value& v) {
+  return std::any_of(values.begin(), values.end(),
+                     [&v](const Value& m) { return m.Equals(v); });
+}
+
+// One dimension attribute and every member it has, null included.
+struct NavAttr {
+  std::string dimension;
+  std::string name;
+  std::vector<Value> members;
+};
+
+class CubeNavigationTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    warehouse_ = new Warehouse(
+        BuildNavigationWarehouse(MakeNavigationExtract(300, 424)));
+    attrs_ = new std::vector<NavAttr>;
+    for (const Dimension& dim : warehouse_->dimensions()) {
+      const Table& t = dim.table();
+      for (const std::string& attr : dim.def().attributes) {
+        const ColumnVector& col = *t.ColumnByName(attr).value();
+        NavAttr a{dim.name(), attr, {}};
+        for (size_t r = 0; r < col.size(); ++r) {
+          if (!Lists(a.members, col.GetValue(r))) {
+            a.members.push_back(col.GetValue(r));
+          }
+        }
+        attrs_->push_back(std::move(a));
+      }
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete warehouse_;
+    delete attrs_;
+  }
+
+  void SetUp() override {
+    TraceCollector::Global().Clear();
+    TraceCollector::Enable();
+  }
+
+  void TearDown() override {
+    TraceCollector::Disable();
+    TraceCollector::Global().Clear();
+  }
+
+  // The `from` attribute of the last navigation span ("cube" or
+  // "warehouse"); consumes the recorded spans.
+  static std::string From() {
+    std::vector<SpanRecord> spans = TraceCollector::Global().Drain();
+    for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+      if (it->name != "olap.rollup" && it->name != "olap.slice" &&
+          it->name != "olap.dice") {
+        continue;
+      }
+      for (const auto& [key, value] : it->attributes) {
+        if (key == "from") return value;
+      }
+    }
+    return "";
+  }
+
+  // Checks a navigation result against the engine's answer to the same
+  // query on `wh`: cell count, facts, axis members in order, and every
+  // cell the axis members span (fact count, and each measure within
+  // 1e-9 relative for doubles, otherwise equal and of the same type).
+  static void ExpectMatchesEngine(const Result<Cube>& got,
+                                  const Warehouse& wh,
+                                  const std::string& context) {
+    ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+    auto want = CubeEngine(&wh).Execute(got->query());
+    ASSERT_TRUE(want.ok()) << context << ": " << want.status().ToString();
+    const std::string where = context + " -> " + got->query().ToString();
+    EXPECT_EQ(got->num_cells(), want->num_cells()) << where;
+    EXPECT_EQ(got->facts_aggregated(), want->facts_aggregated()) << where;
+    ASSERT_EQ(got->num_axes(), want->num_axes()) << where;
+    for (size_t a = 0; a < want->num_axes(); ++a) {
+      const std::vector<Value>& g = got->AxisMembers(a);
+      const std::vector<Value>& w = want->AxisMembers(a);
+      ASSERT_EQ(g.size(), w.size()) << where << " axis " << a;
+      for (size_t i = 0; i < w.size(); ++i) {
+        EXPECT_TRUE(SameValue(g[i], w[i]))
+            << where << " axis " << a << " member " << i << ": got '"
+            << g[i].ToString() << "' want '" << w[i].ToString() << "'";
+      }
+    }
+    std::vector<Value> coord(want->num_axes());
+    ExpectCellsMatch(*got, *want, &coord, 0, where);
+    // Cells are keyed under ValueEq, so only their listed coordinates
+    // show how each member is spelled.
+    const std::vector<std::vector<Value>> g = Coordinates(*got);
+    const std::vector<std::vector<Value>> w = Coordinates(*want);
+    ASSERT_EQ(g.size(), w.size()) << where;
+    for (size_t c = 0; c < w.size(); ++c) {
+      for (size_t a = 0; a < w[c].size(); ++a) {
+        EXPECT_TRUE(SameValue(g[c][a], w[c][a]))
+            << where << " cell " << c << " axis " << a << ": got '"
+            << g[c][a].ToString() << "' want '" << w[c][a].ToString()
+            << "'";
+      }
+    }
+  }
+
+  // The coordinates of the cells whose first measure is numeric, as
+  // the cells list them, sorted.
+  static std::vector<std::vector<Value>> Coordinates(const Cube& cube) {
+    auto ranked = cube.TopCells(cube.num_cells());
+    EXPECT_TRUE(ranked.ok()) << ranked.status().ToString();
+    std::vector<std::vector<Value>> out;
+    for (const Cube::RankedCell& c : *ranked) out.push_back(c.coordinates);
+    std::sort(out.begin(), out.end(),
+              [](const std::vector<Value>& a, const std::vector<Value>& b) {
+                return std::lexicographical_compare(a.begin(), a.end(),
+                                                    b.begin(), b.end());
+              });
+    return out;
+  }
+
+  static void ExpectCellsMatch(const Cube& got, const Cube& want,
+                               std::vector<Value>* coord, size_t axis,
+                               const std::string& where) {
+    if (axis < coord->size()) {
+      for (const Value& m : want.AxisMembers(axis)) {
+        (*coord)[axis] = m;
+        ExpectCellsMatch(got, want, coord, axis + 1, where);
+      }
+      return;
+    }
+    std::string cell = where + " cell";
+    for (const Value& v : *coord) {
+      cell += ' ';
+      cell += v.ToString();
+    }
+    EXPECT_EQ(got.CellCount(*coord), want.CellCount(*coord)) << cell;
+    for (size_t m = 0; m < want.num_measures(); ++m) {
+      const Value g = got.CellValue(*coord, m);
+      const Value w = want.CellValue(*coord, m);
+      if (w.type() == DataType::kDouble && g.type() == DataType::kDouble) {
+        EXPECT_NEAR(g.double_value(), w.double_value(),
+                    1e-9 * std::max(1.0, std::fabs(w.double_value())))
+            << cell << " measure " << m;
+      } else {
+        EXPECT_TRUE(SameValue(g, w))
+            << cell << " measure " << m << ": got '" << g.ToString()
+            << "' want '" << w.ToString() << "'";
+      }
+    }
+  }
+
+  static const NavAttr& Attr(const std::string& name) {
+    for (const NavAttr& a : *attrs_) {
+      if (a.name == name) return a;
+    }
+    ADD_FAILURE() << "no attribute " << name;
+    return attrs_->front();
+  }
+
+  static Cube Execute(const CubeQuery& q) {
+    auto cube = CubeEngine(warehouse_).Execute(q);
+    EXPECT_TRUE(cube.ok()) << cube.status().ToString();
+    return std::move(cube).value();
+  }
+
+  static Warehouse* warehouse_;
+  static std::vector<NavAttr>* attrs_;
+};
+
+Warehouse* CubeNavigationTest::warehouse_ = nullptr;
+std::vector<NavAttr>* CubeNavigationTest::attrs_ = nullptr;
+
+TEST_F(CubeNavigationTest, SliceToTheNullMember) {
+  const NavAttr& ht = Attr("DiagnosticHTYearsBand");
+  ASSERT_TRUE(Lists(ht.members, Value::Null()));
+  CubeQuery q;
+  q.axes = {AxisSpec{"PersonalInformation", "AgeBand10", {}},
+            AxisSpec{ht.dimension, ht.name, {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "FBG", "avg"}};
+  Cube cube = Execute(q);
+  auto sliced = cube.Slice(ht.dimension, ht.name, Value::Null());
+  EXPECT_EQ(From(), "cube");
+  ExpectMatchesEngine(sliced, *warehouse_, "slice to null");
+  EXPECT_GT(sliced->facts_aggregated(), 0u);
+  EXPECT_LT(sliced->facts_aggregated(), cube.facts_aggregated());
+}
+
+TEST_F(CubeNavigationTest, DiceWithDuplicateAbsentAndRespelledValues) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"Cardinality", "VisitNumber", {}},
+            AxisSpec{"PersonalInformation", "Gender", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kMax, "AgeOrNull", "oldest"}};
+  // 2.0 names the int member 2; 1 and 2 repeat; 9999 is no member.
+  const std::vector<Value> values = {Value::Real(2.0), Value::Int(1),
+                                     Value::Int(2), Value::Int(9999),
+                                     Value::Int(1)};
+  for (bool non_empty : {true, false}) {
+    q.non_empty = non_empty;
+    Cube cube = Execute(q);
+    auto diced = cube.Dice("Cardinality", "VisitNumber", values);
+    EXPECT_EQ(From(), "cube");
+    ExpectMatchesEngine(diced, *warehouse_, "dice");
+    ASSERT_TRUE(diced.ok());
+    std::vector<Value> want = {Value::Real(2.0), Value::Int(1)};
+    if (!non_empty) want.push_back(Value::Int(9999));
+    ASSERT_EQ(diced->AxisMembers(0).size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(SameValue(diced->AxisMembers(0)[i], want[i])) << i;
+    }
+  }
+}
+
+TEST_F(CubeNavigationTest, RollUpOneAxisWhileAnotherIsRestricted) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"PersonalInformation",
+                     "AgeBand10",
+                     {Value::Str("70-80"), Value::Str("50-60"),
+                      Value::Str("no such band")}},
+            AxisSpec{"MedicalCondition", "DiabetesStatus", {}},
+            AxisSpec{"PersonalInformation", "Gender", {}}};
+  q.measures = {AggSpec{AggFn::kSum, "FBG", "s"},
+                AggSpec{AggFn::kStdDev, "AgeOrNull", "sd"},
+                AggSpec{AggFn::kCountValid, "FBG", "n"}};
+  for (bool non_empty : {true, false}) {
+    q.non_empty = non_empty;
+    Cube cube = Execute(q);
+    for (size_t axis : {size_t{1}, size_t{2}}) {
+      auto rolled = cube.RollUp(axis);
+      EXPECT_EQ(From(), "cube");
+      ExpectMatchesEngine(rolled, *warehouse_, "rollup");
+      ASSERT_TRUE(rolled.ok());
+      EXPECT_EQ(rolled->facts_aggregated(), cube.facts_aggregated());
+      // And on down to the grand total, from the derived cube.
+      auto total = rolled->RollUp(1);
+      EXPECT_EQ(From(), "cube");
+      ExpectMatchesEngine(total, *warehouse_, "rollup twice");
+    }
+  }
+}
+
+TEST_F(CubeNavigationTest, NavigationsTheCellsCannotAnswerRunTheEngine) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"PersonalInformation", "Gender", {Value::Str("F")}},
+            AxisSpec{"MedicalCondition", "DiabetesStatus", {}}};
+  q.slicers = {SlicerSpec{"ExerciseRoutine", "ExerciseRoutine",
+                          {Attr("ExerciseRoutine").members[0]}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kVariance, "FBG", "var"}};
+  Cube cube = Execute(q);
+
+  // The engine rolls a restricted axis up without its restriction.
+  auto rolled = cube.RollUp(0);
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(rolled, *warehouse_, "rollup of a restricted axis");
+  EXPECT_GT(rolled->facts_aggregated(), cube.facts_aggregated());
+
+  // Members outside the restriction.
+  auto sliced = cube.Slice("PersonalInformation", "Gender", Value::Str("M"));
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(sliced, *warehouse_, "slice outside a restriction");
+  auto diced = cube.Dice("PersonalInformation", "Gender",
+                         {Value::Str("F"), Value::Str("M")});
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(diced, *warehouse_, "dice outside a restriction");
+  // An empty dice list lifts the restriction.
+  auto undiced = cube.Dice("PersonalInformation", "Gender", {});
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(undiced, *warehouse_, "dice to no members");
+  EXPECT_GT(undiced->facts_aggregated(), cube.facts_aggregated());
+  auto all = cube.Dice("MedicalCondition", "DiabetesStatus", {});
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(all, *warehouse_, "dice an unrestricted axis to none");
+
+  // Attributes that are no axis.
+  auto by_smoker = cube.Slice("PersonalInformation", "Smoker",
+                              Attr("Smoker").members[0]);
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(by_smoker, *warehouse_, "slice off the axes");
+  auto by_band = cube.Dice("FastingBloods", "FBGBand",
+                           {Attr("FBGBand").members[0]});
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(by_band, *warehouse_, "dice off the axes");
+
+  // A count_distinct cell keeps only its count, which cannot merge.
+  CubeQuery distinct;
+  distinct.axes = {AxisSpec{"PersonalInformation", "Gender", {}},
+                   AxisSpec{"MedicalCondition", "DiabetesStatus", {}}};
+  distinct.measures = {AggSpec{AggFn::kCount, "", "n"},
+                       AggSpec{AggFn::kCountDistinct, "AgeOrNull", "ages"}};
+  Cube d = Execute(distinct);
+  ExpectMatchesEngine(d.RollUp(1), *warehouse_, "count_distinct rollup");
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(d.Slice("PersonalInformation", "Gender",
+                              Value::Str("F")),
+                      *warehouse_, "count_distinct slice");
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(d.Dice("PersonalInformation", "Gender",
+                             {Value::Str("M")}),
+                      *warehouse_, "count_distinct dice");
+  EXPECT_EQ(From(), "warehouse");
+}
+
+TEST_F(CubeNavigationTest, StaleParentSeesAppendedFacts) {
+  Table first = MakeNavigationExtract(120, 61);
+  Table more = MakeNavigationExtract(60, 62);
+  Warehouse wh = BuildNavigationWarehouse(first);
+  CubeQuery q;
+  q.axes = {AxisSpec{"PersonalInformation", "Gender", {}},
+            AxisSpec{"MedicalCondition", "DiabetesStatus", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "FBG", "avg"}};
+  auto cube = CubeEngine(&wh).Execute(q);
+  ASSERT_TRUE(cube.ok());
+  auto before = cube->RollUp(1);
+  EXPECT_EQ(From(), "cube");
+  ASSERT_TRUE(before.ok());
+
+  ASSERT_TRUE(wh.AppendRows(more).ok());
+  const Value female = Value::Str("F");
+  const std::vector<Result<Cube>> after = {
+      cube->RollUp(1),
+      cube->Slice("PersonalInformation", "Gender", female),
+      cube->Dice("PersonalInformation", "Gender", {female}),
+      before->RollUp(0)};
+  EXPECT_EQ(From(), "warehouse");
+  for (const Result<Cube>& nav : after) {
+    ExpectMatchesEngine(nav, wh, "after append");
+  }
+  EXPECT_EQ(after[0]->facts_aggregated(), wh.num_fact_rows());
+  EXPECT_GT(after[0]->facts_aggregated(), before->facts_aggregated());
+}
+
+TEST_F(CubeNavigationTest, RandomCubesMatchTheEngine) {
+  const AggFn fns[] = {AggFn::kCount, AggFn::kCountValid, AggFn::kSum,
+                       AggFn::kAvg,   AggFn::kMin,        AggFn::kMax,
+                       AggFn::kVariance, AggFn::kStdDev};
+  const char* columns[] = {"FBG", "AgeOrNull"};
+  // Axes come from attributes with few members, so checking every cell
+  // the axis members span stays cheap.
+  std::vector<const NavAttr*> axis_pool;
+  for (const NavAttr& a : *attrs_) {
+    if (a.members.size() <= 16) axis_pool.push_back(&a);
+  }
+  Rng rng(20130408);
+  auto pick = [&rng](const auto& v) -> decltype(auto) {
+    return v[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(std::size(v)) - 1))];
+  };
+  // A few of `a`'s members, sometimes repeated, sometimes with one that
+  // no dimension row has.
+  auto some_members = [&](const NavAttr& a) {
+    std::vector<Value> out;
+    const int64_t n = rng.UniformInt(1, 3);
+    for (int64_t i = 0; i < n; ++i) out.push_back(pick(a.members));
+    if (rng.Bernoulli(0.2)) out.push_back(Value::Str("absent"));
+    return out;
+  };
+  size_t derived = 0;
+  size_t scanned = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    rng.Shuffle(&axis_pool);
+    CubeQuery q;
+    const size_t n_axes = static_cast<size_t>(rng.UniformInt(1, 3));
+    for (size_t i = 0; i < n_axes; ++i) {
+      const NavAttr& a = *axis_pool[i];
+      q.axes.push_back(AxisSpec{a.dimension, a.name, {}});
+      if (rng.Bernoulli(0.25)) q.axes.back().members = some_members(a);
+    }
+    if (rng.Bernoulli(0.4)) {
+      const NavAttr& a = *axis_pool[n_axes];
+      q.slicers.push_back(SlicerSpec{a.dimension, a.name, some_members(a)});
+    }
+    const int64_t n_measures = rng.UniformInt(1, 3);
+    for (int64_t i = 0; i < n_measures; ++i) {
+      const AggFn fn = pick(fns);
+      q.measures.push_back(AggSpec{
+          fn, fn == AggFn::kCount && rng.Bernoulli(0.5) ? "" : pick(columns),
+          ""});
+    }
+    const bool has_distinct = rng.Bernoulli(0.15);
+    if (has_distinct) {
+      q.measures.push_back(AggSpec{AggFn::kCountDistinct, pick(columns), ""});
+    }
+    q.non_empty = rng.Bernoulli(0.5);
+    Cube parent = Execute(q);
+
+    // Runs one navigation, checks it, and checks the path it took: the
+    // cells answer it exactly when `covered` and no measure is
+    // count_distinct.
+    auto check = [&](const Result<Cube>& nav, bool covered,
+                     const std::string& what) {
+      const bool from_cube = covered && !has_distinct;
+      EXPECT_EQ(From(), from_cube ? "cube" : "warehouse")
+          << what << " of " << q.ToString();
+      ExpectMatchesEngine(nav, *warehouse_, what + " of " + q.ToString());
+      ++(from_cube ? derived : scanned);
+    };
+    for (size_t axis = 0; axis < n_axes; ++axis) {
+      const AxisSpec& spec = q.axes[axis];
+      const NavAttr& attr = *axis_pool[axis];
+      auto rolled = parent.RollUp(axis);
+      check(rolled, spec.members.empty(), "rollup");
+      const Value value = pick(attr.members);
+      check(parent.Slice(spec.dimension, spec.attribute, value),
+            spec.members.empty() || Lists(spec.members, value), "slice");
+      std::vector<Value> values = some_members(attr);
+      if (rng.Bernoulli(0.3)) values.push_back(values.front());
+      const bool listed =
+          std::all_of(values.begin(), values.end(), [&](const Value& v) {
+            return spec.members.empty() || Lists(spec.members, v);
+          });
+      auto diced = parent.Dice(spec.dimension, spec.attribute, values);
+      check(diced, listed, "dice");
+      // Navigate on from a derived cube.
+      if (diced.ok() && n_axes > 1) {
+        check(diced->RollUp((axis + 1) % n_axes),
+              q.axes[(axis + 1) % n_axes].members.empty(), "dice+rollup");
+      }
+    }
+    const NavAttr& off = *axis_pool[n_axes];
+    check(parent.Slice(off.dimension, off.name, pick(off.members)), false,
+          "slice off the axes");
+    check(parent.Dice(off.dimension, off.name, some_members(off)), false,
+          "dice off the axes");
+  }
+  // Both paths ran often.
+  EXPECT_GT(derived, 300u);
+  EXPECT_GT(scanned, 300u);
+}
+
+TEST_F(CubeNavigationTest, DerivedCubesAreChargedToTheCubePool) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"PersonalInformation", "Gender", {}},
+            AxisSpec{"MedicalCondition", "DiabetesStatus", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kMin, "FBG", "lo"}};
+  Cube cube = Execute(q);
+  ResourceMeter::Enable();
+  ResourcePool& pool = ResourceMeter::Global().GetPool("olap.cube");
+  const uint64_t before = pool.allocated();
+  auto rolled = cube.RollUp(1);
+  const uint64_t after = pool.allocated();
+  ResourceMeter::Disable();
+  EXPECT_EQ(From(), "cube");
+  ASSERT_TRUE(rolled.ok());
+  EXPECT_EQ(after - before, rolled->ApproxBytes());
+}
 
 }  // namespace
 }  // namespace ddgms::olap

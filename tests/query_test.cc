@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "table/aggregate.h"
 #include "table/predicate.h"
@@ -178,6 +180,104 @@ TEST(AggregateTest, EmptyGroupSemantics) {
   EXPECT_EQ(count.Finish(), Value::Int(0));
   Accumulator min(AggFn::kMin);
   EXPECT_TRUE(min.Finish().is_null());
+}
+
+// Merging the accumulators of the two parts of a stream, split at
+// every point (so each side is empty once), equals feeding the whole
+// stream to one accumulator, for every function.
+void ExpectMergeOfSplitsMatchesWhole(const std::vector<Value>& stream) {
+  const AggFn fns[] = {AggFn::kCount, AggFn::kCountValid,
+                       AggFn::kCountDistinct, AggFn::kSum,
+                       AggFn::kAvg, AggFn::kMin,
+                       AggFn::kMax, AggFn::kVariance,
+                       AggFn::kStdDev};
+  for (AggFn fn : fns) {
+    Accumulator whole(fn);
+    for (const Value& v : stream) whole.Add(v);
+    const Value want = whole.Finish();
+    for (size_t split = 0; split <= stream.size(); ++split) {
+      Accumulator left(fn);
+      Accumulator right(fn);
+      for (size_t i = 0; i < stream.size(); ++i) {
+        (i < split ? left : right).Add(stream[i]);
+      }
+      left.Merge(right);
+      const Value got = left.Finish();
+      EXPECT_EQ(left.rows(), whole.rows());
+      if (want.type() == DataType::kDouble &&
+          got.type() == DataType::kDouble) {
+        EXPECT_NEAR(got.double_value(), want.double_value(),
+                    1e-12 * std::max(1.0, std::fabs(want.double_value())))
+            << AggFnName(fn) << " split at " << split;
+      } else {
+        EXPECT_TRUE(got.type() == want.type() && got.Equals(want))
+            << AggFnName(fn) << " split at " << split << ": got '"
+            << got.ToString() << "' want '" << want.ToString() << "'";
+      }
+    }
+  }
+}
+
+TEST(AggregateTest, MergeOfSplitNumericStreamWithNulls) {
+  ExpectMergeOfSplitsMatchesWhole(
+      {Value::Int(3), Value::Null(), Value::Real(2.5), Value::Int(-4),
+       Value::Null(), Value::Real(7.25), Value::Int(3), Value::Real(3.0)});
+}
+
+TEST(AggregateTest, MergeOfSplitStringStream) {
+  // Strings order under min/max, count under the count family and make
+  // the sum family null.
+  const std::vector<Value> stream = {Value::Str("b"), Value::Null(),
+                                     Value::Str("a"), Value::Str("c"),
+                                     Value::Str("a")};
+  ExpectMergeOfSplitsMatchesWhole(stream);
+  Accumulator min(AggFn::kMin);
+  Accumulator max(AggFn::kMax);
+  min.Add(stream[0]);
+  max.Add(stream[0]);
+  Accumulator rest_min(AggFn::kMin);
+  Accumulator rest_max(AggFn::kMax);
+  for (size_t i = 1; i < stream.size(); ++i) {
+    rest_min.Add(stream[i]);
+    rest_max.Add(stream[i]);
+  }
+  min.Merge(rest_min);
+  max.Merge(rest_max);
+  EXPECT_EQ(min.Finish(), Value::Str("a"));
+  EXPECT_EQ(max.Finish(), Value::Str("c"));
+}
+
+TEST(AggregateTest, MergeKeepsANonNumericSumNull) {
+  // One string under a sum-family function makes the result null on
+  // whichever side of the split it lands.
+  ExpectMergeOfSplitsMatchesWhole(
+      {Value::Real(1.5), Value::Str("x"), Value::Int(2), Value::Null()});
+  Accumulator numeric(AggFn::kSum);
+  numeric.Add(Value::Real(1.5));
+  Accumulator text(AggFn::kSum);
+  text.Add(Value::Str("x"));
+  numeric.Merge(text);
+  EXPECT_TRUE(numeric.Finish().is_null());
+}
+
+TEST(AggregateTest, MergeOfEmptyAccumulators) {
+  ExpectMergeOfSplitsMatchesWhole({});
+  Accumulator avg(AggFn::kAvg);
+  avg.Merge(Accumulator(AggFn::kAvg));
+  EXPECT_TRUE(avg.Finish().is_null());
+  EXPECT_EQ(avg.rows(), 0u);
+}
+
+TEST(AggregateTest, DropDistinctValuesKeepsTheCount) {
+  Accumulator distinct(AggFn::kCountDistinct);
+  for (const char* v : {"a", "b", "a", "c"}) distinct.Add(Value::Str(v));
+  distinct.Add(Value::Null());
+  const uint64_t before = distinct.ApproxBytes();
+  distinct.DropDistinctValues();
+  EXPECT_EQ(distinct.Finish(), Value::Int(3));
+  EXPECT_EQ(distinct.rows(), 5u);
+  EXPECT_LT(distinct.ApproxBytes(), before);
+  EXPECT_EQ(distinct.ApproxBytes(), sizeof(Accumulator));
 }
 
 TEST(AggregateTest, SpecOutputName) {

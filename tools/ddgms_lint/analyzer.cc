@@ -1023,7 +1023,6 @@ Result<AnalyzerReport> RunAnalyzer(const AnalyzerOptions& options) {
 
   AnalyzerReport report;
   std::vector<FileFacts> facts;
-  std::vector<std::string> headers;
   for (auto it = fs::recursive_directory_iterator(options.src_root, ec);
        !ec && it != fs::recursive_directory_iterator();
        it.increment(ec)) {
@@ -1040,7 +1039,6 @@ Result<AnalyzerReport> RunAnalyzer(const AnalyzerOptions& options) {
     std::ostringstream content;
     content << in.rdbuf();
     const std::string body = content.str();
-    if (ext == ".h") headers.push_back(rel);
 
     const uint64_t hash = HashContent(body);
     auto cached = cache.find(rel);
@@ -1069,16 +1067,6 @@ Result<AnalyzerReport> RunAnalyzer(const AnalyzerOptions& options) {
   };
   merge(CheckLockOrder(facts));
   merge(CheckLayerDag(facts, RepoLayerGraph()));
-
-  if (!options.cxx.empty()) {
-    LintOptions probe;
-    probe.src_root = options.src_root;
-    probe.cxx = options.cxx;
-    probe.tmp_dir = options.tmp_dir;
-    for (const std::string& header : headers) {
-      CheckStandaloneHeader(probe, header, &findings);
-    }
-  }
 
   if (!options.baseline_path.empty()) {
     std::ifstream in(options.baseline_path);

@@ -162,10 +162,6 @@ std::map<std::string, FileFacts> DeserializeFacts(
 struct AnalyzerOptions {
   /// Root of the tree to analyze (the repo's src/ directory).
   std::string src_root;
-  /// Compiler driver for the standalone-header rule; empty disables.
-  std::string cxx;
-  /// Scratch directory for the standalone-header probe TU.
-  std::string tmp_dir = ".";
   /// Baseline file path; empty means no baseline.
   std::string baseline_path;
   /// Parse cache path; empty disables the on-disk cache.
@@ -184,7 +180,7 @@ struct AnalyzerReport {
 Result<AnalyzerReport> RunAnalyzer(const AnalyzerOptions& options);
 
 /// Analyzes in-memory sources — the driver both the CLI selftest and
-/// the gtest fixtures use. No standalone-header probe, no cache.
+/// the gtest fixtures use. No cache.
 std::vector<Finding> AnalyzeSources(const std::vector<SourceFile>& files,
                                     const LayerGraph& layers);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -634,56 +632,6 @@ std::vector<Finding> LintSources(const std::vector<SourceFile>& files) {
   return findings;
 }
 
-namespace {
-
-/// Shell-quotes a path for the standalone-header probe command.
-std::string Quote(const std::string& s) {
-  std::string out = "'";
-  for (char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out.push_back(c);
-    }
-  }
-  out += "'";
-  return out;
-}
-
-}  // namespace
-
-void CheckStandaloneHeader(const LintOptions& options,
-                           const std::string& rel_header,
-                           std::vector<Finding>* findings) {
-  const std::string probe_cc =
-      options.tmp_dir + "/ddgms_lint_standalone.cc";
-  const std::string probe_err =
-      options.tmp_dir + "/ddgms_lint_standalone.err";
-  {
-    std::ofstream out(probe_cc);
-    out << "#include \"" << rel_header << "\"\n";
-  }
-  const std::string cmd = Quote(options.cxx) +
-                          " -std=c++20 -fsyntax-only -I " +
-                          Quote(options.src_root) + " " +
-                          Quote(probe_cc) + " 2> " + Quote(probe_err);
-  const int rc = std::system(cmd.c_str());
-  if (rc != 0) {
-    std::string detail;
-    std::ifstream err(probe_err);
-    std::string line;
-    for (int i = 0; i < 3 && std::getline(err, line); ++i) {
-      if (!detail.empty()) detail += " | ";
-      detail += line;
-    }
-    findings->push_back({rel_header, 0, "standalone-header",
-                         "header does not compile standalone: " +
-                             detail});
-  }
-  std::remove(probe_cc.c_str());
-  std::remove(probe_err.c_str());
-}
-
 Result<std::vector<Finding>> RunLint(const LintOptions& options) {
   std::error_code ec;
   fs::directory_entry root(options.src_root, ec);
@@ -715,15 +663,7 @@ Result<std::vector<Finding>> RunLint(const LintOptions& options) {
               return a.path < b.path;
             });
 
-  std::vector<Finding> findings = LintSources(files);
-  if (!options.cxx.empty()) {
-    for (const SourceFile& file : files) {
-      if (EndsWith(file.path, ".h")) {
-        CheckStandaloneHeader(options, file.path, &findings);
-      }
-    }
-  }
-  return findings;
+  return LintSources(files);
 }
 
 }  // namespace ddgms::lint

@@ -32,10 +32,6 @@ namespace ddgms::lint {
 ///   banned-call        rand/srand/strtok/gets/tmpnam — non-reentrant
 ///                      or non-deterministic C calls with sanctioned
 ///                      repo alternatives (Rng, strings.h helpers).
-///   standalone-header  every header under src/ compiles on its own
-///                      (include-what-you-use at file granularity);
-///                      needs a compiler, so only runs when one is
-///                      passed via --cxx.
 ///   instrument-name    every literal metric / trace-span / log-event /
 ///                      resource-pool / fault-point name follows the
 ///                      dotted "layer.noun[.verb]" convention against
@@ -51,7 +47,10 @@ namespace ddgms::lint {
 ///                      debug surface uniform and predictable.
 ///
 /// Each rule is a pure function over in-memory sources so tests can
-/// feed violating fixtures without touching the filesystem.
+/// feed violating fixtures without touching the filesystem. That every
+/// header under src/ compiles on its own is checked by the build, not
+/// here: tools/ddgms_lint/CMakeLists.txt compiles one stub TU per
+/// header.
 /// -------------------------------------------------------------------
 
 /// One rule violation.
@@ -150,24 +149,11 @@ std::vector<Finding> LintSources(const std::vector<SourceFile>& files);
 struct LintOptions {
   /// Root of the tree to lint (the repo's src/ directory).
   std::string src_root;
-  /// Compiler driver for the standalone-header rule; empty disables
-  /// that rule (textual rules always run).
-  std::string cxx;
-  /// Scratch directory for the standalone-header probe TU.
-  std::string tmp_dir = ".";
 };
 
-/// standalone-header: compiles a one-line TU including `rel_header`
-/// with options.cxx; appends a finding when it fails. Exposed so the
-/// analyzer driver can reuse the probe.
-void CheckStandaloneHeader(const LintOptions& options,
-                           const std::string& rel_header,
-                           std::vector<Finding>* findings);
-
-/// Loads every .h/.cc under src_root and runs all rules (plus the
-/// standalone-header compile probes when a compiler is configured).
-/// Status error when src_root cannot be read; findings are NOT an
-/// error — an empty vector means the tree is clean.
+/// Loads every .h/.cc under src_root and runs all rules. Status error
+/// when src_root cannot be read; findings are NOT an error — an empty
+/// vector means the tree is clean.
 Result<std::vector<Finding>> RunLint(const LintOptions& options);
 
 }  // namespace ddgms::lint

@@ -4,7 +4,7 @@
 // whole-program passes (lock-order graph, layer DAG) and the hot-path
 // hygiene check.
 //
-//   ddgms_analyzer --src <repo>/src [--cxx <compiler>] [--tmpdir <dir>]
+//   ddgms_analyzer --src <repo>/src
 //                  [--baseline <file>] [--write-baseline <file>]
 //                  [--cache <file>] [--format text|json|sarif]
 //   ddgms_analyzer --selftest
@@ -30,8 +30,6 @@ void Usage() {
       "usage: ddgms_analyzer --src <dir> [options]\n"
       "       ddgms_analyzer --selftest\n"
       "  --src <dir>             root of the source tree (required)\n"
-      "  --cxx <compiler>        enables the standalone-header rule\n"
-      "  --tmpdir <dir>          scratch dir for compile probes\n"
       "  --baseline <file>       suppress findings listed in <file>\n"
       "  --write-baseline <file> write current findings as a baseline\n"
       "  --cache <file>          per-file parse cache (read + rewrite)\n"
@@ -62,10 +60,6 @@ int main(int argc, char** argv) {
       return 2;
     } else if (arg == "--src") {
       options.src_root = value;
-    } else if (arg == "--cxx") {
-      options.cxx = value;
-    } else if (arg == "--tmpdir") {
-      options.tmp_dir = value;
     } else if (arg == "--baseline") {
       options.baseline_path = value;
     } else if (arg == "--write-baseline") {
@@ -149,10 +143,9 @@ int main(int argc, char** argv) {
   }
   if (format == OutputFormat::kText) {
     std::printf(
-        "ddgms_analyzer: OK (%zu files, %zu cache hit%s%s)\n",
+        "ddgms_analyzer: OK (%zu files, %zu cache hit%s)\n",
         report.files_analyzed, report.cache_hits,
-        report.cache_hits == 1 ? "" : "s",
-        options.cxx.empty() ? "; no compiler for standalone-header" : "");
+        report.cache_hits == 1 ? "" : "s");
   }
   return 0;
 }
