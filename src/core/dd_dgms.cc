@@ -1,5 +1,6 @@
 #include "core/dd_dgms.h"
 
+#include <cassert>
 #include <chrono>
 
 #include "common/log.h"
@@ -10,6 +11,28 @@
 #include "table/sql.h"
 
 namespace ddgms::core {
+
+namespace {
+
+/// The check Extend(extract, rows) needs: a facade recovered from disk
+/// starts with an empty extract, which adopts any batch schema.
+Status CheckExtend(const Table& extract, const Table& rows) {
+  return extract.num_columns() == 0 ? Status::OK()
+                                    : extract.CheckConcat(rows);
+}
+
+/// Appends `rows` to `extract` once CheckExtend has passed.
+void Extend(Table* extract, Table rows) {
+  if (extract->num_columns() == 0) {
+    *extract = std::move(rows);
+    return;
+  }
+  Status st = extract->Concat(rows);
+  assert(st.ok());
+  st.IgnoreError();
+}
+
+}  // namespace
 
 Result<DdDgms> DdDgms::Build(Table raw,
                              const etl::TransformPipeline& pipeline,
@@ -195,34 +218,32 @@ Status DdDgms::AcquireDataDurable(const Table& new_raw_rows) {
   DDGMS_FAULT_POINT("core.acquire_durable");
   TraceSpan span("core.acquire_durable");
   span.SetAttribute("raw_rows", new_raw_rows.num_rows());
-  // Transform just the batch. Deterministic steps (cleaning,
-  // discretisation) behave exactly as in a full rebuild;
-  // batch-windowed steps (cardinality) number within the batch, which
-  // replay reproduces bit-for-bit because the journal stores the
-  // transformed rows, not the raw ones.
+  // Every check that can reject the batch runs before it is journaled,
+  // so a rejected batch leaves no trace and a journaled one always
+  // replays. Transform just the batch. Deterministic steps (cleaning,
+  // discretisation) behave exactly as in a full rebuild; batch-windowed
+  // steps (cardinality) number within the batch, which replay
+  // reproduces bit-for-bit because the journal stores the transformed
+  // rows, not the raw ones.
   Table batch = new_raw_rows;
   etl::PipelineRunOptions pipeline_options;
   pipeline_options.error_mode = robustness_.error_mode;
   DDGMS_ASSIGN_OR_RETURN(etl::TransformReport batch_report,
                          pipeline_.Run(&batch, pipeline_options));
+  DDGMS_ASSIGN_OR_RETURN(warehouse::PreparedAppend prepared,
+                         warehouse_->PrepareAppend(batch));
+  // The facade's flat extracts follow the batch (QuerySql("extract")
+  // and future non-durable rebuilds read them).
+  DDGMS_RETURN_IF_ERROR(CheckExtend(raw_, new_raw_rows));
+  DDGMS_RETURN_IF_ERROR(CheckExtend(transformed_, batch));
   // Write-ahead: the batch is journaled (and fsynced, by default)
   // before it is applied, so an OK from this call means the rows
-  // survive a crash even though no snapshot was taken.
+  // survive a crash even though no snapshot was taken. Nothing after
+  // this point can fail.
   DDGMS_RETURN_IF_ERROR(store_->AppendBatch(batch));
-  DDGMS_RETURN_IF_ERROR(warehouse_->AppendRows(batch));
-  // Keep the facade's flat extracts in step for QuerySql("extract")
-  // and future non-durable rebuilds. A facade recovered from disk
-  // starts with empty extracts; adopt the batch schema then.
-  if (raw_.num_columns() == 0) {
-    raw_ = new_raw_rows;
-  } else {
-    DDGMS_RETURN_IF_ERROR(raw_.Concat(new_raw_rows));
-  }
-  if (transformed_.num_columns() == 0) {
-    transformed_ = std::move(batch);
-  } else {
-    DDGMS_RETURN_IF_ERROR(transformed_.Concat(batch));
-  }
+  warehouse_->CommitAppend(prepared);
+  Extend(&raw_, new_raw_rows);
+  Extend(&transformed_, std::move(batch));
   if (robustness_.quarantine_sink != nullptr) {
     robustness_.quarantine_sink->Merge(batch_report.quarantine);
   }

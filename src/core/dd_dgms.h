@@ -136,10 +136,15 @@ class DdDgms {
   /// Without durable storage this re-runs the pipeline over the full
   /// extract and rebuilds the warehouse (the knowledge base is
   /// preserved). With durable storage attached it switches to the
-  /// incremental path: the batch alone is transformed, written to the
-  /// write-ahead journal (durable before it is acknowledged), then
-  /// appended to the warehouse in place — so acknowledged acquisitions
-  /// survive a crash without waiting for the next Checkpoint().
+  /// incremental path, in O(batch): the batch alone is transformed,
+  /// checked, written to the write-ahead journal (durable before it is
+  /// acknowledged), then appended to the warehouse in place — so
+  /// acknowledged acquisitions survive a crash without waiting for the
+  /// next Checkpoint(). Everything that can reject the batch runs
+  /// before the journal write: the pipeline, Warehouse::PrepareAppend
+  /// (keys and types of every row), and the schema match with the
+  /// accumulated raw and transformed extracts. A rejected batch is
+  /// neither journaled nor applied; nothing after the write can fail.
   Status AcquireData(const Table& new_raw_rows);
 
   /// -----------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "olap/cube.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <optional>
 #include <span>
@@ -151,12 +150,6 @@ AttributeCodes CodeColumn(const ColumnVector& col, KeyOfRow key_of_row,
     out.probe_codes.push_back(code);
   }
   return out;
-}
-
-/// Value compares int64 and double numerically, so both are keyed by
-/// their double image (5 and 5.0 are one member; so are 0.0 and -0.0).
-uint64_t NumericKey(double d) {
-  return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
 }
 
 /// Codes an attribute column of any type under ValueEq semantics

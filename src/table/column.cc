@@ -1,6 +1,10 @@
 #include "table/column.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
+#include <string_view>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/resource.h"
@@ -36,6 +40,23 @@ uint64_t SlotBytes(DataType type) {
     case DataType::kNull: break;
   }
   return 0;
+}
+
+// MurmurHash3's 64-bit finalizer: spreads every input bit over the low
+// bits that a power-of-two hash table indexes by.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// The double image of a valid int64 or double cell.
+double NumericImage(const ColumnVector& col, size_t row) {
+  return col.type() == DataType::kInt64 ? static_cast<double>(col.IntAt(row))
+                                        : col.DoubleAt(row);
 }
 
 }  // namespace
@@ -158,6 +179,57 @@ void ColumnVector::AppendDate(Date v) {
   DDGMS_RESOURCE_CHARGE(SlotBytes(DataType::kDate));
 }
 
+void ColumnVector::AppendColumn(const ColumnVector& other) {
+  assert(other.type_ == type_);
+  // Read everything about `other` before growing: it may be this column.
+  const size_t n = other.size();
+  const size_t nulls = other.null_count_;
+  DDGMS_RESOURCE_CHARGE(other.ApproxBytes());
+  std::visit(
+      [&other, n](auto& values) {
+        using Values = std::decay_t<decltype(values)>;
+        const Values& from = std::get<Values>(other.data_);
+        const size_t old = values.size();
+        values.resize(old + n);
+        std::copy_n(from.begin(), n, values.begin() + old);
+      },
+      data_);
+  const size_t old = validity_.size();
+  validity_.resize(old + n);
+  std::copy_n(other.validity_.begin(), n, validity_.begin() + old);
+  null_count_ += nulls;
+}
+
+void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
+  if (other.IsNull(row)) {
+    AppendNull();
+    return;
+  }
+  switch (type_) {
+    case DataType::kBool:
+      AppendBool(other.BoolAt(row));
+      return;
+    case DataType::kInt64:
+      AppendInt(other.type_ == DataType::kBool ? int64_t{other.BoolAt(row)}
+                                               : other.IntAt(row));
+      return;
+    case DataType::kDouble:
+      AppendDouble(other.type_ == DataType::kBool
+                       ? (other.BoolAt(row) ? 1.0 : 0.0)
+                       : NumericImage(other, row));
+      return;
+    case DataType::kString:
+      AppendString(other.StringAt(row));
+      return;
+    case DataType::kDate:
+      AppendDate(other.DateAt(row));
+      return;
+    case DataType::kNull:
+      break;
+  }
+  assert(false && "kNull has no column storage");
+}
+
 Value ColumnVector::GetValue(size_t row) const {
   assert(row < size());
   if (IsNull(row)) return Value::Null();
@@ -170,6 +242,44 @@ Value ColumnVector::GetValue(size_t row) const {
     case DataType::kNull: break;
   }
   return Value::Null();
+}
+
+bool ColumnVector::EqualsAt(size_t row, const ColumnVector& other,
+                            size_t other_row) const {
+  const bool null = IsNull(row);
+  if (null || other.IsNull(other_row)) {
+    return null && other.IsNull(other_row);
+  }
+  if (IsNumeric(type_) && IsNumeric(other.type_)) {
+    return NumericKey(NumericImage(*this, row)) ==
+           NumericKey(NumericImage(other, other_row));
+  }
+  if (type_ != other.type_) return false;
+  switch (type_) {
+    case DataType::kBool: return BoolAt(row) == other.BoolAt(other_row);
+    case DataType::kString: return StringAt(row) == other.StringAt(other_row);
+    case DataType::kDate: return dates()[row] == other.dates()[other_row];
+    default: return false;  // numeric handled above; kNull has no storage
+  }
+}
+
+size_t ColumnVector::HashAt(size_t row) const {
+  if (IsNull(row)) return 0x9e3779b97f4a7c15ULL;
+  switch (type_) {
+    case DataType::kBool:
+      return BoolAt(row) ? 0x2545f4914f6cdd1dULL : 0x6a09e667f3bcc909ULL;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return Mix64(NumericKey(NumericImage(*this, row)));
+    case DataType::kString:
+      return std::hash<std::string_view>{}(StringAt(row));
+    case DataType::kDate:
+      return Mix64(static_cast<uint64_t>(dates()[row]) ^
+                   0x94d049bb133111ebULL);
+    case DataType::kNull:
+      break;
+  }
+  return 0;
 }
 
 Status ColumnVector::SetValue(size_t row, const Value& value) {

@@ -50,8 +50,28 @@ class ColumnVector {
   void AppendString(std::string v);
   void AppendDate(Date v);
 
+  /// Appends every row of `other`, which must have this column's type;
+  /// `other` may be this column.
+  void AppendColumn(const ColumnVector& other);
+
+  /// Appends row `row` of `other` without boxing it. `other` must have
+  /// this column's type, or be int64 or bool when this column is
+  /// numeric (a bool appends as 0 or 1).
+  void AppendFrom(const ColumnVector& other, size_t row);
+
   /// Reads a cell as a dynamically typed Value (null if invalid).
   Value GetValue(size_t row) const;
+
+  /// True if row `row` equals row `other_row` of `other` as Value::Equals
+  /// compares them (int64 and double numerically, null only to null),
+  /// except that NaN equals only a NaN of the same bits, as a hashed
+  /// Value key behaves.
+  bool EqualsAt(size_t row, const ColumnVector& other,
+                size_t other_row) const;
+
+  /// Hash of row `row`; rows that EqualsAt() pairs hash alike, across
+  /// int64 and double columns too.
+  size_t HashAt(size_t row) const;
 
   /// Overwrites a cell. Same typing rules as Append.
   Status SetValue(size_t row, const Value& value);

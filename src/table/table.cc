@@ -439,15 +439,19 @@ Result<Table> Table::SortBy(const std::vector<std::string>& keys,
   return Take(order);
 }
 
-Status Table::Concat(const Table& other) {
+Status Table::CheckConcat(const Table& other) const {
   if (!(schema_ == other.schema_)) {
     return Status::InvalidArgument(
         "cannot concat tables with different schemas: [" +
         schema_.ToString() + "] vs [" + other.schema_.ToString() + "]");
   }
-  const size_t n = other.num_rows();
-  for (size_t i = 0; i < n; ++i) {
-    DDGMS_RETURN_IF_ERROR(AppendRow(other.GetRow(i)));
+  return Status::OK();
+}
+
+Status Table::Concat(const Table& other) {
+  DDGMS_RETURN_IF_ERROR(CheckConcat(other));
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendColumn(other.columns_[c]);
   }
   return Status::OK();
 }

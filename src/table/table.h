@@ -138,8 +138,12 @@ class Table {
   Result<Table> SortBy(const std::vector<std::string>& keys,
                        bool ascending = true) const;
 
-  /// Appends all rows of `other`; schemas must match exactly.
+  /// Appends all rows of `other` column by column; schemas must match
+  /// exactly. `other` may be this table.
   Status Concat(const Table& other);
+
+  /// The error Concat(other) would return, without appending anything.
+  Status CheckConcat(const Table& other) const;
 
   /// Serializes to CSV (header + rows).
   std::string ToCsv(char delimiter = ',') const {

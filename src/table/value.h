@@ -1,6 +1,7 @@
 #ifndef DDGMS_TABLE_VALUE_H_
 #define DDGMS_TABLE_VALUE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -113,6 +114,12 @@ struct ValueEq {
     return a.Equals(b);
   }
 };
+
+/// Value compares int64 and double numerically, so typed hashes key both
+/// by their double image: 5 and 5.0 are one key, and so are 0.0 and -0.0.
+inline uint64_t NumericKey(double d) {
+  return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
+}
 
 /// Hash for a vector of values (group-by keys, cube coordinates).
 struct ValueVectorHash {

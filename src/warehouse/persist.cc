@@ -369,15 +369,8 @@ Result<Warehouse> DurableWarehouseStore::ApplyJournal(
                     journal_path.c_str(), applied,
                     apply_failure.ToString().c_str()));
     }
-    // AppendRows may have mutated the warehouse partway through the
-    // rejected batch — reload the snapshot and replay only the prefix
-    // that is known to apply cleanly.
-    DDGMS_ASSIGN_OR_RETURN(wh, ReadSnapshotFile(SnapshotPath(seq)));
-    rows = 0;
-    for (size_t i = 0; i < applied; ++i) {
-      DDGMS_RETURN_IF_ERROR(wh.AppendRows(batches[i]));
-      rows += batches[i].num_rows();
-    }
+    // AppendRows is all or nothing, so `wh` holds exactly the prefix
+    // that applied.
     stats.corruption =
         StrFormat("record %zu rejected by warehouse replay: %s", applied,
                   apply_failure.ToString().c_str());

@@ -157,9 +157,10 @@ class DurableWarehouseStore {
   /// stray temp files.
   void PruneGenerations();
   /// Replays JournalPath(seq) on top of `wh`. Strict mode errors on
-  /// any corruption or unappliable record; lenient mode rolls back to
-  /// the longest appliable prefix and describes the dropped tail in
-  /// `report`.
+  /// any corruption or unappliable record; lenient mode stops at the
+  /// first record that does not verify or apply (a rejected append
+  /// changes nothing), keeps the prefix, and describes the dropped
+  /// tail in `report`.
   Result<Warehouse> ApplyJournal(Warehouse wh, uint64_t seq, bool strict,
                                  RecoveryReport* report);
   /// Opens the journal writer for generation `seq_`.

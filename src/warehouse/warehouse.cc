@@ -1,8 +1,10 @@
 #include "warehouse/warehouse.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/csv.h"
 #include "common/faults.h"
@@ -14,9 +16,70 @@
 
 namespace ddgms::warehouse {
 
+namespace {
+
+/// True if a column of type `to` can hold a non-null `from` value, as
+/// ColumnVector::Append allows: the same type, or int64 into double.
+bool Holds(DataType to, DataType from) {
+  return from == to || (to == DataType::kDouble && from == DataType::kInt64);
+}
+
+Status CannotHold(DataType from, const ColumnVector& to) {
+  return Status::InvalidArgument(
+      StrFormat("cannot append %s value to %s column '%s'",
+                DataTypeName(from), DataTypeName(to.type()),
+                to.name().c_str()));
+}
+
+}  // namespace
+
 uint64_t NextWarehouseGeneration() {
   static std::atomic<uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+size_t MemberIndex::HashRow(Columns cols, size_t row) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const ColumnVector* col : cols) {
+    h = (h ^ col->HashAt(row)) * 0x100000001b3ULL;
+  }
+  return h ^ (h >> 29);
+}
+
+int64_t MemberIndex::Find(Columns members, Columns probe, size_t row,
+                          size_t hash) const {
+  if (slots_.empty()) return -1;
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+    if (slots_[s] == 0) return -1;
+    const size_t key = slots_[s] - 1;
+    bool equal = true;
+    for (size_t a = 0; a < members.size() && equal; ++a) {
+      equal = members[a]->EqualsAt(key, *probe[a], row);
+    }
+    if (equal) return static_cast<int64_t>(key);
+  }
+}
+
+void MemberIndex::Insert(Columns members, size_t key, size_t hash) {
+  assert(key + 1 < std::numeric_limits<uint32_t>::max());
+  // Linear probing at most half full: a miss ends within a few slots.
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<uint32_t> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, 2 * old.size()), 0);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t slot : old) {
+      if (slot == 0) continue;
+      size_t s = HashRow(members, slot - 1) & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t s = hash & mask;
+  while (slots_[s] != 0) s = (s + 1) & mask;
+  slots_[s] = static_cast<uint32_t>(key + 1);
+  ++size_;
 }
 
 Result<Value> Dimension::AttributeValue(int64_t key,
@@ -90,7 +153,33 @@ Status Dimension::AddDerivedAttribute(
   }
   DDGMS_RETURN_IF_ERROR(table_.AddColumn(std::move(col)));
   def_.attributes.push_back(attribute);
+  index_.reset();  // its tuples lack the new attribute
   return Status::OK();
+}
+
+Result<std::vector<const ColumnVector*>> Dimension::AttributeColumns()
+    const {
+  std::vector<const ColumnVector*> cols;
+  cols.reserve(def_.attributes.size());
+  for (const std::string& attr : def_.attributes) {
+    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
+                           table_.ColumnByName(attr));
+    cols.push_back(col);
+  }
+  return cols;
+}
+
+MemberIndex& Dimension::EnsureIndex(MemberIndex::Columns members) {
+  if (index_) return *index_;
+  MemberIndex& index = index_.emplace();
+  for (size_t key = 0; key < num_members(); ++key) {
+    const size_t hash = MemberIndex::HashRow(members, key);
+    // A table read from disk may repeat a tuple; its first key wins.
+    if (index.Find(members, members, key, hash) < 0) {
+      index.Insert(members, key, hash);
+    }
+  }
+  return index;
 }
 
 std::string IntegrityReport::ToString() const {
@@ -223,81 +312,156 @@ Status Warehouse::AddFeedbackDimension(
 }
 
 Status Warehouse::AppendRows(const Table& source) {
+  DDGMS_ASSIGN_OR_RETURN(PreparedAppend batch, PrepareAppend(source));
+  CommitAppend(batch);
+  return Status::OK();
+}
+
+Result<PreparedAppend> Warehouse::PrepareAppend(const Table& source) {
   DDGMS_FAULT_POINT("warehouse.append_rows");
-  // Resolve source columns for every dimension attribute and measure.
-  struct DimSource {
-    Dimension* dim;
-    std::vector<const ColumnVector*> attr_cols;
-    std::unordered_map<std::vector<Value>, int64_t, ValueVectorHash,
-                       ValueVectorEq>
-        keys;
+  PreparedAppend batch;
+  batch.generation_ = generation_;
+  batch.fact_ = Table(fact_.schema());
+  batch.members_.resize(dimensions_.size());
+
+  // Resolve the source columns of every dimension attribute, measure
+  // and the degenerate key, and where each lands in the fact table.
+  struct DimPlan {
+    std::vector<const ColumnVector*> from;     // source attribute columns
+    std::vector<const ColumnVector*> members;  // member table's columns
+    const MemberIndex* index = nullptr;        // over the members
+    // The batch's new members, staged typed like the member table.
+    std::vector<ColumnVector*> mint_to;
+    std::vector<const ColumnVector*> minted;
+    MemberIndex minted_index;
+    ColumnVector* keys = nullptr;  // staged fact key column
   };
-  std::vector<DimSource> dim_sources;
-  dim_sources.reserve(dimensions_.size());
-  for (Dimension& dim : dimensions_) {
-    DimSource src;
-    src.dim = &dim;
+  struct ValuePlan {
+    const ColumnVector* from;
+    DataType from_type;  // as the fact row holds it: a bool measure is int64
+    ColumnVector* to;    // staged fact column
+  };
+  std::vector<DimPlan> dims(dimensions_.size());
+  for (size_t d = 0; d < dimensions_.size(); ++d) {
+    Dimension& dim = dimensions_[d];
     for (const std::string& attr : dim.def().attributes) {
       DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
                              source.ColumnByName(attr));
-      src.attr_cols.push_back(col);
+      dims[d].from.push_back(col);
     }
-    // Rebuild the member dictionary from the existing dimension table.
-    const Table& dim_table = dim.table();
-    for (size_t key = 0; key < dim_table.num_rows(); ++key) {
-      std::vector<Value> tuple;
-      tuple.reserve(dim.def().attributes.size());
-      for (const std::string& attr : dim.def().attributes) {
-        DDGMS_ASSIGN_OR_RETURN(Value v, dim_table.GetCell(key, attr));
-        tuple.push_back(std::move(v));
-      }
-      src.keys.emplace(std::move(tuple), static_cast<int64_t>(key));
-    }
-    dim_sources.push_back(std::move(src));
+    DDGMS_ASSIGN_OR_RETURN(dims[d].members, dim.AttributeColumns());
+    dims[d].index = &dim.EnsureIndex(dims[d].members);
   }
-  std::vector<const ColumnVector*> measure_cols;
+  std::vector<ValuePlan> values;
   for (const MeasureDef& m : def_.measures) {
-    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
+    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* from,
                            source.ColumnByName(m.source_column));
-    measure_cols.push_back(col);
+    DDGMS_ASSIGN_OR_RETURN(ColumnVector* to,
+                           batch.fact_.MutableColumnByName(m.name));
+    const DataType type =
+        from->type() == DataType::kBool ? DataType::kInt64 : from->type();
+    values.push_back(ValuePlan{from, type, to});
   }
-  const ColumnVector* degenerate_col = nullptr;
   if (!def_.degenerate_key.empty()) {
-    DDGMS_ASSIGN_OR_RETURN(degenerate_col,
+    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* from,
                            source.ColumnByName(def_.degenerate_key));
+    DDGMS_ASSIGN_OR_RETURN(ColumnVector* to, batch.fact_.MutableColumnByName(
+                                                 def_.degenerate_key));
+    // It precedes the measures in the fact table, and a row's first
+    // value the table cannot hold is the one reported.
+    values.insert(values.begin(), ValuePlan{from, from->type(), to});
+  }
+  for (size_t d = 0; d < dimensions_.size(); ++d) {
+    DDGMS_ASSIGN_OR_RETURN(dims[d].keys,
+                           batch.fact_.MutableColumnByName(
+                               KeyColumnName(dimensions_[d].name())));
+  }
+  if (dims.size() + values.size() != fact_.num_columns()) {
+    return Status::FailedPrecondition(
+        "fact table columns do not match the star-schema definition");
   }
 
   const size_t n = source.num_rows();
-  for (size_t i = 0; i < n; ++i) {
-    Row fact_row;
-    fact_row.reserve(dimensions_.size() + def_.measures.size() + 1);
-    for (DimSource& src : dim_sources) {
-      std::vector<Value> tuple;
-      tuple.reserve(src.attr_cols.size());
-      for (const ColumnVector* col : src.attr_cols) {
-        tuple.push_back(col->GetValue(i));
-      }
-      auto [it, inserted] = src.keys.emplace(
-          tuple, static_cast<int64_t>(src.dim->num_members()));
-      if (inserted) {
-        DDGMS_RETURN_IF_ERROR(src.dim->table_.AppendRow(tuple));
-      }
-      fact_row.push_back(Value::Int(it->second));
-    }
-    if (degenerate_col != nullptr) {
-      fact_row.push_back(degenerate_col->GetValue(i));
-    }
-    for (const ColumnVector* col : measure_cols) {
-      Value v = col->GetValue(i);
-      if (!v.is_null() && v.type() == DataType::kBool) {
-        v = Value::Int(v.bool_value() ? 1 : 0);
-      }
-      fact_row.push_back(std::move(v));
-    }
-    DDGMS_RETURN_IF_ERROR(fact_.AppendRow(fact_row));
+  for (size_t c = 0; c < batch.fact_.num_columns(); ++c) {
+    batch.fact_.mutable_column(c)->Reserve(n);
   }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dims.size(); ++d) {
+      DimPlan& plan = dims[d];
+      const Dimension& dim = dimensions_[d];
+      const size_t hash = MemberIndex::HashRow(plan.from, i);
+      int64_t key = plan.index->Find(plan.members, plan.from, i, hash);
+      if (key < 0) {
+        int64_t minted = plan.minted_index.Find(plan.minted, plan.from, i,
+                                                hash);
+        if (minted < 0) {
+          // A new member: it must fit the member table's columns.
+          if (dim.table().num_columns() != plan.members.size()) {
+            return Status::InvalidArgument(StrFormat(
+                "row has %zu values; table has %zu columns",
+                plan.members.size(), dim.table().num_columns()));
+          }
+          for (size_t a = 0; a < plan.from.size(); ++a) {
+            if (!plan.from[a]->IsNull(i) &&
+                !Holds(plan.members[a]->type(), plan.from[a]->type())) {
+              return CannotHold(plan.from[a]->type(), *plan.members[a]);
+            }
+          }
+          Table& staged = batch.members_[d];
+          if (plan.minted.empty()) {
+            staged = Table(dim.table().schema());
+            for (const std::string& attr : dim.def().attributes) {
+              DDGMS_ASSIGN_OR_RETURN(ColumnVector* col,
+                                     staged.MutableColumnByName(attr));
+              plan.mint_to.push_back(col);
+              plan.minted.push_back(col);
+            }
+          }
+          minted = static_cast<int64_t>(staged.num_rows());
+          for (size_t a = 0; a < plan.from.size(); ++a) {
+            plan.mint_to[a]->AppendFrom(*plan.from[a], i);
+          }
+          plan.minted_index.Insert(plan.minted, static_cast<size_t>(minted),
+                                   hash);
+        }
+        key = static_cast<int64_t>(dim.num_members()) + minted;
+      }
+      plan.keys->AppendInt(key);
+    }
+    for (const ValuePlan& v : values) {
+      if (!v.from->IsNull(i) && !Holds(v.to->type(), v.from_type)) {
+        return CannotHold(v.from_type, *v.to);
+      }
+      v.to->AppendFrom(*v.from, i);
+    }
+  }
+  return batch;
+}
+
+void Warehouse::CommitAppend(const PreparedAppend& batch) {
+  assert(batch.generation_ == generation_);
+  for (size_t d = 0; d < dimensions_.size(); ++d) {
+    const Table& minted = batch.members_[d];
+    if (minted.num_rows() == 0) continue;
+    Dimension& dim = dimensions_[d];
+    // PrepareAppend resolved the attribute columns, built the index and
+    // staged the members with the member table's schema, so none of
+    // this can fail.
+    const std::vector<const ColumnVector*> members =
+        dim.AttributeColumns().value();
+    MemberIndex& index = dim.EnsureIndex(members);
+    const size_t first = dim.num_members();
+    Status st = dim.table_.Concat(minted);
+    assert(st.ok());
+    st.IgnoreError();
+    for (size_t key = first; key < dim.num_members(); ++key) {
+      index.Insert(members, key, MemberIndex::HashRow(members, key));
+    }
+  }
+  Status st = fact_.Concat(batch.fact_);
+  assert(st.ok());
+  st.IgnoreError();
   generation_ = NextWarehouseGeneration();
-  return Status::OK();
 }
 
 IntegrityReport Warehouse::CheckIntegrity() const {
@@ -413,14 +577,28 @@ Result<Warehouse> StarSchemaBuilder::Build(
                            source.ColumnByName(def_.degenerate_key));
   }
 
-  // Dimension member dictionaries.
-  struct DimBuild {
-    std::unordered_map<std::vector<Value>, int64_t, ValueVectorHash,
-                       ValueVectorEq>
-        keys;
-    std::vector<std::vector<Value>> members;
-  };
-  std::vector<DimBuild> builds(def_.dimensions.size());
+  // Dimension tables, typed like their source columns: a tuple becomes
+  // a member where it first appears, and is indexed as it is minted.
+  std::vector<Dimension> dimensions;
+  dimensions.reserve(def_.dimensions.size());
+  for (size_t d = 0; d < def_.dimensions.size(); ++d) {
+    const DimensionDef& dim_def = def_.dimensions[d];
+    std::vector<Field> fields;
+    for (size_t a = 0; a < dim_def.attributes.size(); ++a) {
+      fields.push_back(Field{dim_def.attributes[a],
+                             dim_sources[d].attr_cols[a]->type()});
+    }
+    DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+    dimensions.emplace_back(dim_def, Table(std::move(schema)));
+  }
+  std::vector<std::vector<const ColumnVector*>> member_cols;
+  std::vector<MemberIndex*> indexes;
+  for (Dimension& dim : dimensions) {
+    DDGMS_ASSIGN_OR_RETURN(std::vector<const ColumnVector*> cols,
+                           dim.AttributeColumns());
+    indexes.push_back(&dim.EnsureIndex(cols));
+    member_cols.push_back(std::move(cols));
+  }
 
   // Fact schema: keys, degenerate key, measures.
   std::vector<Field> fact_fields;
@@ -442,30 +620,23 @@ Result<Warehouse> StarSchemaBuilder::Build(
   Table fact(std::move(fact_schema));
 
   const size_t n = source.num_rows();
+  for (size_t c = 0; c < fact.num_columns(); ++c) {
+    fact.mutable_column(c)->Reserve(n);
+  }
+  std::vector<int64_t> keys(def_.dimensions.size());
   for (size_t i = 0; i < n; ++i) {
-    Row fact_row;
-    fact_row.reserve(def_.dimensions.size() + def_.measures.size() + 1);
     Status bad;
     std::string bad_field;
-    for (size_t d = 0; d < def_.dimensions.size() && bad.ok(); ++d) {
-      std::vector<Value> tuple;
-      tuple.reserve(dim_sources[d].attr_cols.size());
-      for (const ColumnVector* col : dim_sources[d].attr_cols) {
-        tuple.push_back(col->GetValue(i));
-      }
+    for (size_t d = 0; d < def_.dimensions.size(); ++d) {
+      const std::vector<const ColumnVector*>& from = dim_sources[d].attr_cols;
       if (lenient) {
         // Referential integrity: a tuple that is null in EVERY
         // attribute identifies no dimension member at all; quarantine
         // instead of minting an all-null member. (Partially-null
         // tuples are legitimate — nulls are valid attribute values,
         // e.g. a diagnosis band for an undiagnosed patient.)
-        bool all_null = !tuple.empty();
-        for (const Value& v : tuple) {
-          if (!v.is_null()) {
-            all_null = false;
-            break;
-          }
-        }
+        bool all_null = true;
+        for (const ColumnVector* col : from) all_null &= col->IsNull(i);
         if (all_null) {
           bad_field = def_.dimensions[d].name;
           bad = Status::FailedPrecondition(StrFormat(
@@ -474,26 +645,29 @@ Result<Warehouse> StarSchemaBuilder::Build(
           break;
         }
       }
-      auto [it, inserted] = builds[d].keys.emplace(
-          tuple, static_cast<int64_t>(builds[d].members.size()));
-      if (inserted) builds[d].members.push_back(std::move(tuple));
-      fact_row.push_back(Value::Int(it->second));
+      Dimension& dim = dimensions[d];
+      const size_t hash = MemberIndex::HashRow(from, i);
+      int64_t key = indexes[d]->Find(member_cols[d], from, i, hash);
+      if (key < 0) {
+        key = static_cast<int64_t>(dim.num_members());
+        for (size_t a = 0; a < from.size(); ++a) {
+          dim.table_.mutable_column(a)->AppendFrom(*from[a], i);
+        }
+        indexes[d]->Insert(member_cols[d], static_cast<size_t>(key), hash);
+      }
+      keys[d] = key;
     }
     if (bad.ok()) {
+      size_t c = 0;
+      for (int64_t key : keys) fact.mutable_column(c++)->AppendInt(key);
       if (degenerate_col != nullptr) {
-        fact_row.push_back(degenerate_col->GetValue(i));
+        fact.mutable_column(c++)->AppendFrom(*degenerate_col, i);
       }
-      for (size_t m = 0; m < measure_cols.size(); ++m) {
-        Value v = measure_cols[m]->GetValue(i);
-        if (!v.is_null() && v.type() == DataType::kBool) {
-          v = Value::Int(v.bool_value() ? 1 : 0);
-        }
-        fact_row.push_back(std::move(v));
+      for (const ColumnVector* col : measure_cols) {
+        fact.mutable_column(c++)->AppendFrom(*col, i);
       }
-      bad = fact.AppendRow(fact_row);
+      continue;
     }
-    if (bad.ok()) continue;
-    if (!lenient) return bad;
     DDGMS_METRIC_INC("ddgms.warehouse.ri_rejects");
     std::vector<std::string> cells;
     for (const Value& v : source.GetRow(i)) {
@@ -503,26 +677,8 @@ Result<Warehouse> StarSchemaBuilder::Build(
                     std::move(bad),
                     TruncateForQuarantine(FormatCsvLine(cells)));
   }
-
-  // Materialize dimension tables.
   size_t surrogate_keys = 0;
-  std::vector<Dimension> dimensions;
-  dimensions.reserve(def_.dimensions.size());
-  for (size_t d = 0; d < def_.dimensions.size(); ++d) {
-    surrogate_keys += builds[d].members.size();
-    const DimensionDef& dim_def = def_.dimensions[d];
-    std::vector<Field> fields;
-    for (size_t a = 0; a < dim_def.attributes.size(); ++a) {
-      fields.push_back(Field{dim_def.attributes[a],
-                             dim_sources[d].attr_cols[a]->type()});
-    }
-    DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-    Table dim_table(std::move(schema));
-    for (const std::vector<Value>& member : builds[d].members) {
-      DDGMS_RETURN_IF_ERROR(dim_table.AppendRow(member));
-    }
-    dimensions.emplace_back(dim_def, std::move(dim_table));
-  }
+  for (const Dimension& dim : dimensions) surrogate_keys += dim.num_members();
 
   Warehouse wh(def_, std::move(fact), std::move(dimensions));
   IntegrityReport report;

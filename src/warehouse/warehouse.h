@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/quarantine.h"
@@ -17,6 +18,36 @@ namespace ddgms::warehouse {
 /// Process-wide monotonic stamp source for Warehouse::generation().
 /// Starts at 1, so 0 is a safe "never seen" sentinel for caches.
 uint64_t NextWarehouseGeneration();
+
+/// Surrogate keys of a dimension's members, found by attribute tuple.
+/// Open addressing over the keys alone: the tuples stay in the member
+/// table's typed columns, which every call passes in, so a copied or
+/// moved warehouse keeps a valid index. Tuples match as
+/// ColumnVector::EqualsAt pairs their cells: int64 5 and double 5.0 are
+/// one member, and null is a member of its own.
+class MemberIndex {
+ public:
+  /// Tuple columns, one per attribute, in the dimension's order.
+  using Columns = std::span<const ColumnVector* const>;
+
+  /// Hash of the tuple at row `row` of `cols`.
+  static size_t HashRow(Columns cols, size_t row);
+
+  /// The key whose tuple (row `key` of `members`) equals row `row` of
+  /// `probe`, or -1. `hash` is HashRow(probe, row).
+  int64_t Find(Columns members, Columns probe, size_t row,
+               size_t hash) const;
+
+  /// Indexes `key`, whose tuple is row `key` of `members`, under `hash`
+  /// (HashRow(members, key)). The tuple must not be indexed yet.
+  void Insert(Columns members, size_t key, size_t hash);
+
+  size_t size() const { return size_; }
+
+ private:
+  std::vector<uint32_t> slots_;  // key + 1; 0 marks an empty slot
+  size_t size_ = 0;
+};
 
 /// A populated dimension table: surrogate keys 0..n-1 (the row index)
 /// plus one column per attribute. Member rows are unique attribute
@@ -47,17 +78,33 @@ class Dimension {
   Result<std::string> CoarserLevel(const std::string& attribute) const;
 
   /// Appends a derived attribute computed from existing member
-  /// attributes (used for knowledge-base feedback attributes).
+  /// attributes (used for knowledge-base feedback attributes). Drops
+  /// the member index; the next append rebuilds it.
   Status AddDerivedAttribute(
       const std::string& attribute, DataType type,
       const std::function<Value(const Dimension&, int64_t key)>& fn);
 
+  /// The member index, or null until this dimension's first append when
+  /// StarSchemaBuilder did not fill it (loaded from disk, or given a
+  /// derived attribute since).
+  const MemberIndex* member_index() const {
+    return index_ ? &*index_ : nullptr;
+  }
+
  private:
   friend class StarSchemaBuilder;
-  friend class Warehouse;  // incremental AppendRows extends members
+  friend class Warehouse;  // incremental appends extend members
+
+  /// The member table's columns for def().attributes, in that order.
+  Result<std::vector<const ColumnVector*>> AttributeColumns() const;
+
+  /// The member index, built over every member first when it is not;
+  /// `members` is AttributeColumns().
+  MemberIndex& EnsureIndex(MemberIndex::Columns members);
 
   DimensionDef def_;
   Table table_;
+  std::optional<MemberIndex> index_;
 };
 
 /// Key-integrity summary produced by CheckIntegrity().
@@ -67,6 +114,20 @@ struct IntegrityReport {
   std::vector<std::string> violations;
 
   std::string ToString() const;
+};
+
+/// A batch Warehouse::PrepareAppend resolved and checked: its fact rows
+/// and the members it mints, staged as typed columns for
+/// Warehouse::CommitAppend.
+class PreparedAppend {
+ private:
+  friend class Warehouse;
+
+  uint64_t generation_ = 0;  // the warehouse state it was checked against
+  Table fact_;               // typed like the fact table
+  /// Per dimension, the minted members typed like its member table; a
+  /// table without columns when the batch mints none there.
+  std::vector<Table> members_;
 };
 
 /// A populated star schema: the fact table (one foreign-key column
@@ -125,14 +186,26 @@ class Warehouse {
       const std::function<Value(const Warehouse&, size_t fact_row)>&
           labeler);
 
-  /// Incremental load: appends transformed source rows to the fact
-  /// table, reusing existing dimension members and appending new ones
-  /// (avoids the full rebuild of StarSchemaBuilder on data
-  /// acquisition). The source must carry every column the schema
-  /// definition references. Derived/feedback attributes added after the
-  /// original build are not supported here (AlreadyExists-style schema
-  /// drift surfaces as an error from the tuple lookup).
+  /// Incremental load, all or nothing: appends transformed source rows
+  /// to the fact table, reusing existing dimension members and minting
+  /// new ones with the keys a full rebuild over the same rows would
+  /// give them. Costs O(source rows): each dimension's member index
+  /// (built by StarSchemaBuilder, or on the first append to a warehouse
+  /// loaded from disk) finds existing members. The source must carry
+  /// every column the schema references; a missing column is NotFound,
+  /// and a value the fact or member table cannot hold is
+  /// InvalidArgument. On error nothing changes: fact rows, members and
+  /// generation() stay as they were. PrepareAppend + CommitAppend.
   Status AppendRows(const Table& source);
+
+  /// The checking half of AppendRows: resolves every row's surrogate
+  /// keys and type-checks the whole batch, staging it as typed columns.
+  /// Changes nothing a reader can see (it may build member indexes).
+  Result<PreparedAppend> PrepareAppend(const Table& source);
+
+  /// The applying half of AppendRows; cannot fail. `batch` must come
+  /// from PrepareAppend on this warehouse with no mutation in between.
+  void CommitAppend(const PreparedAppend& batch);
 
   /// Verifies foreign keys are in range and hierarchies are functional
   /// (each fine member maps to exactly one coarse member).

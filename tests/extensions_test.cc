@@ -20,6 +20,7 @@
 #include "olap/cache.h"
 #include "report/render.h"
 #include "warehouse/persist.h"
+#include "warehouse/snapshot.h"
 
 namespace ddgms {
 namespace {
@@ -373,59 +374,245 @@ TEST_F(ExtensionsTest, SqlFuzzNeverCrashes) {
 
 // ------------------------------------------------ incremental append
 
-TEST(AppendRowsTest, MatchesFullRebuild) {
+/// A transformed DiScRi cohort, in AppendRows source form.
+Table TransformedCohort(size_t patients, uint64_t seed) {
   discri::CohortOptions opt;
-  opt.num_patients = 80;
-  opt.seed = 61;
-  auto batch1 = discri::GenerateCohort(opt);
-  ASSERT_TRUE(batch1.ok());
-  opt.num_patients = 40;
-  opt.seed = 62;
-  auto batch2 = discri::GenerateCohort(opt);
-  ASSERT_TRUE(batch2.ok());
+  opt.num_patients = patients;
+  opt.seed = seed;
+  auto raw = discri::GenerateCohort(opt);
+  EXPECT_TRUE(raw.ok());
+  Table t = std::move(raw).value();
+  EXPECT_TRUE(discri::MakeDiscriPipeline().Run(&t).ok());
+  return t;
+}
 
-  auto pipeline = discri::MakeDiscriPipeline();
-  Table t1 = *batch1;
-  Table t2 = *batch2;
-  ASSERT_TRUE(pipeline.Run(&t1).ok());
-  ASSERT_TRUE(pipeline.Run(&t2).ok());
+/// `t` with the column named like `col` replaced by `col`, in place.
+Table ReplaceColumn(const Table& t, const ColumnVector& col) {
+  Table out;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const ColumnVector& next =
+        t.column(c).name() == col.name() ? col : t.column(c);
+    EXPECT_TRUE(out.AddColumn(next).ok());
+  }
+  return out;
+}
 
-  // Path A: build on batch1, append batch2 incrementally.
+Table Concatenated(std::vector<Table> parts) {
+  Table out = parts.front();
+  for (size_t i = 1; i < parts.size(); ++i) {
+    EXPECT_TRUE(out.Concat(parts[i]).ok());
+  }
+  return out;
+}
+
+std::vector<size_t> MemberCounts(const warehouse::Warehouse& wh) {
+  std::vector<size_t> counts;
+  for (const warehouse::Dimension& dim : wh.dimensions()) {
+    counts.push_back(dim.num_members());
+  }
+  return counts;
+}
+
+TEST(AppendRowsTest, MatchesFullRebuild) {
+  const Table t1 = TransformedCohort(80, 61);
+  const Table t2 = TransformedCohort(40, 62);
+  const Table t3 = TransformedCohort(30, 63);
   warehouse::StarSchemaBuilder builder(discri::MakeDiscriSchemaDef());
-  auto incremental = builder.Build(t1);
-  ASSERT_TRUE(incremental.ok());
-  size_t members_before =
-      (*incremental->dimension("PersonalInformation"))->num_members();
-  ASSERT_TRUE(incremental->AppendRows(t2).ok());
-  EXPECT_TRUE(incremental->CheckIntegrity().ok);
-  EXPECT_EQ(incremental->num_fact_rows(),
-            t1.num_rows() + t2.num_rows());
-  EXPECT_GE(
-      (*incremental->dimension("PersonalInformation"))->num_members(),
-      members_before);
-
-  // Path B: full rebuild over the concatenation.
-  Table combined = t1;
-  ASSERT_TRUE(combined.Concat(t2).ok());
-  auto rebuilt = builder.Build(combined);
+  auto rebuilt = builder.Build(Concatenated({t1, t2, t3}));
   ASSERT_TRUE(rebuilt.ok());
+  const std::string oracle = warehouse::EncodeSnapshot(*rebuilt);
 
-  // Identical OLAP answers on a multi-dimension query.
-  olap::CubeQuery q;
-  q.axes = {{"PersonalInformation", "Gender", {}},
-            {"MedicalCondition", "DiabetesStatus", {}},
-            {"FastingBloods", "FBGBand", {}}};
-  q.measures = {{AggFn::kCount, "", "n"}, {AggFn::kAvg, "FBG", "avg"}};
-  auto a = olap::CubeEngine(&*incremental).Execute(q);
-  auto b = olap::CubeEngine(&*rebuilt).Execute(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->num_cells(), b->num_cells());
-  auto table_a = a->ToTable();
-  auto table_b = b->ToTable();
-  ASSERT_TRUE(table_a.ok());
-  ASSERT_TRUE(table_b.ok());
-  EXPECT_EQ(table_a->ToCsv(), table_b->ToCsv());
+  auto built = builder.Build(t1);
+  ASSERT_TRUE(built.ok());
+  const std::string base = warehouse::EncodeSnapshot(*built);
+  for (const warehouse::Dimension& dim : built->dimensions()) {
+    ASSERT_NE(dim.member_index(), nullptr) << dim.name();
+    EXPECT_EQ(dim.member_index()->size(), dim.num_members());
+  }
+
+  // A copy carries an index of its own: appending to it leaves the
+  // original as it was.
+  warehouse::Warehouse copy = *built;
+  ASSERT_TRUE(copy.AppendRows(t2).ok());
+  ASSERT_TRUE(copy.AppendRows(t3).ok());
+  EXPECT_EQ(warehouse::EncodeSnapshot(copy), oracle);
+  EXPECT_EQ(warehouse::EncodeSnapshot(*built), base);
+
+  // The warehouse Build returned, whose index Build filled.
+  ASSERT_TRUE(built->AppendRows(t2).ok());
+  ASSERT_TRUE(built->AppendRows(t3).ok());
+  EXPECT_EQ(warehouse::EncodeSnapshot(*built), oracle);
+
+  // A warehouse read from a snapshot builds its index on first append.
+  auto decoded = warehouse::DecodeSnapshot(base);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (const warehouse::Dimension& dim : decoded->dimensions()) {
+    EXPECT_EQ(dim.member_index(), nullptr) << dim.name();
+  }
+  ASSERT_TRUE(decoded->AppendRows(t2).ok());
+  ASSERT_TRUE(decoded->AppendRows(t3).ok());
+  EXPECT_EQ(warehouse::EncodeSnapshot(*decoded), oracle);
+  for (const warehouse::Dimension& dim : decoded->dimensions()) {
+    ASSERT_NE(dim.member_index(), nullptr) << dim.name();
+    EXPECT_EQ(dim.member_index()->size(), dim.num_members());
+  }
+}
+
+TEST(AppendRowsTest, RejectedBatchChangesNothing) {
+  const Table t1 = TransformedCohort(80, 61);
+  const Table t2 = TransformedCohort(40, 62);
+  const Table t3 = TransformedCohort(30, 63);
+  warehouse::StarSchemaBuilder builder(discri::MakeDiscriSchemaDef());
+  auto wh = builder.Build(t1);
+  ASSERT_TRUE(wh.ok());
+  const std::string before = warehouse::EncodeSnapshot(*wh);
+  const uint64_t generation = wh->generation();
+
+  // A string FBG column, null but for row 20: no double fact column can
+  // hold that value. The rows before it mint new members.
+  constexpr size_t kBadRow = 20;
+  ASSERT_GT(t2.num_rows(), kBadRow);
+  ColumnVector fbg("FBG", DataType::kString);
+  for (size_t i = 0; i < t2.num_rows(); ++i) {
+    if (i == kBadRow) {
+      fbg.AppendString("high");
+    } else {
+      fbg.AppendNull();
+    }
+  }
+  std::vector<size_t> head(kBadRow);
+  for (size_t i = 0; i < kBadRow; ++i) head[i] = i;
+  warehouse::Warehouse probe = *wh;
+  ASSERT_TRUE(probe.AppendRows(t2.Take(head)).ok());
+  ASSERT_NE(MemberCounts(probe), MemberCounts(*wh));
+
+  Status st = wh->AppendRows(ReplaceColumn(t2, fbg));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(warehouse::EncodeSnapshot(*wh), before);
+  EXPECT_EQ(wh->generation(), generation);
+
+  // The next good batch still lands where a full rebuild puts it.
+  ASSERT_TRUE(wh->AppendRows(t3).ok());
+  auto rebuilt = builder.Build(Concatenated({t1, t3}));
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(warehouse::EncodeSnapshot(*wh),
+            warehouse::EncodeSnapshot(*rebuilt));
+}
+
+/// One dimension, Lab(Level: double), and one measure N; the Level
+/// members are 5.0 (key 0) and 2.5 (key 1).
+Result<warehouse::Warehouse> MakeLabWarehouse() {
+  DDGMS_ASSIGN_OR_RETURN(Schema schema,
+                         Schema::Make({{"Level", DataType::kDouble},
+                                       {"N", DataType::kInt64}}));
+  Table t(std::move(schema));
+  DDGMS_RETURN_IF_ERROR(t.AppendRow({Value::Real(5.0), Value::Int(1)}));
+  DDGMS_RETURN_IF_ERROR(t.AppendRow({Value::Real(2.5), Value::Int(1)}));
+  warehouse::StarSchemaDef def;
+  def.fact_name = "Tests";
+  def.dimensions = {{"Lab", {"Level"}, {}}};
+  def.measures = {{"N", "N"}};
+  return warehouse::StarSchemaBuilder(def).Build(t);
+}
+
+/// A Lab batch: `level` plus an N of 1 per row.
+Table LabBatch(ColumnVector level) {
+  ColumnVector n("N", DataType::kInt64);
+  for (size_t i = 0; i < level.size(); ++i) n.AppendInt(1);
+  Table t;
+  EXPECT_TRUE(t.AddColumn(std::move(level)).ok());
+  EXPECT_TRUE(t.AddColumn(std::move(n)).ok());
+  return t;
+}
+
+/// The Lab keys of the last `count` fact rows.
+std::vector<int64_t> LastLabKeys(const warehouse::Warehouse& wh,
+                                 size_t count) {
+  std::vector<int64_t> keys;
+  for (size_t i = wh.num_fact_rows() - count; i < wh.num_fact_rows(); ++i) {
+    keys.push_back(*wh.FactKey(i, "Lab"));
+  }
+  return keys;
+}
+
+TEST(AppendRowsTest, MembersMatchUnderValueEquality) {
+  auto wh = MakeLabWarehouse();
+  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+  const warehouse::Dimension* lab = *wh->dimension("Lab");
+  ASSERT_EQ(lab->num_members(), 2u);
+
+  // int64 5 joins the double 5.0 member, which keeps its spelling.
+  ColumnVector ints("Level", DataType::kInt64);
+  ints.AppendInt(5);
+  ASSERT_TRUE(wh->AppendRows(LabBatch(ints)).ok());
+  EXPECT_EQ(lab->num_members(), 2u);
+  EXPECT_EQ(LastLabKeys(*wh, 1), std::vector<int64_t>({0}));
+  EXPECT_EQ(lab->AttributeValue(0, "Level")->type(), DataType::kDouble);
+
+  // Null is a member of its own, minted once.
+  ColumnVector nulls("Level", DataType::kDouble);
+  nulls.AppendNull();
+  nulls.AppendNull();
+  ASSERT_TRUE(wh->AppendRows(LabBatch(nulls)).ok());
+  EXPECT_EQ(lab->num_members(), 3u);
+  EXPECT_EQ(LastLabKeys(*wh, 2), std::vector<int64_t>({2, 2}));
+  EXPECT_TRUE(lab->AttributeValue(2, "Level")->is_null());
+
+  // A new tuple seen twice in one batch gets one key.
+  ColumnVector twice("Level", DataType::kDouble);
+  twice.AppendDouble(7.5);
+  twice.AppendDouble(2.5);
+  twice.AppendDouble(7.5);
+  ASSERT_TRUE(wh->AppendRows(LabBatch(twice)).ok());
+  EXPECT_EQ(lab->num_members(), 4u);
+  EXPECT_EQ(LastLabKeys(*wh, 3), std::vector<int64_t>({3, 1, 3}));
+
+  // Only non-null values are type-checked: an all-null string column
+  // joins the null member, and a string value is rejected.
+  ColumnVector no_strings("Level", DataType::kString);
+  no_strings.AppendNull();
+  ASSERT_TRUE(wh->AppendRows(LabBatch(no_strings)).ok());
+  EXPECT_EQ(LastLabKeys(*wh, 1), std::vector<int64_t>({2}));
+  ColumnVector strings("Level", DataType::kString);
+  strings.AppendString("high");
+  const size_t facts = wh->num_fact_rows();
+  EXPECT_TRUE(wh->AppendRows(LabBatch(strings)).IsInvalidArgument());
+  EXPECT_EQ(lab->num_members(), 4u);
+  EXPECT_EQ(wh->num_fact_rows(), facts);
+}
+
+TEST(AppendRowsTest, DerivedAttributeRebuildsTheIndex) {
+  auto wh = MakeLabWarehouse();
+  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+  warehouse::Dimension* lab = *wh->mutable_dimension("Lab");
+  ASSERT_NE(lab->member_index(), nullptr);
+  ASSERT_TRUE(lab->AddDerivedAttribute(
+                     "High", DataType::kBool,
+                     [](const warehouse::Dimension& d, int64_t key) {
+                       Value level = *d.AttributeValue(key, "Level");
+                       return Value::Bool(level.double_value() > 4.0);
+                     })
+                  .ok());
+  EXPECT_EQ(lab->member_index(), nullptr);
+
+  // The next append indexes the members by (Level, High).
+  Table batch = LabBatch([] {
+    ColumnVector level("Level", DataType::kDouble);
+    level.AppendDouble(2.5);
+    level.AppendDouble(5.0);
+    level.AppendDouble(5.0);
+    return level;
+  }());
+  ColumnVector high("High", DataType::kBool);
+  high.AppendBool(false);
+  high.AppendBool(true);
+  high.AppendBool(false);
+  ASSERT_TRUE(batch.AddColumn(std::move(high)).ok());
+  ASSERT_TRUE(wh->AppendRows(batch).ok());
+  ASSERT_NE(lab->member_index(), nullptr);
+  EXPECT_EQ(lab->num_members(), 3u);
+  EXPECT_EQ(lab->member_index()->size(), 3u);
+  EXPECT_EQ(LastLabKeys(*wh, 3), std::vector<int64_t>({1, 0, 2}));
 }
 
 TEST(AppendRowsTest, MissingColumnFails) {

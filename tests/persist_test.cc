@@ -798,5 +798,112 @@ TEST(DurableFacadeTest, AttachAcquireLoadRecover) {
   EXPECT_EQ(recovered->warehouse().num_fact_rows(), rows);
 }
 
+/// A raw DiScRi cohort, as AcquireData takes it.
+Table RawCohort(size_t patients, uint64_t seed) {
+  discri::CohortOptions opt;
+  opt.num_patients = patients;
+  opt.seed = seed;
+  auto raw = discri::GenerateCohort(opt);
+  EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+  return std::move(raw).value();
+}
+
+/// A facade over 400 patients (seed 7) with durable storage in `dir`.
+Result<core::DdDgms> DurableFacade(const std::string& dir) {
+  DDGMS_ASSIGN_OR_RETURN(
+      core::DdDgms dgms,
+      core::DdDgms::Build(RawCohort(400, 7), discri::MakeDiscriPipeline(),
+                          discri::MakeDiscriSchemaDef()));
+  DDGMS_RETURN_IF_ERROR(dgms.AttachDurableStorage(dir, FastOptions()));
+  return dgms;
+}
+
+std::vector<size_t> MemberCounts(const warehouse::Warehouse& wh) {
+  std::vector<size_t> counts;
+  for (const warehouse::Dimension& dim : wh.dimensions()) {
+    counts.push_back(dim.num_members());
+  }
+  return counts;
+}
+
+uint64_t JournalBytes(const core::DdDgms& dgms) {
+  const warehouse::DurableWarehouseStore* store = dgms.durable_store();
+  auto size = FileSize(store->JournalPath(store->seq()));
+  EXPECT_TRUE(size.ok()) << size.status().ToString();
+  return size.ok() ? *size : 0;
+}
+
+TEST(DurableFacadeTest, RejectedBatchLeavesNoTraceAndTheNextSurvives) {
+  std::string dir = FreshDir("ddgms_facade_rejected");
+  auto dgms = DurableFacade(dir);
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+  const warehouse::Warehouse& wh = dgms->warehouse();
+  const size_t facts = wh.num_fact_rows();
+  const uint64_t generation = wh.generation();
+  const std::vector<size_t> members = MemberCounts(wh);
+
+  // Education as int64, null in the first row: ETL lets the batch
+  // through, and the string Education members cannot hold row 2.
+  Table raw = RawCohort(15, 211);
+  ASSERT_GE(raw.num_rows(), 2u);
+  ColumnVector education("Education", DataType::kInt64);
+  education.AppendNull();
+  for (size_t i = 1; i < raw.num_rows(); ++i) {
+    education.AppendInt(static_cast<int64_t>(i));
+  }
+  Table bad;
+  for (size_t c = 0; c < raw.num_columns(); ++c) {
+    const ColumnVector& col = raw.column(c);
+    ASSERT_TRUE(
+        bad.AddColumn(col.name() == "Education" ? education : col).ok());
+  }
+  Status st = dgms->AcquireData(bad);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(wh.num_fact_rows(), facts);
+  EXPECT_EQ(wh.generation(), generation);
+  EXPECT_EQ(MemberCounts(wh), members);
+  EXPECT_EQ(JournalBytes(*dgms), 0u);
+
+  // The next good batch is acknowledged, and survives a strict load and
+  // a recovery whole.
+  ASSERT_TRUE(dgms->AcquireData(RawCohort(15, 223)).ok());
+  const size_t rows = wh.num_fact_rows();
+  EXPECT_GT(rows, facts);
+  auto loaded = core::DdDgms::LoadDurable(dir, discri::MakeDiscriPipeline(),
+                                          {}, FastOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->warehouse().num_fact_rows(), rows);
+  warehouse::RecoveryReport report;
+  auto recovered = core::DdDgms::RecoverDurable(
+      dir, discri::MakeDiscriPipeline(), &report, {}, FastOptions());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(report.journal_records_dropped, 0u);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+  EXPECT_EQ(recovered->warehouse().num_fact_rows(), rows);
+}
+
+TEST(DurableFacadeTest, ExtraRawColumnIsRejectedBeforeJournaling) {
+  std::string dir = FreshDir("ddgms_facade_extra_column");
+  auto dgms = DurableFacade(dir);
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+  const size_t facts = dgms->warehouse().num_fact_rows();
+
+  // The warehouse ignores the extra column; the raw extract cannot take
+  // it, so the batch must be refused before anything is written.
+  Table extra = RawCohort(15, 227);
+  ColumnVector ward("Ward", DataType::kInt64);
+  for (size_t i = 0; i < extra.num_rows(); ++i) ward.AppendInt(1);
+  ASSERT_TRUE(extra.AddColumn(std::move(ward)).ok());
+  Status st = dgms->AcquireData(extra);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(dgms->warehouse().num_fact_rows(), facts);
+  EXPECT_EQ(JournalBytes(*dgms), 0u);
+
+  auto loaded = core::DdDgms::LoadDurable(dir, discri::MakeDiscriPipeline(),
+                                          {}, FastOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->warehouse().num_fact_rows(), facts);
+}
+
 }  // namespace
 }  // namespace ddgms

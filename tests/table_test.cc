@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "table/column.h"
 #include "table/describe.h"
 #include "table/schema.h"
@@ -98,6 +100,52 @@ TEST(ColumnTest, IntPromotesIntoDoubleColumn) {
   ColumnVector col("x", DataType::kDouble);
   ASSERT_TRUE(col.Append(Value::Int(2)).ok());
   EXPECT_DOUBLE_EQ(col.DoubleAt(0), 2.0);
+}
+
+TEST(ColumnTest, EqualsAtFollowsValueEquality) {
+  ColumnVector ints("i", DataType::kInt64);
+  ints.AppendInt(5);
+  ints.AppendNull();
+  ColumnVector doubles("d", DataType::kDouble);
+  doubles.AppendDouble(5.0);
+  doubles.AppendNull();
+  doubles.AppendDouble(-0.0);
+  doubles.AppendDouble(0.0);
+  doubles.AppendDouble(std::numeric_limits<double>::quiet_NaN());
+  ColumnVector strings("s", DataType::kString);
+  strings.AppendString("5");
+  strings.AppendNull();
+  // int64 5 and double 5.0 are one value, and hash alike.
+  EXPECT_TRUE(ints.EqualsAt(0, doubles, 0));
+  EXPECT_TRUE(doubles.EqualsAt(0, ints, 0));
+  EXPECT_EQ(ints.HashAt(0), doubles.HashAt(0));
+  // Null equals null, whatever the column types, and nothing else.
+  EXPECT_TRUE(ints.EqualsAt(1, strings, 1));
+  EXPECT_EQ(ints.HashAt(1), strings.HashAt(1));
+  EXPECT_FALSE(ints.EqualsAt(1, doubles, 0));
+  EXPECT_FALSE(ints.EqualsAt(0, strings, 0));
+  // -0.0 is 0.0; NaN equals only itself.
+  EXPECT_TRUE(doubles.EqualsAt(2, doubles, 3));
+  EXPECT_EQ(doubles.HashAt(2), doubles.HashAt(3));
+  EXPECT_TRUE(doubles.EqualsAt(4, doubles, 4));
+  EXPECT_FALSE(doubles.EqualsAt(4, doubles, 0));
+}
+
+TEST(ColumnTest, AppendFromConvertsLikeAppend) {
+  ColumnVector ints("i", DataType::kInt64);
+  ints.AppendInt(7);
+  ints.AppendNull();
+  ColumnVector bools("b", DataType::kBool);
+  bools.AppendBool(true);
+  ColumnVector to("x", DataType::kDouble);
+  to.AppendFrom(ints, 0);
+  to.AppendFrom(ints, 1);
+  to.AppendFrom(bools, 0);
+  ASSERT_EQ(to.size(), 3u);
+  EXPECT_EQ(to.GetValue(0), Value::Real(7.0));
+  EXPECT_TRUE(to.IsNull(1));
+  EXPECT_EQ(to.null_count(), 1u);
+  EXPECT_EQ(to.GetValue(2), Value::Real(1.0));
 }
 
 TEST(ColumnTest, SetValueUpdatesNullCount) {
@@ -295,6 +343,69 @@ TEST(TableTest, ConcatRequiresSameSchema) {
   EXPECT_EQ(a.num_rows(), 6u);
   Table c(Schema::Make({{"Other", DataType::kInt64}}).value());
   EXPECT_TRUE(a.Concat(c).IsInvalidArgument());
+}
+
+/// One column of every type, each with a null.
+Table MakeAllTypesTable(int64_t base) {
+  auto schema = Schema::Make({{"B", DataType::kBool},
+                              {"I", DataType::kInt64},
+                              {"D", DataType::kDouble},
+                              {"S", DataType::kString},
+                              {"T", DataType::kDate}});
+  Table t(std::move(schema).value());
+  const Value null = Value::Null();
+  EXPECT_TRUE(t.AppendRow({Value::Bool(true), Value::Int(base),
+                           Value::Real(2.5), Value::Str("x"),
+                           Value::FromDate(Date(100))})
+                  .ok());
+  EXPECT_TRUE(t.AppendRow({null, Value::Int(base + 1), null,
+                           Value::Str(""), null})
+                  .ok());
+  EXPECT_TRUE(t.AppendRow({Value::Bool(false), null, Value::Real(-0.0),
+                           null, Value::FromDate(Date(-5))})
+                  .ok());
+  return t;
+}
+
+/// Same schema, and every cell the same value of the same type (or null
+/// in both).
+void ExpectSameCells(const Table& actual, const Table& expected) {
+  ASSERT_TRUE(actual.schema() == expected.schema());
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  for (size_t c = 0; c < actual.num_columns(); ++c) {
+    const ColumnVector& a = actual.column(c);
+    const ColumnVector& e = expected.column(c);
+    EXPECT_EQ(a.null_count(), e.null_count()) << a.name();
+    for (size_t i = 0; i < actual.num_rows(); ++i) {
+      EXPECT_EQ(a.IsNull(i), e.IsNull(i)) << a.name() << " row " << i;
+      EXPECT_EQ(a.GetValue(i).type(), e.GetValue(i).type());
+      EXPECT_EQ(a.GetValue(i).ToString(), e.GetValue(i).ToString())
+          << a.name() << " row " << i;
+    }
+  }
+  EXPECT_EQ(actual.ApproxBytes(), expected.ApproxBytes());
+}
+
+TEST(TableTest, ConcatMatchesRowByRowAppend) {
+  Table a = MakeAllTypesTable(1);
+  const Table b = MakeAllTypesTable(10);
+  Table expected = a;
+  for (size_t i = 0; i < b.num_rows(); ++i) {
+    ASSERT_TRUE(expected.AppendRow(b.GetRow(i)).ok());
+  }
+  ASSERT_TRUE(a.Concat(b).ok());
+  ExpectSameCells(a, expected);
+}
+
+TEST(TableTest, ConcatWithItselfDoublesTheTable) {
+  // Its own columns are the source: a separate case from Concat(other).
+  Table t = MakeAllTypesTable(1);
+  Table expected = t;
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    ASSERT_TRUE(expected.AppendRow(t.GetRow(i)).ok());
+  }
+  ASSERT_TRUE(t.Concat(t).ok());
+  ExpectSameCells(t, expected);
 }
 
 TEST(TableTest, CsvRoundTrip) {
