@@ -1,228 +1,164 @@
 #include "common/csv.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "common/annotations.h"
 #include "common/faults.h"
+#include "common/io.h"
 #include "common/strings.h"
 
 namespace ddgms {
 
-namespace {
-
-// Shared CSV state machine. `allow_newlines` distinguishes the whole-
-// document parser from the single-record parser. When `quoted_empty`
-// is non-null it receives rows-parallel flags: 1 for a field that was
-// quoted and empty ("" in the source), which parses to the same string
-// as a bare empty field but means "empty string" rather than "null" to
-// loaders that encode the difference.
-DDGMS_HOT Result<std::vector<std::vector<std::string>>> ParseCsvImpl(
-    const std::string& text, char delim, bool allow_newlines,
-    std::vector<std::vector<uint8_t>>* quoted_empty = nullptr) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> fields;
-  std::vector<uint8_t> flags;
-  // One buffer per document, reused across fields; its backing storage
-  // is moved into the result as each field completes.
-  std::string field;  // NOLINT(ddgms-hot-path-alloc)
-  bool in_quotes = false;
-  bool row_started = false;
-  bool field_was_quoted = false;
-
-  // Unquoted newlines bound the record count, so the outer result
-  // vector never reallocates mid-parse.
-  rows.reserve(static_cast<size_t>(
-                   std::count(text.begin(), text.end(), '\n')) +
-               1);
-  if (quoted_empty != nullptr) quoted_empty->reserve(rows.capacity());
-
-  auto finish_field = [&] {
-    // Per-field output appends: the buffers grow amortized and are
-    // moved out whole per row, so there is no per-element fix beyond
-    // the row-level reserves above.
-    flags.push_back(field_was_quoted && field.empty() ? 1 : 0);  // NOLINT(ddgms-hot-path-alloc)
-    fields.push_back(std::move(field));  // NOLINT(ddgms-hot-path-alloc)
-    field.clear();
-    field_was_quoted = false;
-  };
-  auto finish_row = [&] {
-    rows.push_back(std::move(fields));
-    fields.clear();
-    if (quoted_empty != nullptr) quoted_empty->push_back(std::move(flags));
-    flags.clear();
-    row_started = false;
-  };
-
-  size_t i = 0;
-  const size_t n = text.size();
-  while (i < n) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < n && text[i + 1] == '"') {
-          // Char appends to the reused field buffer grow amortized.
-          field.push_back('"');  // NOLINT(ddgms-hot-path-alloc)
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
-      }
-      if ((c == '\n' || c == '\r') && !allow_newlines) {
-        return Status::ParseError("newline inside quoted field");
-      }
-      field.push_back(c);  // NOLINT(ddgms-hot-path-alloc)
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      row_started = true;
-      field_was_quoted = true;
-      ++i;
-      continue;
-    }
-    if (c == delim) {
-      finish_field();
-      row_started = true;
-      ++i;
-      continue;
-    }
-    if (c == '\r' || c == '\n') {
-      // LF, CRLF and lone CR all terminate the record.
-      if (c == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;
-      if (row_started || !field.empty()) {
-        finish_field();
-        finish_row();
-      }
-      ++i;
-      continue;
-    }
-    field.push_back(c);  // NOLINT(ddgms-hot-path-alloc)
-    row_started = true;
-    ++i;
+CsvTokenizer::CsvTokenizer(std::string_view text, char delim)
+    : pos_(text.data()), end_(text.data() + text.size()), delim_(delim) {
+  for (char c : {delim, '"', '\r', '\n'}) {
+    stops_[static_cast<unsigned char>(c)] = true;
   }
-  if (in_quotes) {
-    return Status::ParseError(
-        StrFormat("unterminated quoted field at end of input "
-                  "(after %zu complete records)",
-                  rows.size()));
-  }
-  if (row_started || !field.empty() || !fields.empty()) {
-    finish_field();
-    finish_row();
-  }
-  return rows;
 }
 
-}  // namespace
+// fields_, side_ and side_fields_ are reused across records: once the
+// widest record has been seen their appends no longer allocate, hence
+// the NOLINT(ddgms-hot-path-alloc) on each.
+DDGMS_HOT bool CsvTokenizer::Next() {
+  fields_.clear();
+  side_.clear();
+  side_fields_.clear();
+  const char* p = pos_;
+  const char* const end = end_;
+  // A record that starts with a line terminator is blank: skip it, but
+  // count it. CRLF is one terminator.
+  while (p != end && (*p == '\n' || *p == '\r')) {
+    if (*p == '\r' && p + 1 != end && p[1] == '\n') ++p;
+    ++p;
+    ++terminators_;
+  }
+  pos_ = p;
+  if (p == end) return false;
+  record_number_ = terminators_ + 1;
+  const char* const record_begin = p;
+  for (;;) {
+    // One field per pass, ending at the delimiter, a terminator or EOF.
+    const char* const field_begin = p;
+    while (p != end && !stops_[static_cast<unsigned char>(*p)]) ++p;
+    if (p == end || *p != '"') {
+      fields_.push_back(  // NOLINT(ddgms-hot-path-alloc)
+          CsvField{std::string_view(field_begin, p - field_begin), false});
+    } else {
+      // The field holds a quote: unescape all of it into side_.
+      const size_t offset = side_.size();
+      side_.append(field_begin, p);
+      bool in_quotes = false;
+      while (p != end) {
+        const char c = *p;
+        if (in_quotes) {
+          if (c == '"') {
+            if (p + 1 != end && p[1] == '"') {
+              side_.push_back('"');  // NOLINT(ddgms-hot-path-alloc)
+              p += 2;
+              continue;
+            }
+            in_quotes = false;
+          } else {
+            side_.push_back(c);  // NOLINT(ddgms-hot-path-alloc)
+          }
+          ++p;
+          continue;
+        }
+        if (c == '"') {
+          in_quotes = true;
+          ++p;
+          continue;
+        }
+        if (c == delim_ || c == '\n' || c == '\r') break;
+        side_.push_back(c);  // NOLINT(ddgms-hot-path-alloc)
+        ++p;
+      }
+      if (in_quotes) {
+        // The quote never closes: the rest of the input is this record.
+        raw_ = std::string_view(record_begin, end - record_begin);
+        fields_.clear();
+        pos_ = end;
+        unterminated_ = true;
+        return false;
+      }
+      // A field that held a quote is quoted; it is quoted-empty when
+      // nothing was left after unescaping.
+      const size_t size = side_.size() - offset;
+      side_fields_.push_back(  // NOLINT(ddgms-hot-path-alloc)
+          SideField{fields_.size(), offset, size});
+      fields_.push_back(  // NOLINT(ddgms-hot-path-alloc)
+          CsvField{std::string_view(), size == 0});
+    }
+    if (p == end || *p != delim_) break;
+    ++p;
+  }
+  raw_ = std::string_view(record_begin, p - record_begin);
+  if (p != end) {
+    if (*p == '\r' && p + 1 != end && p[1] == '\n') ++p;
+    ++p;
+    ++terminators_;
+  }
+  pos_ = p;
+  // side_ is complete for this record, so its views are stable now.
+  for (const SideField& side : side_fields_) {
+    fields_[side.field].text =
+        std::string_view(side_.data() + side.offset, side.size);
+  }
+  ++records_;
+  return true;
+}
+
+Status CsvTokenizer::UnterminatedError() const {
+  return Status::ParseError(
+      StrFormat("unterminated quoted field at end of input "
+                "(after %zu complete records)",
+                records_));
+}
 
 Result<std::vector<std::string>> ParseCsvLine(const std::string& line,
                                               char delim) {
-  auto rows = ParseCsvImpl(line, delim, /*allow_newlines=*/false);
-  if (!rows.ok()) return rows.status();
-  if (rows->empty()) return std::vector<std::string>{std::string()};
-  if (rows->size() > 1) {
+  CsvTokenizer csv(line, delim);
+  std::vector<std::string> fields;
+  size_t records = 0;
+  for (;;) {
+    const bool complete = csv.Next();
+    if (!complete && !csv.unterminated()) break;
+    // A line break inside a record lies inside a quoted field.
+    if (csv.raw().find_first_of("\r\n") != std::string_view::npos) {
+      return Status::ParseError("newline inside quoted field");
+    }
+    if (!complete) return csv.UnterminatedError();
+    if (++records > 1) continue;
+    for (const CsvField& field : csv.fields()) fields.emplace_back(field.text);
+  }
+  if (records > 1) {
     return Status::ParseError("multiple records in single CSV line");
   }
-  return std::move((*rows)[0]);
+  if (records == 0) return std::vector<std::string>{std::string()};
+  return fields;
 }
 
 Result<std::vector<std::vector<std::string>>> ParseCsv(
     const std::string& text, char delim) {
-  return ParseCsvImpl(text, delim, /*allow_newlines=*/true);
-}
-
-Result<CsvDocument> ParseCsvDocument(const std::string& text, char delim) {
-  CsvDocument doc;
-  DDGMS_ASSIGN_OR_RETURN(
-      doc.rows,
-      ParseCsvImpl(text, delim, /*allow_newlines=*/true, &doc.quoted_empty));
-  return doc;
-}
-
-namespace {
-
-// Splits `text` into raw physical records on unquoted line endings
-// (LF / CRLF / lone CR), preserving quoted embedded newlines inside a
-// record. The final record is flagged when it ends with an open quote.
-struct RawRecord {
-  std::string text;
-  bool unterminated_quote = false;
-};
-
-std::vector<RawRecord> SplitRecords(const std::string& text) {
-  std::vector<RawRecord> records;
-  std::string current;
-  bool in_quotes = false;
-  const size_t n = text.size();
-  for (size_t i = 0; i < n; ++i) {
-    char c = text[i];
-    if (c == '"') {
-      // Doubled quotes inside a quoted field toggle twice: no net
-      // state change, which is exactly right for splitting.
-      in_quotes = !in_quotes;
-      current.push_back(c);
-      continue;
-    }
-    if (!in_quotes && (c == '\n' || c == '\r')) {
-      if (c == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;
-      records.push_back(RawRecord{std::move(current), false});
-      current.clear();
-      continue;
-    }
-    current.push_back(c);
+  CsvTokenizer csv(text, delim);
+  std::vector<std::vector<std::string>> rows;
+  while (csv.Next()) {
+    std::vector<std::string>& row = rows.emplace_back();
+    row.reserve(csv.fields().size());
+    for (const CsvField& field : csv.fields()) row.emplace_back(field.text);
   }
-  if (!current.empty()) {
-    records.push_back(RawRecord{std::move(current), in_quotes});
-  }
-  return records;
+  if (csv.unterminated()) return csv.UnterminatedError();
+  return rows;
 }
 
-}  // namespace
-
-Result<std::vector<CsvRecord>> ParseCsvLenient(
-    const std::string& text, char delim, QuarantineReport* quarantine) {
-  std::vector<CsvRecord> out;
-  size_t record_number = 0;
-  for (RawRecord& raw : SplitRecords(text)) {
-    ++record_number;
-    if (raw.text.empty()) continue;  // blank line, as in strict parsing
-    Status bad;
-    if (raw.unterminated_quote) {
-      bad = Status::ParseError("unterminated quoted field at end of input");
-    } else {
-      std::vector<std::vector<uint8_t>> quoted_empty;
-      auto rows =
-          ParseCsvImpl(raw.text, delim, /*allow_newlines=*/true,
-                       &quoted_empty);
-      if (rows.ok()) {
-        if (rows->empty()) continue;
-        out.push_back(CsvRecord{record_number, std::move((*rows)[0]),
-                                std::move(quoted_empty[0])});
-        continue;
-      }
-      bad = rows.status();
-    }
-    if (quarantine != nullptr) {
-      quarantine->Add("csv-parse", record_number, /*field=*/"",
-                      std::move(bad), TruncateForQuarantine(raw.text));
-    }
-  }
-  return out;
-}
-
-std::string FormatCsvField(const std::string& field, char delim,
+std::string FormatCsvField(std::string_view field, char delim,
                            bool force_quote) {
   bool needs_quote =
       force_quote || field.find_first_of("\"\r\n") != std::string::npos ||
       field.find(delim) != std::string::npos;
-  if (!needs_quote) return field;
+  if (!needs_quote) return std::string(field);
   std::string out;
   out.reserve(field.size() + 2);
   out.push_back('"');
@@ -246,21 +182,7 @@ std::string FormatCsvLine(const std::vector<std::string>& fields,
 
 Result<std::string> ReadFile(const std::string& path) {
   DDGMS_FAULT_POINT("csv.read_file");
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(StrFormat("cannot open '%s' for reading: %s",
-                                      path.c_str(),
-                                      std::strerror(errno)));
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    return Status::DataLoss(StrFormat("error reading '%s': %s",
-                                      path.c_str(),
-                                      std::strerror(errno)));
-  }
-  return buf.str();
+  return ReadFileBinary(path);
 }
 
 Status WriteFile(const std::string& path, const std::string& contents) {

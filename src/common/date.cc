@@ -1,15 +1,17 @@
 #include "common/date.h"
 
-#include <cstdio>
+#include <limits>
 
+#include "common/annotations.h"
 #include "common/strings.h"
 
 namespace ddgms {
 
 namespace {
 
-// Howard Hinnant's civil-from-days / days-from-civil algorithms.
-int64_t DaysFromCivil(int y, int m, int d) {
+// Howard Hinnant's civil-from-days / days-from-civil algorithms, in
+// int64 so that every int year stays exact.
+int64_t DaysFromCivil(int64_t y, int m, int d) {
   y -= m <= 2;
   const int64_t era = (y >= 0 ? y : y - 399) / 400;
   const unsigned yoe = static_cast<unsigned>(y - era * 400);
@@ -45,29 +47,103 @@ int DaysInMonth(int year, int month) {
   return kDays[month - 1];
 }
 
+// How reading "Y-M-D" ended.
+enum class YmdScan { kOk, kSyntax, kRange };
+
+// Reads three '-'-separated components as sscanf("%d-%d-%d%c") does:
+// each %d skips whitespace and takes an optional sign and at least one
+// digit, and the %c must find the end of the C string (so an embedded
+// NUL ends the text too). A component outside int is kRange, where
+// sscanf's behaviour is undefined.
+DDGMS_HOT YmdScan ScanYmd(std::string_view text, int parts[3]) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  bool in_range = true;
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) {
+      if (p == end || *p != '-') return YmdScan::kSyntax;
+      ++p;
+    }
+    while (p != end && IsAsciiSpace(*p)) ++p;
+    const bool negative = p != end && *p == '-';
+    if (p != end && (*p == '-' || *p == '+')) ++p;
+    if (p == end || !IsAsciiDigit(*p)) return YmdScan::kSyntax;
+    int64_t value = 0;
+    for (; p != end && IsAsciiDigit(*p); ++p) {
+      // Saturates far outside int; only the range verdict matters then.
+      if (value <= (int64_t{1} << 40)) value = value * 10 + (*p - '0');
+    }
+    if (negative) value = -value;
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      in_range = false;
+    } else {
+      parts[i] = static_cast<int>(value);
+    }
+  }
+  if (p != end && *p != '\0') return YmdScan::kSyntax;
+  return in_range ? YmdScan::kOk : YmdScan::kRange;
+}
+
+// Which FromYmd rule a civil date breaks.
+enum class YmdCheck { kOk, kMonth, kDay, kRange };
+
+DDGMS_HOT YmdCheck CheckYmd(int year, int month, int day, int32_t* days) {
+  if (month < 1 || month > 12) return YmdCheck::kMonth;
+  if (day < 1 || day > DaysInMonth(year, month)) return YmdCheck::kDay;
+  const int64_t n = DaysFromCivil(year, month, day);
+  if (n < std::numeric_limits<int32_t>::min() ||
+      n > std::numeric_limits<int32_t>::max()) {
+    return YmdCheck::kRange;
+  }
+  *days = static_cast<int32_t>(n);
+  return YmdCheck::kOk;
+}
+
 }  // namespace
 
 Result<Date> Date::FromYmd(int year, int month, int day) {
-  if (month < 1 || month > 12) {
-    return Status::InvalidArgument(
-        StrFormat("month out of range: %d", month));
+  int32_t days = 0;
+  switch (CheckYmd(year, month, day, &days)) {
+    case YmdCheck::kOk:
+      return Date(days);
+    case YmdCheck::kMonth:
+      return Status::InvalidArgument(
+          StrFormat("month out of range: %d", month));
+    case YmdCheck::kDay:
+      return Status::InvalidArgument(StrFormat(
+          "day out of range for %d-%02d: %d", year, month, day));
+    case YmdCheck::kRange:
+      break;
   }
-  if (day < 1 || day > DaysInMonth(year, month)) {
-    return Status::InvalidArgument(
-        StrFormat("day out of range for %d-%02d: %d", year, month, day));
-  }
-  return Date(static_cast<int32_t>(DaysFromCivil(year, month, day)));
+  return Status::InvalidArgument(
+      StrFormat("date out of range: %d-%02d-%02d", year, month, day));
 }
 
-Result<Date> Date::FromString(const std::string& text) {
-  int y = 0, m = 0, d = 0;
-  char tail = '\0';
-  int matched =
-      std::sscanf(text.c_str(), "%d-%d-%d%c", &y, &m, &d, &tail);
-  if (matched != 3) {
-    return Status::ParseError("not a date (want YYYY-MM-DD): '" + text + "'");
+Result<Date> Date::FromString(std::string_view text) {
+  int ymd[3] = {0, 0, 0};
+  switch (ScanYmd(text, ymd)) {
+    case YmdScan::kOk:
+      return FromYmd(ymd[0], ymd[1], ymd[2]);
+    case YmdScan::kSyntax:
+      return Status::ParseError("not a date (want YYYY-MM-DD): '" +
+                                std::string(text) + "'");
+    case YmdScan::kRange:
+      break;
   }
-  return FromYmd(y, m, d);
+  return Status::InvalidArgument("date component out of range: '" +
+                                 std::string(text) + "'");
+}
+
+DDGMS_HOT bool Date::TryParse(std::string_view text, Date* out) {
+  int ymd[3] = {0, 0, 0};
+  int32_t days = 0;
+  if (ScanYmd(text, ymd) != YmdScan::kOk ||
+      CheckYmd(ymd[0], ymd[1], ymd[2], &days) != YmdCheck::kOk) {
+    return false;
+  }
+  *out = Date(days);
+  return true;
 }
 
 int Date::year() const {

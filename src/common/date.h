@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 
@@ -17,11 +18,19 @@ class Date {
   explicit Date(int32_t days_since_epoch) : days_(days_since_epoch) {}
 
   /// Builds a date from a civil year/month/day. Validates ranges
-  /// (month 1-12, day valid for that month, with leap years).
+  /// (month 1-12, day valid for that month, with leap years, and a day
+  /// count that fits in int32: -5877641-06-23 to 5881580-07-11).
   static Result<Date> FromYmd(int year, int month, int day);
 
-  /// Parses "YYYY-MM-DD".
-  static Result<Date> FromString(const std::string& text);
+  /// Parses "YYYY-MM-DD" with sscanf("%d-%d-%d") rules: each component
+  /// may carry leading whitespace and a sign, and nothing may follow
+  /// the day. ParseError when the text is not of that shape;
+  /// InvalidArgument when a component or the date is out of range.
+  static Result<Date> FromString(std::string_view text);
+
+  /// FromString without allocating: true, with `*out` set, exactly when
+  /// FromString succeeds.
+  static bool TryParse(std::string_view text, Date* out);
 
   int32_t days_since_epoch() const { return days_; }
 

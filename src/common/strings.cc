@@ -2,21 +2,16 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/annotations.h"
+
 namespace ddgms {
-
-namespace {
-
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-}  // namespace
 
 std::vector<std::string> Split(std::string_view input, char delim) {
   std::vector<std::string> out;
@@ -44,8 +39,8 @@ std::vector<std::string> SplitAndTrim(std::string_view input, char delim) {
 std::string_view Trim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
-  while (begin < end && IsSpace(input[begin])) ++begin;
-  while (end > begin && IsSpace(input[end - 1])) --end;
+  while (begin < end && IsAsciiSpace(input[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(input[end - 1])) --end;
   return input.substr(begin, end - begin);
 }
 
@@ -96,49 +91,145 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-Result<double> ParseDouble(std::string_view text) {
-  std::string trimmed(Trim(text));
-  if (trimmed.empty()) {
-    return Status::ParseError("empty string is not a double");
+namespace {
+
+// How a numeric parse of trimmed text ended.
+enum class NumberScan { kOk, kEmpty, kSyntax, kRange };
+
+// strtoll(text, 10) over the whole of `text`, via from_chars, which
+// takes everything strtoll does except a leading '+'.
+DDGMS_HOT NumberScan ScanInt64(std::string_view text, int64_t* out) {
+  if (text.empty()) return NumberScan::kEmpty;
+  const char* first = text.data();
+  const char* const last = first + text.size();
+  if (*first == '+') {
+    ++first;
+    if (first == last || !IsAsciiDigit(*first)) return NumberScan::kSyntax;
+  }
+  const auto [end, ec] = std::from_chars(first, last, *out);
+  if (ec == std::errc::result_out_of_range) return NumberScan::kRange;
+  if (ec != std::errc() || end != last) return NumberScan::kSyntax;
+  return NumberScan::kOk;
+}
+
+// strtod over the whole of `text`. ERANGE is checked before the
+// unparsed tail, so "1e400x" is out of range rather than malformed.
+NumberScan ScanDoubleWithStrtod(std::string_view text, double* out) {
+  // strtod reads a terminated string; short spellings stay on the
+  // stack. An embedded NUL ends the parse early and so fails the
+  // whole-text check below.
+  char small[64];
+  std::string large;
+  const char* begin = small;
+  if (text.size() < sizeof(small)) {
+    std::memcpy(small, text.data(), text.size());
+    small[text.size()] = '\0';
+  } else {
+    large.assign(text);
+    begin = large.c_str();
   }
   errno = 0;
   char* end = nullptr;
-  double value = std::strtod(trimmed.c_str(), &end);
-  if (errno == ERANGE) {
-    return Status::ParseError("double out of range: '" + trimmed + "'");
+  *out = std::strtod(begin, &end);
+  if (errno == ERANGE) return NumberScan::kRange;
+  if (end != begin + text.size()) return NumberScan::kSyntax;
+  return NumberScan::kOk;
+}
+
+DDGMS_HOT NumberScan ScanDouble(std::string_view text, double* out) {
+  if (text.empty()) return NumberScan::kEmpty;
+  const char c = text[0];
+  if (IsAsciiDigit(c) || c == '-' || c == '.') {
+    // Decimal spellings: from_chars rounds correctly, as strtod does.
+    // A finite result well inside the normal range cannot be ERANGE,
+    // and strtod would read the same decimal prefix; zero (a hex
+    // prefix "0x" stops from_chars at the 'x'), subnormals, infinities
+    // and NaN take strtod's path below.
+    double value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    const double magnitude = std::fabs(value);
+    if (ec == std::errc() && magnitude >= 0x1p-1000 &&
+        magnitude <= 0x1p1000) {
+      if (end != text.data() + text.size()) return NumberScan::kSyntax;
+      *out = value;
+      return NumberScan::kOk;
+    }
   }
-  if (end != trimmed.c_str() + trimmed.size()) {
-    return Status::ParseError("not a double: '" + trimmed + "'");
+  // strtod starts with a sign, a digit, a '.', "inf" or "nan".
+  if (!IsAsciiDigit(c) && c != '+' && c != '-' && c != '.' && c != 'i' &&
+      c != 'I' && c != 'n' && c != 'N') {
+    return NumberScan::kSyntax;
   }
-  return value;
+  return ScanDoubleWithStrtod(text, out);
+}
+
+}  // namespace
+
+DDGMS_HOT bool TryParseInt64(std::string_view text, int64_t* out) {
+  return ScanInt64(Trim(text), out) == NumberScan::kOk;
+}
+
+DDGMS_HOT bool TryParseDouble(std::string_view text, double* out) {
+  return ScanDouble(Trim(text), out) == NumberScan::kOk;
+}
+
+DDGMS_HOT bool TryParseBool(std::string_view text, bool* out) {
+  const std::string_view t = Trim(text);
+  for (const char* spelling : {"true", "1", "yes", "y"}) {
+    if (EqualsIgnoreCase(t, spelling)) {
+      *out = true;
+      return true;
+    }
+  }
+  for (const char* spelling : {"false", "0", "no", "n"}) {
+    if (EqualsIgnoreCase(t, spelling)) {
+      *out = false;
+      return true;
+    }
+  }
+  return false;
+}
+
+Result<double> ParseDouble(std::string_view text) {
+  const std::string_view trimmed = Trim(text);
+  double value = 0;
+  switch (ScanDouble(trimmed, &value)) {
+    case NumberScan::kOk:
+      return value;
+    case NumberScan::kEmpty:
+      return Status::ParseError("empty string is not a double");
+    case NumberScan::kRange:
+      return Status::ParseError("double out of range: '" +
+                                std::string(trimmed) + "'");
+    case NumberScan::kSyntax:
+      break;
+  }
+  return Status::ParseError("not a double: '" + std::string(trimmed) + "'");
 }
 
 Result<int64_t> ParseInt64(std::string_view text) {
-  std::string trimmed(Trim(text));
-  if (trimmed.empty()) {
-    return Status::ParseError("empty string is not an integer");
+  const std::string_view trimmed = Trim(text);
+  int64_t value = 0;
+  switch (ScanInt64(trimmed, &value)) {
+    case NumberScan::kOk:
+      return value;
+    case NumberScan::kEmpty:
+      return Status::ParseError("empty string is not an integer");
+    case NumberScan::kRange:
+      return Status::ParseError("integer out of range: '" +
+                                std::string(trimmed) + "'");
+    case NumberScan::kSyntax:
+      break;
   }
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(trimmed.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::ParseError("integer out of range: '" + trimmed + "'");
-  }
-  if (end != trimmed.c_str() + trimmed.size()) {
-    return Status::ParseError("not an integer: '" + trimmed + "'");
-  }
-  return static_cast<int64_t>(value);
+  return Status::ParseError("not an integer: '" + std::string(trimmed) +
+                            "'");
 }
 
 Result<bool> ParseBool(std::string_view text) {
-  std::string lower = ToLower(Trim(text));
-  if (lower == "true" || lower == "1" || lower == "yes" || lower == "y") {
-    return true;
-  }
-  if (lower == "false" || lower == "0" || lower == "no" || lower == "n") {
-    return false;
-  }
-  return Status::ParseError("not a bool: '" + lower + "'");
+  bool value = false;
+  if (TryParseBool(text, &value)) return value;
+  return Status::ParseError("not a bool: '" + ToLower(Trim(text)) + "'");
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -34,8 +34,32 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// Strict numeric parsing: the entire string (after trimming) must be a
-/// valid number; otherwise a ParseError is returned.
+/// True for the ASCII whitespace Trim removes (C isspace in the "C"
+/// locale: space, \t, \n, \v, \f, \r).
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
+
+/// True for '0' through '9'.
+inline bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Strict parsing without allocation: true, with `*out` set, when the
+/// whole of `text` (after trimming) spells a value; false otherwise,
+/// with `*out` unspecified.
+///   - TryParseInt64: strtoll base 10 ([+-]digits); out of range fails.
+///   - TryParseDouble: strtod (decimal, hex, inf, nan); a result that
+///     strtod reports as ERANGE (overflow, or underflow to a subnormal
+///     or zero) fails.
+///   - TryParseBool: true/1/yes/y and false/0/no/n, any case.
+/// Plain decimal spellings take a std::from_chars fast path; the rest
+/// keep strtod's rules.
+bool TryParseInt64(std::string_view text, int64_t* out);
+bool TryParseDouble(std::string_view text, double* out);
+bool TryParseBool(std::string_view text, bool* out);
+
+/// The same parsers returning a ParseError that names the reason
+/// (empty, out of range, or not a number) when `text` does not parse.
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt64(std::string_view text);
 Result<bool> ParseBool(std::string_view text);

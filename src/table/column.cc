@@ -165,10 +165,10 @@ void ColumnVector::AppendDouble(double v) {
   DDGMS_RESOURCE_CHARGE(SlotBytes(DataType::kDouble));
 }
 
-void ColumnVector::AppendString(std::string v) {
+void ColumnVector::AppendString(std::string_view v) {
   assert(type_ == DataType::kString);
   DDGMS_RESOURCE_CHARGE(SlotBytes(DataType::kString) + v.size());
-  std::get<std::vector<std::string>>(data_).push_back(std::move(v));
+  std::get<std::vector<std::string>>(data_).emplace_back(v);
   validity_.push_back(1);
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -47,7 +48,7 @@ class ColumnVector {
   void AppendBool(bool v);
   void AppendInt(int64_t v);
   void AppendDouble(double v);
-  void AppendString(std::string v);
+  void AppendString(std::string_view v);
   void AppendDate(Date v);
 
   /// Appends every row of `other`, which must have this column's type;

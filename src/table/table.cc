@@ -1,11 +1,13 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 
+#include "common/annotations.h"
 #include "common/csv.h"
 #include "common/faults.h"
 #include "common/strings.h"
@@ -14,22 +16,70 @@ namespace ddgms {
 
 namespace {
 
-bool IsNullToken(const std::string& field,
-                 const std::vector<std::string>& null_tokens) {
-  for (const std::string& tok : null_tokens) {
-    if (field == tok) return true;
+// The null spellings of CsvReadOptions, behind a first-byte filter that
+// turns most fields away with one lookup.
+class NullTokens {
+ public:
+  explicit NullTokens(const std::vector<std::string>& tokens)
+      : tokens_(tokens) {
+    for (const std::string& token : tokens) {
+      if (token.empty()) {
+        empty_ = true;
+      } else {
+        first_[static_cast<unsigned char>(token[0])] = true;
+      }
+    }
   }
-  return false;
-}
 
-// Type inference lattice for CSV import: a column starts as the most
-// specific type its first non-null field supports and widens as needed.
-DataType InferFieldType(const std::string& field) {
-  if (ParseInt64(field).ok()) return DataType::kInt64;
-  if (ParseDouble(field).ok()) return DataType::kDouble;
-  if (Date::FromString(field).ok()) return DataType::kDate;
-  std::string lower = ToLower(field);
-  if (lower == "true" || lower == "false") return DataType::kBool;
+  bool Contains(std::string_view field) const {
+    if (field.empty()) return empty_;
+    if (!first_[static_cast<unsigned char>(field[0])]) return false;
+    for (const std::string& token : tokens_) {
+      if (field == token) return true;
+    }
+    return false;
+  }
+
+ private:
+  const std::vector<std::string>& tokens_;
+  std::array<bool, 256> first_{};
+  bool empty_ = false;
+};
+
+// Type inference lattice for CSV import: the type a single field
+// suggests, first match wins — int64, double, date, bool (true/false
+// only, any case), else string. Plain spellings ([+-]digits, and
+// [+-]digits.digits short enough that no double overflows or
+// underflows) are classified by their characters alone; the rest are
+// converted by the same view parsers that load the column.
+DDGMS_HOT DataType FieldType(std::string_view field) {
+  size_t i = !field.empty() && (field[0] == '+' || field[0] == '-');
+  size_t digits = 0, dots = 0;
+  bool plain = field.size() > i && field.size() <= 300;
+  for (; plain && i < field.size(); ++i) {
+    if (IsAsciiDigit(field[i])) {
+      ++digits;
+    } else if (field[i] == '.') {
+      ++dots;
+    } else {
+      plain = false;
+    }
+  }
+  if (plain && digits > 0) {
+    if (dots == 0 && digits <= 18) return DataType::kInt64;
+    if (dots == 1) return DataType::kDouble;
+  }
+  // No number or date is spelled true or false, so this test may go
+  // first.
+  if (EqualsIgnoreCase(field, "true") || EqualsIgnoreCase(field, "false")) {
+    return DataType::kBool;
+  }
+  int64_t i64 = 0;
+  if (TryParseInt64(field, &i64)) return DataType::kInt64;
+  double real = 0;
+  if (TryParseDouble(field, &real)) return DataType::kDouble;
+  Date date;
+  if (Date::TryParse(field, &date)) return DataType::kDate;
   return DataType::kString;
 }
 
@@ -61,53 +111,129 @@ int TypeWideness(DataType type) {
   }
 }
 
+// Votes per DataType value, kNull's slot unused.
+using TypeVotes = std::array<size_t, 6>;
+
 // Lenient-mode inference: per column, the most common specific type
 // among non-null fields wins (ties go to the wider type), so a few
 // corrupt fields quarantine their rows instead of silently widening
 // the whole column to string. An int64 winner is promoted to double
 // whenever any double votes exist, since ints parse as doubles anyway.
-DataType InferTypeByMajority(const std::map<DataType, size_t>& votes) {
-  if (votes.empty()) return DataType::kString;
+DataType InferTypeByMajority(const TypeVotes& votes) {
   DataType best = DataType::kString;
   size_t best_count = 0;
-  for (const auto& [type, count] : votes) {
+  for (DataType type : {DataType::kBool, DataType::kInt64, DataType::kDouble,
+                        DataType::kString, DataType::kDate}) {
+    const size_t count = votes[static_cast<size_t>(type)];
+    if (count == 0) continue;
     if (count > best_count ||
-        (count == best_count &&
-         TypeWideness(type) > TypeWideness(best))) {
+        (count == best_count && TypeWideness(type) > TypeWideness(best))) {
       best = type;
       best_count = count;
     }
   }
-  if (best == DataType::kInt64 && votes.count(DataType::kDouble) > 0) {
+  if (best == DataType::kInt64 &&
+      votes[static_cast<size_t>(DataType::kDouble)] > 0) {
     return DataType::kDouble;
   }
   return best;
 }
 
-Result<Value> ParseTypedField(const std::string& field, DataType type) {
+// One field parsed for its column, held until its whole record parses.
+struct Cell {
+  bool null = false;
+  bool b = false;
+  int64_t i = 0;
+  double d = 0;
+  Date date;
+  std::string_view s;
+};
+
+// Column builder, step one: parses `field` as `type` into `cell`. False
+// when the field does not parse; FieldError names why.
+DDGMS_HOT bool ParseCell(const CsvField& field, DataType type,
+                         const NullTokens& nulls, bool quoted_empty_is_string,
+                         Cell* cell) {
+  cell->null = false;
+  if (nulls.Contains(field.text)) {
+    // A quoted empty field is an intentional empty string, not a
+    // missing value — but only when the caller opted in and the
+    // column is textual (for numeric columns "" has no value to
+    // carry, so it stays null).
+    cell->null = !(quoted_empty_is_string && field.quoted_empty &&
+                   field.text.empty() && type == DataType::kString);
+    cell->s = field.text;
+    return true;
+  }
   switch (type) {
-    case DataType::kBool: {
-      DDGMS_ASSIGN_OR_RETURN(bool b, ParseBool(field));
-      return Value::Bool(b);
-    }
-    case DataType::kInt64: {
-      DDGMS_ASSIGN_OR_RETURN(int64_t i, ParseInt64(field));
-      return Value::Int(i);
-    }
-    case DataType::kDouble: {
-      DDGMS_ASSIGN_OR_RETURN(double d, ParseDouble(field));
-      return Value::Real(d);
-    }
-    case DataType::kDate: {
-      DDGMS_ASSIGN_OR_RETURN(Date d, Date::FromString(field));
-      return Value::FromDate(d);
-    }
+    case DataType::kBool:
+      return TryParseBool(field.text, &cell->b);
+    case DataType::kInt64:
+      return TryParseInt64(field.text, &cell->i);
+    case DataType::kDouble:
+      return TryParseDouble(field.text, &cell->d);
+    case DataType::kDate:
+      return Date::TryParse(field.text, &cell->date);
     case DataType::kString:
-      return Value::Str(field);
+      cell->s = field.text;
+      return true;
+    case DataType::kNull:
+      break;
+  }
+  return false;
+}
+
+// Column builder, step two: appends a parsed cell to its column.
+DDGMS_HOT void AppendCell(const Cell& cell, ColumnVector* column) {
+  if (cell.null) {
+    column->AppendNull();
+    return;
+  }
+  switch (column->type()) {
+    case DataType::kBool:
+      column->AppendBool(cell.b);
+      return;
+    case DataType::kInt64:
+      column->AppendInt(cell.i);
+      return;
+    case DataType::kDouble:
+      column->AppendDouble(cell.d);
+      return;
+    case DataType::kDate:
+      column->AppendDate(cell.date);
+      return;
+    case DataType::kString:
+      column->AppendString(cell.s);
+      return;
+    case DataType::kNull:
+      return;
+  }
+}
+
+// Why `field` does not parse as `type` (ParseCell returned false).
+Status FieldError(std::string_view field, DataType type) {
+  switch (type) {
+    case DataType::kBool:
+      return ParseBool(field).status();
+    case DataType::kInt64:
+      return ParseInt64(field).status();
+    case DataType::kDouble:
+      return ParseDouble(field).status();
+    case DataType::kDate:
+      return Date::FromString(field).status();
+    case DataType::kString:
     case DataType::kNull:
       break;
   }
   return Status::Internal("bad field type");
+}
+
+// A record re-serialized and truncated for its quarantine entry.
+std::string QuarantineRaw(const std::vector<CsvField>& fields, char delim) {
+  std::vector<std::string> texts;
+  texts.reserve(fields.size());
+  for (const CsvField& field : fields) texts.emplace_back(field.text);
+  return TruncateForQuarantine(FormatCsvLine(texts, delim));
 }
 
 }  // namespace
@@ -136,57 +262,80 @@ Result<Table> Table::FromCsv(const std::string& text,
   QuarantineReport local_sink;
   QuarantineReport* quarantine =
       options.quarantine != nullptr ? options.quarantine : &local_sink;
+  const char delim = options.delimiter;
+  const NullTokens nulls(options.null_tokens);
 
-  std::vector<CsvRecord> records;
-  if (lenient) {
-    DDGMS_ASSIGN_OR_RETURN(
-        records, ParseCsvLenient(text, options.delimiter, quarantine));
-  } else {
-    DDGMS_ASSIGN_OR_RETURN(CsvDocument doc,
-                           ParseCsvDocument(text, options.delimiter));
-    records.reserve(doc.rows.size());
-    for (size_t r = 0; r < doc.rows.size(); ++r) {
-      records.push_back(CsvRecord{r + 1, std::move(doc.rows[r]),
-                                  std::move(doc.quoted_empty[r])});
-    }
-  }
-  if (records.empty()) {
-    return Status::InvalidArgument("CSV input is empty");
-  }
+  // Pass one over the bytes: the header, each record's shape and, field
+  // by field, the column types. Nothing is copied but the header.
+  CsvTokenizer csv(text, delim);
+  const bool any = csv.Next();
   std::vector<std::string> names;
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    names = records[0].fields;
-    first_data_row = 1;
-  } else {
-    names.reserve(records[0].fields.size());
-    for (size_t i = 0; i < records[0].fields.size(); ++i) {
-      names.push_back(StrFormat("col%zu", i));
+  if (any) {
+    names.reserve(csv.fields().size());
+    for (size_t c = 0; c < csv.fields().size(); ++c) {
+      names.push_back(options.has_header
+                          ? std::string(csv.fields()[c].text)
+                          : StrFormat("col%zu", c));
     }
   }
   const size_t num_cols = names.size();
-  {
-    size_t kept = first_data_row;
-    for (size_t r = first_data_row; r < records.size(); ++r) {
-      if (records[r].fields.size() == num_cols) {
-        if (kept != r) records[kept] = std::move(records[r]);
-        ++kept;
-        continue;
-      }
-      Status bad = Status::ParseError(
-          StrFormat("row %zu has %zu fields; expected %zu", r,
-                    records[r].fields.size(), num_cols));
-      if (!lenient) return bad;
-      quarantine->Add("csv-ingest", records[r].record_number, /*field=*/"",
-                      std::move(bad),
-                      TruncateForQuarantine(FormatCsvLine(
-                          records[r].fields, options.delimiter)));
-    }
-    records.resize(kept);
-  }
-
-  // Infer column types over all non-null fields (unless fixed).
+  const bool infer = options.infer_types && options.column_types.empty();
   std::vector<DataType> types(num_cols, DataType::kString);
+  std::vector<uint8_t> seen(num_cols, 0);
+  std::vector<TypeVotes> votes(infer && lenient ? num_cols : 0);
+  size_t rows = 0;
+  Status first_ragged;
+  // Lenient ragged records, itemised after the parse stage's entry.
+  std::vector<QuarantinedRow> ragged;
+  // `index` numbers the non-blank records, the header (if any) being 0.
+  size_t index = 0;
+  bool more = any;
+  if (more && options.has_header) {
+    more = csv.Next();
+    index = 1;
+  }
+  for (; more; more = csv.Next(), ++index) {
+    const std::vector<CsvField>& fields = csv.fields();
+    if (fields.size() != num_cols) {
+      Status bad = Status::ParseError(
+          StrFormat("row %zu has %zu fields; expected %zu", index,
+                    fields.size(), num_cols));
+      if (!lenient) {
+        if (first_ragged.ok()) first_ragged = std::move(bad);
+      } else {
+        ragged.push_back(QuarantinedRow{"csv-ingest", csv.record_number(),
+                                        "", std::move(bad),
+                                        QuarantineRaw(fields, delim)});
+      }
+      continue;
+    }
+    ++rows;
+    if (!infer || !first_ragged.ok()) continue;
+    for (size_t c = 0; c < num_cols; ++c) {
+      // Nothing widens a string column further.
+      if (!lenient && seen[c] && types[c] == DataType::kString) continue;
+      const std::string_view field = fields[c].text;
+      if (nulls.Contains(field)) continue;
+      const DataType type = FieldType(field);
+      if (lenient) {
+        ++votes[c][static_cast<size_t>(type)];
+      } else {
+        types[c] = seen[c] ? WidenType(types[c], type) : type;
+        seen[c] = 1;
+      }
+    }
+  }
+  if (csv.unterminated()) {
+    if (!lenient) return csv.UnterminatedError();
+    quarantine->Add("csv-parse", csv.record_number(), /*field=*/"",
+                    Status::ParseError(
+                        "unterminated quoted field at end of input"),
+                    TruncateForQuarantine(std::string(csv.raw())));
+  }
+  if (!any) return Status::InvalidArgument("CSV input is empty");
+  if (!first_ragged.ok()) return first_ragged;
+  for (QuarantinedRow& row : ragged) quarantine->Add(std::move(row));
+
   if (!options.column_types.empty()) {
     if (options.column_types.size() != num_cols) {
       return Status::InvalidArgument(
@@ -194,31 +343,11 @@ Result<Table> Table::FromCsv(const std::string& text,
                     options.column_types.size(), num_cols));
     }
     types = options.column_types;
-  } else if (options.infer_types && !lenient) {
-    std::vector<bool> seen(num_cols, false);
-    for (size_t r = first_data_row; r < records.size(); ++r) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        const std::string& field = records[r].fields[c];
-        if (IsNullToken(field, options.null_tokens)) continue;
-        DataType t = InferFieldType(field);
-        types[c] = seen[c] ? WidenType(types[c], t) : t;
-        seen[c] = true;
-      }
-    }
-  } else if (options.infer_types) {
-    std::vector<std::map<DataType, size_t>> votes(num_cols);
-    for (size_t r = first_data_row; r < records.size(); ++r) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        const std::string& field = records[r].fields[c];
-        if (IsNullToken(field, options.null_tokens)) continue;
-        ++votes[c][InferFieldType(field)];
-      }
-    }
+  } else if (infer && lenient) {
     for (size_t c = 0; c < num_cols; ++c) {
       types[c] = InferTypeByMajority(votes[c]);
     }
   }
-
   std::vector<Field> fields;
   fields.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
@@ -226,45 +355,35 @@ Result<Table> Table::FromCsv(const std::string& text,
   }
   DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
   Table table(std::move(schema));
-  for (size_t r = first_data_row; r < records.size(); ++r) {
-    Row row;
-    row.reserve(num_cols);
-    Status bad;
-    std::string bad_field;
+  for (ColumnVector& column : table.columns_) column.Reserve(rows);
+
+  // Pass two: each well-shaped record parses in full into `cells`, then
+  // appends; a record with a field that fails its column's type appends
+  // nothing.
+  CsvTokenizer data(text, delim);
+  if (options.has_header) data.Next();
+  std::vector<Cell> cells(num_cols);
+  while (data.Next()) {
+    const std::vector<CsvField>& record = data.fields();
+    if (record.size() != num_cols) continue;  // ragged, handled above
+    size_t bad = num_cols;
     for (size_t c = 0; c < num_cols; ++c) {
-      const std::string& field = records[r].fields[c];
-      if (IsNullToken(field, options.null_tokens)) {
-        // A quoted empty field is an intentional empty string, not a
-        // missing value — but only when the caller opted in and the
-        // column is textual (for numeric columns "" has no value to
-        // carry, so it stays null).
-        if (options.quoted_empty_is_string && field.empty() &&
-            types[c] == DataType::kString &&
-            c < records[r].quoted_empty.size() &&
-            records[r].quoted_empty[c] != 0) {
-          row.push_back(Value::Str(""));
-          continue;
-        }
-        row.push_back(Value::Null());
-        continue;
-      }
-      auto value = ParseTypedField(field, types[c]);
-      if (!value.ok()) {
-        bad = value.status();
-        bad_field = names[c];
+      if (!ParseCell(record[c], types[c], nulls,
+                     options.quoted_empty_is_string, &cells[c])) {
+        bad = c;
         break;
       }
-      row.push_back(std::move(*value));
     }
-    if (bad.ok()) {
-      bad = table.AppendRow(row);
+    if (bad == num_cols) {
+      for (size_t c = 0; c < num_cols; ++c) {
+        AppendCell(cells[c], &table.columns_[c]);
+      }
+      continue;
     }
-    if (bad.ok()) continue;
-    if (!lenient) return bad;
-    quarantine->Add("csv-ingest", records[r].record_number,
-                    std::move(bad_field), std::move(bad),
-                    TruncateForQuarantine(FormatCsvLine(
-                        records[r].fields, options.delimiter)));
+    Status error = FieldError(record[bad].text, types[bad]);
+    if (!lenient) return error;
+    quarantine->Add("csv-ingest", data.record_number(), names[bad],
+                    std::move(error), QuarantineRaw(record, delim));
   }
   return table;
 }

@@ -76,7 +76,10 @@ class Table {
   static Result<Table> FromRows(Schema schema,
                                 const std::vector<Row>& rows);
 
-  /// Parses CSV text into a table (see CsvReadOptions).
+  /// Parses CSV text into a table (see CsvReadOptions) in two passes
+  /// over the bytes: the first checks each record's shape and infers
+  /// the column types, the second parses every field straight into its
+  /// typed column.
   static Result<Table> FromCsv(const std::string& text,
                                const CsvReadOptions& options = {});
 

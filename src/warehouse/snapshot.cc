@@ -181,7 +181,7 @@ Result<ColumnVector> DecodeColumn(ByteReader* reader, size_t rows) {
         DDGMS_ASSIGN_OR_RETURN(std::string_view v,
                                reader->ReadLengthPrefixed());
         if (valid(i)) {
-          col.AppendString(std::string(v));
+          col.AppendString(v);
         } else {
           col.AppendNull();
         }

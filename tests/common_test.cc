@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string_view>
 
 #include "common/csv.h"
 #include "common/date.h"
@@ -206,6 +212,125 @@ TEST(StringsTest, ParseBool) {
   EXPECT_TRUE(ParseBool("maybe").status().IsParseError());
 }
 
+TEST(StringsTest, ParseErrorsNameTheReason) {
+  EXPECT_EQ(ParseInt64(" ").status().message(),
+            "empty string is not an integer");
+  EXPECT_EQ(ParseInt64(" 99999999999999999999x ").status().message(),
+            "integer out of range: '99999999999999999999x'");
+  EXPECT_EQ(ParseInt64("+-5").status().message(), "not an integer: '+-5'");
+  EXPECT_EQ(ParseDouble("").status().message(),
+            "empty string is not a double");
+  EXPECT_EQ(ParseDouble("1e400x").status().message(),
+            "double out of range: '1e400x'");
+  EXPECT_EQ(ParseDouble("4.9e-324").status().message(),
+            "double out of range: '4.9e-324'");
+  EXPECT_EQ(ParseDouble(" 2020-01-05").status().message(),
+            "not a double: '2020-01-05'");
+  EXPECT_EQ(ParseBool(" Maybe ").status().message(), "not a bool: 'maybe'");
+}
+
+// The strtoll/strtod contract the view parsers keep: the whole trimmed
+// text must parse, and ERANGE fails.
+bool ReferenceInt64(std::string_view text, int64_t* out) {
+  const std::string trimmed(Trim(text));
+  if (trimmed.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtoll(trimmed.c_str(), &end, 10);
+  return errno != ERANGE && end == trimmed.c_str() + trimmed.size();
+}
+
+bool ReferenceDouble(std::string_view text, double* out) {
+  const std::string trimmed(Trim(text));
+  if (trimmed.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtod(trimmed.c_str(), &end);
+  return errno != ERANGE && end == trimmed.c_str() + trimmed.size();
+}
+
+// A random numeric-looking spelling: sign, digits, point, exponent,
+// hex, inf/nan, whitespace and junk, in seeded proportions.
+std::string RandomSpelling(Rng& rng) {
+  static const char* const kWords[] = {"inf", "Infinity", "nan", "NaN(1)",
+                                       "0x1p-3", "0X1A", "0x", "e", "-",
+                                       "+", ".", " ", "\t", "x"};
+  std::string out;
+  if (rng.UniformInt(0, 9) == 0) out += ' ';
+  switch (rng.UniformInt(0, 3)) {
+    case 0: out += '-'; break;
+    case 1: out += '+'; break;
+    default: break;
+  }
+  const int64_t shape = rng.UniformInt(0, 9);
+  if (shape == 0) {
+    out += kWords[rng.UniformInt(0, 13)];
+  } else {
+    const int64_t int_digits = rng.UniformInt(0, shape < 3 ? 25 : 6);
+    for (int64_t i = 0; i < int_digits; ++i) {
+      out += static_cast<char>('0' + rng.UniformInt(0, 9));
+    }
+    if (rng.UniformInt(0, 1) == 0) {
+      out += '.';
+      const int64_t frac = rng.UniformInt(0, 20);
+      for (int64_t i = 0; i < frac; ++i) {
+        out += static_cast<char>('0' + rng.UniformInt(0, 9));
+      }
+    }
+    if (rng.UniformInt(0, 2) == 0) {
+      out += rng.UniformInt(0, 1) == 0 ? 'e' : 'E';
+      if (rng.UniformInt(0, 1) == 0) out += rng.UniformInt(0, 1) ? '-' : '+';
+      out += std::to_string(rng.UniformInt(0, 330));
+    }
+  }
+  if (rng.UniformInt(0, 7) == 0) out += kWords[rng.UniformInt(0, 13)];
+  if (rng.UniformInt(0, 9) == 0) out += ' ';
+  return out;
+}
+
+TEST(StringsTest, ViewParsersAgreeWithStrtodOnSeededSpellings) {
+  std::vector<std::string> spellings = {
+      "0", "-0", "+0", "0.0", "-0.0", "0e999999", "1e-400", "4.9e-324",
+      "2.2250738585072011e-308", "2.2250738585072014e-308", "1e308",
+      "1.7976931348623157e308", "1.7976931348623159e308", "1e400",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", ".5", "5.", "-.5", "+.5", ".", "0x1A",
+      "-0x1p3", "inf", "-Infinity", "nan", "nan(abc)", " 12 ", "\v12\f",
+      "1,5", "1e", "1e+", "2020-01-05", std::string("12\0", 3)};
+  Rng rng(20130408);
+  for (int i = 0; i < 20000; ++i) spellings.push_back(RandomSpelling(rng));
+  for (const std::string& text : spellings) {
+    SCOPED_TRACE("'" + text + "'");
+    int64_t want_int = 0, got_int = 0;
+    const bool int_ok = ReferenceInt64(text, &want_int);
+    ASSERT_EQ(TryParseInt64(text, &got_int), int_ok);
+    if (int_ok) {
+      ASSERT_EQ(got_int, want_int);
+    }
+    ASSERT_EQ(ParseInt64(text).ok(), int_ok);
+    double want = 0, got = 0;
+    const bool double_ok = ReferenceDouble(text, &want);
+    ASSERT_EQ(TryParseDouble(text, &got), double_ok);
+    if (double_ok && !std::isnan(want)) {
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(got)), 0) << got;
+    }
+    ASSERT_EQ(ParseDouble(text).ok(), double_ok);
+  }
+}
+
+TEST(StringsTest, TryParseBoolTakesEverySpelling) {
+  bool b = false;
+  for (const char* yes : {"true", "TRUE", " Yes ", "y", "1"}) {
+    EXPECT_TRUE(TryParseBool(yes, &b) && b) << yes;
+  }
+  for (const char* no : {"false", "No", "\tn", "0", "FALSE"}) {
+    EXPECT_TRUE(TryParseBool(no, &b) && !b) << no;
+  }
+  for (const char* neither : {"", "2", "t", "yess", "on"}) {
+    EXPECT_FALSE(TryParseBool(neither, &b)) << neither;
+  }
+}
+
 TEST(StringsTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(2.0), "2");
   EXPECT_EQ(FormatDouble(2.5), "2.5");
@@ -292,25 +417,62 @@ TEST(CsvTest, TrailingDelimiterYieldsEmptyFinalField) {
   EXPECT_EQ((*rows)[1], (std::vector<std::string>{"c", "d", ""}));
 }
 
-TEST(CsvTest, ParseCsvLenientQuarantinesOnlyBadRecords) {
-  // An unterminated quote swallows the rest of the input, so the bad
-  // record is the final one; everything before it survives with its
-  // physical record number.
-  QuarantineReport quarantine;
-  auto records =
-      ParseCsvLenient("a,b\nok,fine\n\"bad", ',', &quarantine);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0].record_number, 1u);
-  EXPECT_EQ((*records)[0].fields,
-            (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ((*records)[1].record_number, 2u);
-  EXPECT_EQ((*records)[1].fields,
-            (std::vector<std::string>{"ok", "fine"}));
-  ASSERT_EQ(quarantine.size(), 1u);
-  EXPECT_EQ(quarantine.rows()[0].stage, "csv-parse");
-  EXPECT_EQ(quarantine.rows()[0].row_number, 3u);
-  EXPECT_TRUE(quarantine.rows()[0].status.IsParseError());
+TEST(CsvTest, TokenizerYieldsViewsRecordNumbersAndQuotedEmpty) {
+  const std::string text = "a,\"\",c\r\n\r\n\"x\ny\",\"q\"\"\"\n\nlast";
+  CsvTokenizer csv(text);
+  ASSERT_TRUE(csv.Next());
+  EXPECT_EQ(csv.record_number(), 1u);
+  ASSERT_EQ(csv.fields().size(), 3u);
+  EXPECT_EQ(csv.fields()[0].text, "a");
+  // A field without quotes is a view into the input itself.
+  EXPECT_EQ(csv.fields()[0].text.data(), text.data());
+  EXPECT_FALSE(csv.fields()[0].quoted_empty);
+  EXPECT_EQ(csv.fields()[1].text, "");
+  EXPECT_TRUE(csv.fields()[1].quoted_empty);
+  EXPECT_EQ(csv.raw(), "a,\"\",c");
+  ASSERT_TRUE(csv.Next());
+  EXPECT_EQ(csv.record_number(), 3u);  // the blank record counts
+  ASSERT_EQ(csv.fields().size(), 2u);
+  EXPECT_EQ(csv.fields()[0].text, "x\ny");
+  EXPECT_EQ(csv.fields()[1].text, "q\"");
+  ASSERT_TRUE(csv.Next());
+  EXPECT_EQ(csv.record_number(), 5u);
+  EXPECT_EQ(csv.fields()[0].text, "last");
+  EXPECT_FALSE(csv.Next());
+  EXPECT_FALSE(csv.unterminated());
+}
+
+TEST(CsvTest, TokenizerStopsAtAnUnterminatedFinalRecord) {
+  CsvTokenizer csv("a,b\n\nc,\"open\nd");
+  ASSERT_TRUE(csv.Next());
+  EXPECT_FALSE(csv.Next());
+  EXPECT_TRUE(csv.unterminated());
+  EXPECT_EQ(csv.record_number(), 3u);
+  EXPECT_EQ(csv.raw(), "c,\"open\nd");
+  EXPECT_EQ(csv.UnterminatedError().message(),
+            "unterminated quoted field at end of input (after 1 complete "
+            "records)");
+  EXPECT_FALSE(csv.Next());
+}
+
+TEST(CsvTest, QuoteInsideAFieldOpensAQuotedRun) {
+  auto fields = ParseCsvLine("ab\"c,d\"e,f");
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(*fields, (std::vector<std::string>{"abc,de", "f"}));
+}
+
+TEST(CsvTest, ParseCsvLineErrorsInInputOrder) {
+  // A quoted line break fails first, wherever it is.
+  EXPECT_EQ(ParseCsvLine("a\n\"b\nc").status().message(),
+            "newline inside quoted field");
+  EXPECT_EQ(ParseCsvLine("a\nb").status().message(),
+            "multiple records in single CSV line");
+  EXPECT_EQ(ParseCsvLine("a\n\"b").status().message(),
+            "unterminated quoted field at end of input (after 1 complete "
+            "records)");
+  auto blank = ParseCsvLine("\n");
+  ASSERT_TRUE(blank.ok());
+  EXPECT_EQ(*blank, (std::vector<std::string>{""}));
 }
 
 TEST(CsvTest, ReadMissingFileIsNotFound) {
@@ -371,6 +533,61 @@ TEST(DateTest, ParseString) {
   EXPECT_EQ(d->year(), 1999);
   EXPECT_TRUE(Date::FromString("31/12/1999").status().IsParseError());
   EXPECT_TRUE(Date::FromString("1999-12-31x").status().IsParseError());
+}
+
+TEST(DateTest, ParseStringFollowsScanfRules) {
+  const int32_t want = Date::FromYmd(2020, 1, 5)->days_since_epoch();
+  for (const std::string text :
+       {"2020-1-5", " 2020-01-05", "+2020-01-05", "2020- 01-05",
+        "2020-01-\t5", "02020-01-05"}) {
+    Date d;
+    EXPECT_TRUE(Date::TryParse(text, &d)) << text;
+    EXPECT_EQ(d.days_since_epoch(), want) << text;
+    EXPECT_TRUE(Date::FromString(text).ok()) << text;
+  }
+  // sscanf reads a C string: an embedded NUL ends the text.
+  EXPECT_TRUE(Date::FromString(std::string("2020-01-05\0x", 12)).ok());
+  for (const char* text : {"2020-01-05 ", "2020 -01-05", "- 2020-01-05",
+                           "2020-01", "", "2020-01-05x", "2020-1.5-05"}) {
+    Date d;
+    EXPECT_FALSE(Date::TryParse(text, &d)) << text;
+    EXPECT_TRUE(Date::FromString(text).status().IsParseError()) << text;
+  }
+  EXPECT_TRUE(Date::FromString("2020-02-30").status().IsInvalidArgument());
+  EXPECT_TRUE(Date::FromString("2020-13-01").status().IsInvalidArgument());
+}
+
+TEST(DateTest, OutOfRangeDatesFailInsteadOfWrapping) {
+  // Day counts past int32, components past int, and a year at INT_MIN
+  // (whose January shift would overflow int) are all rejected.
+  for (const char* text :
+       {"100000000-01-01", "-5877641-06-22", "5881580-07-12",
+        "99999999999-01-01", "2020-99999999999-01", "-2147483648-01-01",
+        "2147483647-12-31"}) {
+    Date d;
+    EXPECT_FALSE(Date::TryParse(text, &d)) << text;
+    EXPECT_TRUE(Date::FromString(text).status().IsInvalidArgument())
+        << text;
+  }
+  EXPECT_EQ(Date::FromString("100000000-01-01").status().message(),
+            "date out of range: 100000000-01-01");
+  EXPECT_EQ(Date::FromString("99999999999-01-01").status().message(),
+            "date component out of range: '99999999999-01-01'");
+  EXPECT_TRUE(Date::FromYmd(100000000, 1, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(Date::FromYmd(std::numeric_limits<int>::min(), 1, 1)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(DateTest, Int32ExtremesRoundTrip) {
+  auto lo = Date::FromString("-5877641-06-23");
+  ASSERT_TRUE(lo.ok()) << lo.status();
+  EXPECT_EQ(lo->days_since_epoch(), std::numeric_limits<int32_t>::min());
+  EXPECT_EQ(lo->ToString(), "-5877641-06-23");
+  auto hi = Date::FromString("5881580-07-11");
+  ASSERT_TRUE(hi.ok()) << hi.status();
+  EXPECT_EQ(hi->days_since_epoch(), std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(hi->ToString(), "5881580-07-11");
 }
 
 TEST(DateTest, ArithmeticAndComparison) {
