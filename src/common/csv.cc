@@ -1,5 +1,6 @@
 #include "common/csv.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -153,20 +154,32 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
   return rows;
 }
 
+void AppendCsvField(std::string* out, std::string_view field, char delim,
+                    bool force_quote) {
+  const bool needs_quote =
+      force_quote ||
+      std::any_of(field.begin(), field.end(), [delim](char c) {
+        return c == '"' || c == '\r' || c == '\n' || c == delim;
+      });
+  if (!needs_quote) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (size_t quote = field.find('"'); quote != std::string_view::npos;
+       quote = field.find('"')) {
+    out->append(field.substr(0, quote + 1));
+    out->push_back('"');
+    field.remove_prefix(quote + 1);
+  }
+  out->append(field);
+  out->push_back('"');
+}
+
 std::string FormatCsvField(std::string_view field, char delim,
                            bool force_quote) {
-  bool needs_quote =
-      force_quote || field.find_first_of("\"\r\n") != std::string::npos ||
-      field.find(delim) != std::string::npos;
-  if (!needs_quote) return std::string(field);
   std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
+  AppendCsvField(&out, field, delim, force_quote);
   return out;
 }
 
@@ -175,7 +188,7 @@ std::string FormatCsvLine(const std::vector<std::string>& fields,
   std::string out;
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) out.push_back(delim);
-    out += FormatCsvField(fields[i], delim);
+    AppendCsvField(&out, fields[i], delim);
   }
   return out;
 }

@@ -106,6 +106,10 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
 std::string FormatCsvField(std::string_view field, char delim = ',',
                            bool force_quote = false);
 
+/// Appends FormatCsvField(field, delim, force_quote) to `out`.
+void AppendCsvField(std::string* out, std::string_view field,
+                    char delim = ',', bool force_quote = false);
+
 /// Serializes fields into one CSV record (no trailing newline).
 std::string FormatCsvLine(const std::vector<std::string>& fields,
                           char delim = ',');

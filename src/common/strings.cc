@@ -232,15 +232,32 @@ Result<bool> ParseBool(std::string_view text) {
   return Status::ParseError("not a bool: '" + ToLower(Trim(text)) + "'");
 }
 
-std::string FormatDouble(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  std::string out(buf);
-  if (out.find('.') != std::string::npos) {
-    size_t last = out.find_last_not_of('0');
-    if (out[last] == '.') --last;
-    out.erase(last + 1);
+void AppendDouble(std::string* out, double value, int precision) {
+  if (precision < 0) precision = 6;  // as printf reads a negative one
+  // Fixed notation takes at most a sign, 309 integer digits (DBL_MAX), a
+  // point and `precision` decimals.
+  const size_t need = 311 + static_cast<size_t>(precision);
+  char stack[400];
+  std::string heap;
+  char* buf = stack;
+  if (need > sizeof(stack)) {
+    heap.resize(need);
+    buf = heap.data();
   }
+  const char* end = std::to_chars(buf, buf + need, value,
+                                  std::chars_format::fixed, precision)
+                        .ptr;
+  std::string_view digits(buf, static_cast<size_t>(end - buf));
+  if (digits.find('.') != std::string_view::npos) {
+    digits.remove_suffix(digits.size() - 1 - digits.find_last_not_of('0'));
+    if (digits.back() == '.') digits.remove_suffix(1);
+  }
+  out->append(digits);
+}
+
+std::string FormatDouble(double value, int precision) {
+  std::string out;
+  AppendDouble(&out, value, precision);
   return out;
 }
 

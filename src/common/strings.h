@@ -66,8 +66,11 @@ Result<bool> ParseBool(std::string_view text);
 
 /// Formats a double compactly: integral values print without a fractional
 /// part; otherwise up to `precision` significant decimals, trailing zeros
-/// trimmed.
+/// trimmed. Every integer digit is kept, up to DBL_MAX's 309.
 std::string FormatDouble(double value, int precision = 6);
+
+/// Appends FormatDouble(value, precision) to `out`.
+void AppendDouble(std::string* out, double value, int precision = 6);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

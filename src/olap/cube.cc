@@ -1,10 +1,10 @@
 #include "olap/cube.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -106,129 +106,27 @@ class StageTimer {
 /// server runs.
 constexpr uint64_t kDenseSlotLimit = uint64_t{1} << 16;
 
-/// Dictionary codes of one dimension attribute column, built once per
-/// query: every surrogate key gets the code of its value, codes are
-/// numbered by first appearance, and null is a member of its own.
-struct AttributeCodes {
-  std::vector<int32_t> code_of_key;  // by surrogate key
-  std::vector<size_t> first_key;     // by code: first key holding it
-  std::vector<int32_t> probe_codes;  // by probe Value; -1 = absent
-};
-
-/// Codes `col` with a hash over its typed storage (`key_of_row`), then
-/// looks each probe Value up in the same dictionary (`key_of_value`
-/// returns nullopt for a type that never equals this column's values).
-template <typename Key, typename KeyOfRow, typename KeyOfValue>
-AttributeCodes CodeColumn(const ColumnVector& col, KeyOfRow key_of_row,
-                          KeyOfValue key_of_value,
-                          std::span<const Value> probes) {
-  AttributeCodes out;
-  const std::span<const uint8_t> valid = col.validity();
-  std::unordered_map<Key, int32_t> codes;
-  int32_t null_code = -1;
-  out.code_of_key.resize(valid.size());
-  for (size_t key = 0; key < valid.size(); ++key) {
-    const auto next = static_cast<int32_t>(out.first_key.size());
-    int32_t code = null_code;
-    if (valid[key] != 0) {
-      code = codes.try_emplace(key_of_row(key), next).first->second;
-    } else if (null_code < 0) {
-      code = null_code = next;
-    }
-    if (code == next) out.first_key.push_back(key);
-    out.code_of_key[key] = code;
-  }
-  out.probe_codes.reserve(probes.size());
-  for (const Value& v : probes) {
-    int32_t code = -1;
-    if (v.is_null()) {
-      code = null_code;
-    } else if (std::optional<Key> k = key_of_value(v)) {
-      auto it = codes.find(*k);
-      if (it != codes.end()) code = it->second;
-    }
-    out.probe_codes.push_back(code);
-  }
-  return out;
-}
-
-/// Codes an attribute column of any type under ValueEq semantics
-/// without boxing a Value per dimension member.
-AttributeCodes CodeAttribute(const ColumnVector& col,
-                             std::span<const Value> probes) {
-  auto numeric = [](const Value& v) -> std::optional<uint64_t> {
-    if (v.type() == DataType::kInt64) {
-      return NumericKey(static_cast<double>(v.int_value()));
-    }
-    if (v.type() == DataType::kDouble) return NumericKey(v.double_value());
-    return std::nullopt;
-  };
-  switch (col.type()) {
-    case DataType::kString: {
-      const std::span<const std::string> values = col.strings();
-      return CodeColumn<std::string_view>(
-          col, [values](size_t k) { return std::string_view(values[k]); },
-          [](const Value& v) -> std::optional<std::string_view> {
-            if (v.type() != DataType::kString) return std::nullopt;
-            return std::string_view(v.string_value());
-          },
-          probes);
-    }
-    case DataType::kInt64: {
-      const std::span<const int64_t> values = col.ints();
-      return CodeColumn<uint64_t>(
-          col,
-          [values](size_t k) {
-            return NumericKey(static_cast<double>(values[k]));
-          },
-          numeric, probes);
-    }
-    case DataType::kDouble: {
-      const std::span<const double> values = col.doubles();
-      return CodeColumn<uint64_t>(
-          col, [values](size_t k) { return NumericKey(values[k]); },
-          numeric, probes);
-    }
-    case DataType::kBool: {
-      const std::span<const uint8_t> values = col.bools();
-      return CodeColumn<uint64_t>(
-          col, [values](size_t k) { return uint64_t{values[k]}; },
-          [](const Value& v) -> std::optional<uint64_t> {
-            if (v.type() != DataType::kBool) return std::nullopt;
-            return uint64_t{v.bool_value() ? 1u : 0u};
-          },
-          probes);
-    }
-    case DataType::kDate: {
-      const std::span<const int32_t> values = col.dates();
-      return CodeColumn<uint64_t>(
-          col, [values](size_t k) { return static_cast<uint64_t>(values[k]); },
-          [](const Value& v) -> std::optional<uint64_t> {
-            if (v.type() != DataType::kDate) return std::nullopt;
-            return static_cast<uint64_t>(v.date_value().days_since_epoch());
-          },
-          probes);
-    }
-    case DataType::kNull:
-      break;  // excluded by ColumnVector's constructor contract
-  }
-  return AttributeCodes{};
-}
-
 /// A resolved axis. Its members are a member restriction's Values
 /// (deduplicated under ValueEq, first spelling kept), or else the
 /// attribute's codes, each named by the first surrogate key holding it.
-struct ScanAxis {
-  std::span<const int64_t> keys;       // the fact's foreign-key column
-  std::vector<int32_t> member_of_key;  // by surrogate key; -1 = off axis
-  uint64_t stride = 0;                 // mixed-radix place value
+struct ResolvedAxis {
   const ColumnVector* column = nullptr;  // the attribute column
   std::vector<Value> restriction;
-  std::vector<size_t> first_key;  // by code, when unrestricted
+  std::vector<int32_t> restricted;    // member of each key, when restricted
+  std::span<const size_t> first_key;  // by code, when unrestricted
+  uint64_t stride = 0;                // mixed-radix place value
 
   size_t num_members() const {
     return restriction.empty() ? first_key.size() : restriction.size();
   }
+};
+
+/// An axis as the scan reads it, in plain pointers that the compiler
+/// keeps in registers when the number of axes is fixed.
+struct ScanAxis {
+  const int64_t* keys;           // the fact's foreign-key column
+  const int32_t* member_of_key;  // by surrogate key; -1 = off axis
+  uint64_t stride;
 };
 
 /// A slicer as the scan reads it.
@@ -237,21 +135,28 @@ struct ScanSlicer {
   std::vector<uint8_t> admit;  // by surrogate key
 };
 
-/// A measure fed from typed arrays: count(*) (no arrays), or an int64
-/// or double column under count, count_valid, sum, avg, variance or
-/// stddev.
+/// A measure the scan sums from typed arrays: an int64 or double column
+/// under count_valid, sum, avg, variance or stddev.
 struct TypedMeasure {
-  size_t index;  // position in CubeQuery::measures
   std::span<const uint8_t> valid;
-  std::span<const int64_t> ints;     // set for an int64 column
-  std::span<const double> doubles;   // set for a double column
+  std::span<const int64_t> ints;    // set for an int64 column
+  std::span<const double> doubles;  // set for a double column
 };
 
 /// A measure fed boxed Values: min, max, count_distinct, or a column
 /// type the typed path does not read.
 struct BoxedMeasure {
-  size_t index;
+  AggFn fn;
   const ColumnVector* column;
+};
+
+/// Where materialize finds a cell's accumulator state for one measure:
+/// the cell's row count alone (count), a typed partial, or a boxed
+/// accumulator.
+struct MeasureSource {
+  enum class Kind { kRows, kTyped, kBoxed };
+  Kind kind;
+  size_t index;  // into ScanInput::typed or ScanInput::boxed
 };
 
 struct ScanInput {
@@ -262,40 +167,58 @@ struct ScanInput {
   std::vector<BoxedMeasure> boxed;
 };
 
-/// The accumulators of every cell the scan touches: one run of one
-/// accumulator per measure for each slot, slots numbered in first-touch
-/// order. A cell finds its slot through a dense int32 array indexed by
-/// the packed cell index while the cell space is at most
+/// What the scan sums for one typed measure over one cell's rows, in
+/// row order.
+struct TypedPartial {
+  size_t valid = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+};
+
+/// The partials of every cell the scan touches, in slots numbered in
+/// first-touch order: a slot holds its cell's row count, one
+/// TypedPartial per typed measure and one Accumulator per boxed
+/// measure. A cell finds its slot through a dense int32 array indexed
+/// by the packed cell index while the cell space is at most
 /// kDenseSlotLimit, and through a hash of the same index above it.
 class CellSlots {
  public:
-  CellSlots(uint64_t cell_space, const std::vector<AggSpec>& measures)
-      : measures_(measures), dense_(cell_space <= kDenseSlotLimit) {
+  CellSlots(uint64_t cell_space, const ScanInput& in)
+      : num_typed_(in.typed.size()),
+        boxed_(in.boxed),
+        dense_(cell_space <= kDenseSlotLimit) {
     if (dense_) slot_of_cell_.assign(cell_space, -1);
   }
 
   bool dense() const { return dense_; }
   size_t size() const { return cell_of_slot_.size(); }
   uint64_t cell(size_t slot) const { return cell_of_slot_[slot]; }
-  Accumulator* accumulators(size_t slot) {
-    return &accs_[slot * measures_.size()];
+  size_t rows(size_t slot) const { return rows_[slot]; }
+  // Through data(): a query may have no typed or no boxed measure.
+  TypedPartial* typed(size_t slot) {
+    return typed_.data() + slot * num_typed_;
+  }
+  Accumulator* boxed(size_t slot) {
+    return boxed_accs_.data() + slot * boxed_.size();
   }
 
-  /// The accumulators of `cell`, opened on its first touch.
-  Accumulator* At(uint64_t cell) {
-    int32_t slot = -1;
-    if (dense_) {
-      slot = slot_of_cell_[cell];
-    } else if (auto it = hashed_.find(cell); it != hashed_.end()) {
-      slot = it->second;
-    }
+  /// Counts one row into `cell`, opening its slot on the first touch;
+  /// returns the slot. Small enough to inline into the scan.
+  size_t Touch(uint64_t cell) {
+    int32_t slot = dense_ ? slot_of_cell_[cell] : HashedSlot(cell);
     if (slot < 0) slot = Open(cell);
-    return &accs_[static_cast<size_t>(slot) * measures_.size()];
+    ++rows_[static_cast<size_t>(slot)];
+    return static_cast<size_t>(slot);
   }
 
  private:
+  __attribute__((noinline)) int32_t HashedSlot(uint64_t cell) const {
+    auto it = hashed_.find(cell);
+    return it == hashed_.end() ? -1 : it->second;
+  }
+
   // Once per cell, not per row.
-  int32_t Open(uint64_t cell) {
+  __attribute__((noinline)) int32_t Open(uint64_t cell) {
     const auto slot = static_cast<int32_t>(cell_of_slot_.size());
     if (dense_) {
       slot_of_cell_[cell] = slot;
@@ -303,36 +226,51 @@ class CellSlots {
       hashed_.emplace(cell, slot);
     }
     cell_of_slot_.push_back(cell);
-    for (const AggSpec& m : measures_) accs_.emplace_back(m.fn);
+    rows_.push_back(0);
+    typed_.resize(typed_.size() + num_typed_);
+    for (const BoxedMeasure& m : boxed_) boxed_accs_.emplace_back(m.fn);
     return slot;
   }
 
-  const std::vector<AggSpec>& measures_;
+  const size_t num_typed_;
+  const std::vector<BoxedMeasure>& boxed_;
   const bool dense_;
   std::vector<int32_t> slot_of_cell_;
   std::unordered_map<uint64_t, int32_t> hashed_;
   std::vector<uint64_t> cell_of_slot_;
-  std::vector<Accumulator> accs_;
+  std::vector<size_t> rows_;
+  std::vector<TypedPartial> typed_;
+  std::vector<Accumulator> boxed_accs_;
 };
 
 /// Feeds the boxed measures of one admitted row. Kept out of the hot
 /// scan because it boxes a Value per measure.
 void AddBoxed(const std::vector<BoxedMeasure>& boxed, size_t row,
               Accumulator* accs) {
-  for (const BoxedMeasure& m : boxed) {
-    accs[m.index].Add(m.column->GetValue(row));
+  for (size_t b = 0; b < boxed.size(); ++b) {
+    accs[b].Add(boxed[b].column->GetValue(row));
   }
 }
 
 // The fact scan, once per fact row: rows a slicer rejects or that fall
-// outside an axis restriction are skipped; every other row feeds the
-// accumulators of the cell at its mixed-radix index. Returns the number
-// of rows aggregated.
-DDGMS_HOT size_t ScanFacts(const ScanInput& in, CellSlots* slots) {
+// outside an axis restriction are skipped; every other row is counted
+// into the cell at its mixed-radix index and added to that cell's typed
+// partials. A null adds +0.0, which leaves each sum's bits as they were,
+// so no branch depends on a measure or on which axis member a row has.
+// `axes` has a fixed extent for the common cube shapes (see Scan).
+// Returns the number of rows aggregated.
+template <size_t kAxes>
+DDGMS_HOT size_t ScanFacts(const ScanInput& in,
+                           std::span<const ScanAxis, kAxes> axes,
+                           CellSlots* slots) {
+  const std::span<const ScanSlicer> slicers = in.slicers;
+  const std::span<const TypedMeasure> typed = in.typed;
+  const bool boxed = !in.boxed.empty();
   size_t admitted = 0;
-  for (size_t row = 0; row < in.rows; ++row) {
+  for (size_t row = 0, rows = in.rows; row < rows; ++row) {
+    // A slicer usually admits few rows, so a rejected row leaves early.
     bool keep = true;
-    for (const ScanSlicer& s : in.slicers) {
+    for (const ScanSlicer& s : slicers) {
       if (s.admit[static_cast<size_t>(s.keys[row])] == 0) {
         keep = false;
         break;
@@ -340,32 +278,50 @@ DDGMS_HOT size_t ScanFacts(const ScanInput& in, CellSlots* slots) {
     }
     if (!keep) continue;
     uint64_t cell = 0;
-    for (const ScanAxis& axis : in.axes) {
+    for (const ScanAxis& axis : axes) {
       const int32_t member =
           axis.member_of_key[static_cast<size_t>(axis.keys[row])];
-      if (member < 0) {
-        keep = false;
-        break;
-      }
+      keep &= member >= 0;
+      // Wraps for an off-axis member, whose row is dropped anyway.
       cell += static_cast<uint64_t>(member) * axis.stride;
     }
     if (!keep) continue;
-    Accumulator* accs = slots->At(cell);
-    for (const TypedMeasure& m : in.typed) {
-      Accumulator& acc = accs[m.index];
-      if (m.valid.empty()) {
-        acc.AddNumeric(1.0);  // count(*)
-      } else if (m.valid[row] == 0) {
-        acc.AddNull();
-      } else {
-        acc.AddNumeric(m.ints.empty() ? m.doubles[row]
-                                      : static_cast<double>(m.ints[row]));
-      }
+    const size_t slot = slots->Touch(cell);
+    TypedPartial* partials = slots->typed(slot);
+    for (size_t t = 0; t < typed.size(); ++t) {
+      const TypedMeasure& m = typed[t];
+      const uint64_t valid = m.valid[row] != 0 ? 1 : 0;
+      const double v = m.ints.empty() ? m.doubles[row]
+                                      : static_cast<double>(m.ints[row]);
+      const double x =
+          std::bit_cast<double>(std::bit_cast<uint64_t>(v) & (0 - valid));
+      TypedPartial& p = partials[t];
+      p.valid += valid;
+      p.sum += x;
+      p.sum_sq += x * x;
     }
-    if (!in.boxed.empty()) AddBoxed(in.boxed, row, accs);
+    if (boxed) AddBoxed(in.boxed, row, slots->boxed(slot));
     ++admitted;
   }
   return admitted;
+}
+
+/// Runs ScanFacts with the axis loop unrolled for up to three axes, the
+/// shapes of the paper's cubes.
+size_t Scan(const ScanInput& in, CellSlots* slots) {
+  const std::span<const ScanAxis> axes = in.axes;
+  switch (axes.size()) {
+    case 0:
+      return ScanFacts<0>(in, axes.first<0>(), slots);
+    case 1:
+      return ScanFacts<1>(in, axes.first<1>(), slots);
+    case 2:
+      return ScanFacts<2>(in, axes.first<2>(), slots);
+    case 3:
+      return ScanFacts<3>(in, axes.first<3>(), slots);
+    default:
+      return ScanFacts<std::dynamic_extent>(in, axes, slots);
+  }
 }
 
 }  // namespace
@@ -893,11 +849,14 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   scan.rows = fact.num_rows();
 
   StageTimer axes_timer(plan, "olap.cube.resolve_axes", accounting);
-  // Resolve axes: code the attribute column, then map each surrogate
-  // key to its member id on the axis (-1 = outside a member
-  // restriction) and give the axis its mixed-radix place value.
+  // Resolve axes: read the attribute's codes at rest, map each
+  // surrogate key to its member id on the axis (-1 = outside a member
+  // restriction) and give the axis its mixed-radix place value. An
+  // unrestricted axis's member ids are the codes themselves.
   uint64_t cell_space = 1;
-  for (const AxisSpec& spec : query.axes) {
+  std::vector<ResolvedAxis> axes(query.axes.size());
+  for (size_t a = 0; a < query.axes.size(); ++a) {
+    const AxisSpec& spec = query.axes[a];
     DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
                            warehouse_->dimension(spec.dimension));
     if (!dim->HasAttribute(spec.attribute)) {
@@ -910,27 +869,27 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
         fact.ColumnByName(Warehouse::KeyColumnName(spec.dimension)));
     DDGMS_ASSIGN_OR_RETURN(const ColumnVector* attr_col,
                            dim->table().ColumnByName(spec.attribute));
-    ScanAxis axis;
-    axis.keys = key_col->ints();
+    DDGMS_ASSIGN_OR_RETURN(const warehouse::AttributeCodes* codes,
+                           dim->Codes(spec.attribute));
+    ResolvedAxis& axis = axes[a];
     axis.column = attr_col;
     axis.restriction = DistinctMembers(spec.members);
-    AttributeCodes codes = CodeAttribute(*attr_col, axis.restriction);
-    if (spec.members.empty()) {
-      axis.first_key = std::move(codes.first_key);
-      axis.member_of_key = std::move(codes.code_of_key);
+    const int32_t* member_of_key = codes->code_of_key().data();
+    if (axis.restriction.empty()) {
+      axis.first_key = codes->first_key();
     } else {
-      std::vector<int32_t> member_of_code(codes.first_key.size(), -1);
-      for (size_t m = 0; m < codes.probe_codes.size(); ++m) {
-        if (codes.probe_codes[m] >= 0) {
-          member_of_code[static_cast<size_t>(codes.probe_codes[m])] =
-              static_cast<int32_t>(m);
+      std::vector<int32_t> member_of_code(codes->num_codes(), -1);
+      for (size_t m = 0; m < axis.restriction.size(); ++m) {
+        const int32_t code = codes->Find(axis.restriction[m]);
+        if (code >= 0) {
+          member_of_code[static_cast<size_t>(code)] = static_cast<int32_t>(m);
         }
       }
-      axis.member_of_key.resize(codes.code_of_key.size());
-      for (size_t key = 0; key < codes.code_of_key.size(); ++key) {
-        axis.member_of_key[key] =
-            member_of_code[static_cast<size_t>(codes.code_of_key[key])];
+      axis.restricted.reserve(codes->code_of_key().size());
+      for (int32_t code : codes->code_of_key()) {
+        axis.restricted.push_back(member_of_code[static_cast<size_t>(code)]);
       }
+      member_of_key = axis.restricted.data();
     }
     axis.stride = cell_space;
     if (__builtin_mul_overflow(cell_space, axis.num_members(),
@@ -939,36 +898,37 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
           "cube query has more cells than a 64-bit index can address: " +
           query.ToString());
     }
-    scan.axes.push_back(std::move(axis));
+    scan.axes.push_back(
+        ScanAxis{key_col->ints().data(), member_of_key, axis.stride});
   }
   if (PlanNode* node = axes_timer.Finish()) {
     node->rows_in = query.axes.size();
     uint64_t members = 0;
-    for (const ScanAxis& a : scan.axes) members += a.num_members();
+    for (const ResolvedAxis& a : axes) members += a.num_members();
     node->rows_out = members;
   }
 
   StageTimer slicers_timer(plan, "olap.cube.resolve_slicers", accounting);
-  // Resolve slicers into per-surrogate-key admission flags.
+  // Resolve slicers into per-surrogate-key admission flags: look up
+  // only the listed values, then read the codes at rest.
   for (const SlicerSpec& spec : query.slicers) {
     DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
                            warehouse_->dimension(spec.dimension));
-    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* attr_col,
-                           dim->table().ColumnByName(spec.attribute));
+    DDGMS_ASSIGN_OR_RETURN(const warehouse::AttributeCodes* codes,
+                           dim->Codes(spec.attribute));
     DDGMS_ASSIGN_OR_RETURN(
         const ColumnVector* key_col,
         fact.ColumnByName(Warehouse::KeyColumnName(spec.dimension)));
-    AttributeCodes codes = CodeAttribute(*attr_col, spec.values);
-    std::vector<uint8_t> admit_code(codes.first_key.size(), 0);
-    for (int32_t code : codes.probe_codes) {
+    std::vector<uint8_t> admit_code(codes->num_codes(), 0);
+    for (const Value& v : spec.values) {
+      const int32_t code = codes->Find(v);
       if (code >= 0) admit_code[static_cast<size_t>(code)] = 1;
     }
     ScanSlicer slicer;
     slicer.keys = key_col->ints();
-    slicer.admit.resize(codes.code_of_key.size());
-    for (size_t key = 0; key < codes.code_of_key.size(); ++key) {
-      slicer.admit[key] =
-          admit_code[static_cast<size_t>(codes.code_of_key[key])];
+    slicer.admit.reserve(codes->code_of_key().size());
+    for (int32_t code : codes->code_of_key()) {
+      slicer.admit.push_back(admit_code[static_cast<size_t>(code)]);
     }
     scan.slicers.push_back(std::move(slicer));
   }
@@ -981,29 +941,35 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     node->rows_out = admitted;
   }
 
-  // Resolve measures: count(*) and int64/double columns under the
-  // sum-family functions read typed arrays; the rest stay boxed.
-  for (size_t m = 0; m < query.measures.size(); ++m) {
-    const AggSpec& spec = query.measures[m];
-    const bool typed_fn = spec.fn != AggFn::kMin && spec.fn != AggFn::kMax &&
-                          spec.fn != AggFn::kCountDistinct;
+  // Resolve measures: a count reads only its cells' row counts, an
+  // int64 or double column under the other sum-family functions is
+  // summed from its typed arrays, and the rest stay boxed.
+  std::vector<MeasureSource> sources;
+  sources.reserve(query.measures.size());
+  for (const AggSpec& spec : query.measures) {
     if (spec.column.empty()) {
       if (spec.fn != AggFn::kCount) {
         return Status::InvalidArgument(
             StrFormat("measure %s needs a column", AggFnName(spec.fn)));
       }
-      scan.typed.push_back(TypedMeasure{m, {}, {}, {}});
+      sources.push_back({MeasureSource::Kind::kRows, 0});
       continue;
     }
     DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
                            fact.ColumnByName(spec.column));
-    if (typed_fn && col->type() == DataType::kInt64) {
-      scan.typed.push_back(TypedMeasure{m, col->validity(), col->ints(), {}});
+    const bool typed_fn = spec.fn != AggFn::kMin && spec.fn != AggFn::kMax &&
+                          spec.fn != AggFn::kCountDistinct;
+    if (spec.fn == AggFn::kCount) {
+      sources.push_back({MeasureSource::Kind::kRows, 0});
+    } else if (typed_fn && col->type() == DataType::kInt64) {
+      sources.push_back({MeasureSource::Kind::kTyped, scan.typed.size()});
+      scan.typed.push_back(TypedMeasure{col->validity(), col->ints(), {}});
     } else if (typed_fn && col->type() == DataType::kDouble) {
-      scan.typed.push_back(
-          TypedMeasure{m, col->validity(), {}, col->doubles()});
+      sources.push_back({MeasureSource::Kind::kTyped, scan.typed.size()});
+      scan.typed.push_back(TypedMeasure{col->validity(), {}, col->doubles()});
     } else {
-      scan.boxed.push_back(BoxedMeasure{m, col});
+      sources.push_back({MeasureSource::Kind::kBoxed, scan.boxed.size()});
+      scan.boxed.push_back(BoxedMeasure{spec.fn, col});
     }
   }
 
@@ -1012,8 +978,8 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   cube.generation_ = warehouse_->generation();
   cube.query_ = query;
   StageTimer scan_timer(plan, "olap.cube.scan", accounting);
-  CellSlots slots(cell_space, query.measures);
-  cube.facts_aggregated_ = ScanFacts(scan, &slots);
+  CellSlots slots(cell_space, scan);
+  cube.facts_aggregated_ = Scan(scan, &slots);
   const char* slot_kind = slots.dense() ? "dense" : "hashed";
   if (PlanNode* node = scan_timer.Finish()) {
     node->rows_in = scan.rows;
@@ -1024,9 +990,8 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
 
   StageTimer materialize_timer(plan, "olap.cube.materialize", accounting);
   // Materialize: decode each touched cell's packed index into member
-  // ids, box its coordinates once and move its accumulators into the
-  // cube, where navigation can merge them.
-  const std::vector<ScanAxis>& axes = scan.axes;
+  // ids, box its coordinates once and fold its partials into the
+  // accumulators the cube keeps, where navigation can merge them.
   const size_t num_axes = axes.size();
   auto member_id = [&](uint64_t cell, size_t a) {
     return static_cast<size_t>(cell / axes[a].stride %
@@ -1060,13 +1025,23 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   const size_t width = query.measures.size();
   cube.cells_.reserve(slots.size());
   for (size_t slot = 0; slot < slots.size(); ++slot) {
-    Accumulator* accs = slots.accumulators(slot);
     Cube::Cell cell;
     cell.accumulators.reserve(width);
     for (size_t m = 0; m < width; ++m) {
-      // A cached cube must not hold every distinct fact value.
-      accs[m].DropDistinctValues();
-      cell.accumulators.push_back(std::move(accs[m]));
+      const MeasureSource& source = sources[m];
+      if (source.kind == MeasureSource::Kind::kBoxed) {
+        Accumulator& acc = slots.boxed(slot)[source.index];
+        // A cached cube must not hold every distinct fact value.
+        acc.DropDistinctValues();
+        cell.accumulators.push_back(std::move(acc));
+        continue;
+      }
+      const TypedPartial partial = source.kind == MeasureSource::Kind::kTyped
+                                       ? slots.typed(slot)[source.index]
+                                       : TypedPartial{};
+      cell.accumulators.emplace_back(query.measures[m].fn)
+          .AddPartial(slots.rows(slot), partial.valid, partial.sum,
+                      partial.sum_sq);
     }
     std::vector<Value> coord;
     coord.reserve(num_axes);

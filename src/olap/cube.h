@@ -193,12 +193,15 @@ class Cube {
 /// warehouse pointer; the warehouse must outlive the engine and all
 /// cubes it produces.
 ///
-/// One serial kernel answers every query. Resolve dictionary-codes each
-/// axis and slicer attribute column with a typed hash; the scan turns
-/// each admitted fact row into a mixed-radix cell index and feeds that
-/// cell's accumulators straight from the typed measure arrays. Cell
-/// slots sit in a dense array while the product of the axis member
-/// counts stays small, and in a hash of the packed index above that.
+/// One serial kernel answers every query. Resolve reads each axis and
+/// slicer attribute's dictionary codes at rest (Dimension::Codes) and
+/// looks up only the Values a restriction or slicer lists. The scan
+/// turns each admitted fact row into a mixed-radix cell index, counts
+/// the row into that cell and adds the typed measure arrays into the
+/// cell's flat partial sums; materialize folds each cell's partials into
+/// its accumulators. Cell slots sit in a dense array while the product
+/// of the axis member counts stays small, and in a hash of the packed
+/// index above that.
 class CubeEngine {
  public:
   explicit CubeEngine(const warehouse::Warehouse* wh) : warehouse_(wh) {}

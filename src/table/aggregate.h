@@ -54,20 +54,21 @@ class Accumulator {
   /// Feeds one cell. Nulls count toward kCount only.
   void Add(const Value& v);
 
-  /// Typed entry points for scans that read typed column arrays. They
-  /// serve kCount, kCountValid, kSum, kAvg, kVariance and kStdDev only;
-  /// kMin, kMax and kCountDistinct need the Value and use Add.
-  /// AddNumeric(x) feeds one non-null numeric cell (a bool as 0 or 1)
-  /// and equals Add of that cell; AddNull() equals Add(Value::Null()).
-  void AddNumeric(double x) {
+  /// Folds in what a scan over typed column arrays summed for this
+  /// group: `rows` rows, `valid` of them non-null numbers (a bool as 0
+  /// or 1) whose sum and sum of squares, each added up in row order
+  /// from 0.0, are `sum` and `sum_sq`. On an accumulator fed nothing
+  /// yet this equals Add of those rows in that order, to the bit. It
+  /// serves kCount, kCountValid, kSum, kAvg, kVariance and kStdDev only;
+  /// kMin, kMax and kCountDistinct need the Values and use Add.
+  void AddPartial(size_t rows, size_t valid, double sum, double sum_sq) {
     assert(fn_ != AggFn::kMin && fn_ != AggFn::kMax &&
            fn_ != AggFn::kCountDistinct);
-    ++rows_;
-    ++valid_;
-    sum_ += x;
-    sum_sq_ += x * x;
+    rows_ += rows;
+    valid_ += valid;
+    sum_ += sum;
+    sum_sq_ += sum_sq;
   }
-  void AddNull() { ++rows_; }
 
   /// Folds another accumulator of the same function into this one:
   /// merging the accumulators of the parts of a split stream equals

@@ -267,6 +267,7 @@ class SqlParser {
       query.Select(plain_columns);
     }
 
+    bool limit_zero = false;
     if (IsKeyword(Peek(), "ORDER")) {
       Next();
       DDGMS_RETURN_IF_ERROR(ExpectKeyword("BY"));
@@ -291,11 +292,28 @@ class SqlParser {
       DDGMS_ASSIGN_OR_RETURN(int64_t limit, ParseInt64(Next().text));
       if (limit < 0) return Error("LIMIT must be non-negative");
       query.Limit(static_cast<size_t>(limit));
+      limit_zero = limit == 0;
     }
     if (Peek().type != SqlTokenType::kEof) {
       return Error("unexpected trailing tokens");
     }
-    return query.Run();
+    DDGMS_ASSIGN_OR_RETURN(Table result, query.Run());
+    // An aggregate without GROUP BY answers one row even over zero input
+    // rows: the counts are 0 and every other aggregate is NULL. LIMIT 0
+    // still answers none. (TableQuery keeps returning no groups, as a
+    // cube has no cell for an empty slice.)
+    if (any_aggregate && group_by.empty() && result.num_rows() == 0 &&
+        !limit_zero) {
+      Row row;
+      for (const AggSpec& agg : aggregates) {
+        const bool count = agg.fn == AggFn::kCount ||
+                           agg.fn == AggFn::kCountValid ||
+                           agg.fn == AggFn::kCountDistinct;
+        row.push_back(count ? Value::Int(0) : Value::Null());
+      }
+      DDGMS_RETURN_IF_ERROR(result.AppendRow(row));
+    }
+    return result;
   }
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <charconv>
+#include <cstdio>
 #include <numeric>
 #include <sstream>
 #include <string_view>
@@ -575,26 +577,61 @@ Status Table::Concat(const Table& other) {
   return Status::OK();
 }
 
+// Writes each cell straight from its typed column, spelled as
+// Value::ToString spells it and quoted as FormatCsvField quotes it.
 std::string Table::ToCsv(const CsvWriteOptions& options) const {
+  const char delim = options.delimiter;
   std::string out;
-  std::vector<std::string> header;
-  header.reserve(columns_.size());
-  for (const Field& f : schema_.fields()) header.push_back(f.name);
-  out += FormatCsvLine(header, options.delimiter);
-  out += "\n";
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (c > 0) out.push_back(delim);
+    AppendCsvField(&out, schema_.field(c).name, delim);
+  }
+  out.push_back('\n');
+  std::string number;  // a double's spelling, reused across cells
+  char buf[32];        // an int64's or a date's spelling
   const size_t n = num_rows();
   for (size_t i = 0; i < n; ++i) {
     for (size_t c = 0; c < columns_.size(); ++c) {
-      if (c > 0) out.push_back(options.delimiter);
+      if (c > 0) out.push_back(delim);
       const ColumnVector& col = columns_[c];
-      std::string cell = col.GetValue(i).ToString();
-      // Nulls always serialize bare; a present-but-empty string is
-      // force-quoted ("") when the caller wants the two distinct.
-      bool force_quote = options.quote_empty_strings && cell.empty() &&
-                         !col.IsNull(i);
-      out += FormatCsvField(cell, options.delimiter, force_quote);
+      // Nulls always serialize bare.
+      if (col.IsNull(i)) continue;
+      switch (col.type()) {
+        case DataType::kString: {
+          // A present-but-empty string is force-quoted ("") when the
+          // caller wants it told apart from a null.
+          const std::string& s = col.StringAt(i);
+          AppendCsvField(&out, s, delim,
+                         options.quote_empty_strings && s.empty());
+          break;
+        }
+        case DataType::kInt64: {
+          const char* end =
+              std::to_chars(buf, buf + sizeof(buf), col.IntAt(i)).ptr;
+          AppendCsvField(&out, std::string_view(buf, end - buf), delim);
+          break;
+        }
+        case DataType::kDouble:
+          number.clear();
+          AppendDouble(&number, col.DoubleAt(i));
+          AppendCsvField(&out, number, delim);
+          break;
+        case DataType::kBool:
+          AppendCsvField(&out, col.BoolAt(i) ? "true" : "false", delim);
+          break;
+        case DataType::kDate: {
+          const Date date = col.DateAt(i);
+          const int len = std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d",
+                                        date.year(), date.month(), date.day());
+          AppendCsvField(&out, std::string_view(buf, static_cast<size_t>(len)),
+                         delim);
+          break;
+        }
+        case DataType::kNull:
+          break;  // excluded by ColumnVector's constructor contract
+      }
     }
-    out += "\n";
+    out.push_back('\n');
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/csv.h"
 #include "common/faults.h"
@@ -80,6 +81,131 @@ void MemberIndex::Insert(Columns members, size_t key, size_t hash) {
   while (slots_[s] != 0) s = (s + 1) & mask;
   slots_[s] = static_cast<uint32_t>(key + 1);
   ++size_;
+}
+
+namespace {
+
+/// The key `numbers_` holds for a non-null `v` of a column of type
+/// `type`, or nullopt when `v` never equals that column's values.
+std::optional<uint64_t> NumberKey(DataType type, const Value& v) {
+  switch (type) {
+    case DataType::kInt64:
+    case DataType::kDouble:
+      if (v.type() == DataType::kInt64) {
+        return NumericKey(static_cast<double>(v.int_value()));
+      }
+      if (v.type() == DataType::kDouble) return NumericKey(v.double_value());
+      return std::nullopt;
+    case DataType::kBool:
+      if (v.type() != DataType::kBool) return std::nullopt;
+      return uint64_t{v.bool_value() ? 1u : 0u};
+    case DataType::kDate:
+      if (v.type() != DataType::kDate) return std::nullopt;
+      return static_cast<uint64_t>(v.date_value().days_since_epoch());
+    case DataType::kString:
+    case DataType::kNull:
+      break;
+  }
+  return std::nullopt;
+}
+
+/// NumberKey of the non-null row `row` of `col`, read from its typed
+/// storage.
+uint64_t NumberKeyAt(const ColumnVector& col, size_t row) {
+  switch (col.type()) {
+    case DataType::kInt64:
+      return NumericKey(static_cast<double>(col.ints()[row]));
+    case DataType::kDouble:
+      return NumericKey(col.doubles()[row]);
+    case DataType::kBool:
+      return uint64_t{col.bools()[row]};
+    case DataType::kDate:
+      return static_cast<uint64_t>(col.dates()[row]);
+    case DataType::kString:
+    case DataType::kNull:
+      break;
+  }
+  return 0;
+}
+
+}  // namespace
+
+void AttributeCodes::Extend(const ColumnVector& col) {
+  type_ = col.type();
+  const std::span<const uint8_t> valid = col.validity();
+  const size_t from = code_of_key_.size();
+  code_of_key_.resize(valid.size());
+  for (size_t key = from; key < valid.size(); ++key) {
+    const auto next = static_cast<int32_t>(first_key_.size());
+    int32_t code = next;
+    if (valid[key] == 0) {
+      if (null_code_ < 0) null_code_ = next;
+      code = null_code_;
+    } else if (type_ == DataType::kString) {
+      code = strings_.try_emplace(col.strings()[key], next).first->second;
+    } else {
+      code = numbers_.try_emplace(NumberKeyAt(col, key), next).first->second;
+    }
+    if (code == next) first_key_.push_back(key);
+    code_of_key_[key] = code;
+  }
+}
+
+int32_t AttributeCodes::Find(const Value& v) const {
+  if (v.is_null()) return null_code_;
+  if (type_ == DataType::kString) {
+    if (v.type() != DataType::kString) return -1;
+    auto it = strings_.find(v.string_value());
+    return it == strings_.end() ? -1 : it->second;
+  }
+  const std::optional<uint64_t> key = NumberKey(type_, v);
+  if (!key) return -1;
+  auto it = numbers_.find(*key);
+  return it == numbers_.end() ? -1 : it->second;
+}
+
+Dimension::CodeCache& Dimension::CodeCache::operator=(
+    CodeCache other) noexcept {
+  Slots taken = other.Take();
+  MutexLock lock(mu_);
+  by_column_ = std::move(taken);
+  return *this;
+}
+
+const AttributeCodes& Dimension::CodeCache::Get(const Table& members,
+                                                size_t column) const {
+  MutexLock lock(mu_);
+  if (by_column_.size() <= column) by_column_.resize(column + 1);
+  std::unique_ptr<AttributeCodes>& codes = by_column_[column];
+  if (codes == nullptr) {
+    codes = std::make_unique<AttributeCodes>();
+    codes->Extend(members.column(column));
+  }
+  assert(codes->code_of_key().size() == members.num_rows());  // not stale
+  return *codes;
+}
+
+void Dimension::CodeCache::Extend(const Table& members) {
+  MutexLock lock(mu_);
+  for (size_t c = 0; c < by_column_.size(); ++c) {
+    if (by_column_[c] != nullptr) by_column_[c]->Extend(members.column(c));
+  }
+}
+
+Dimension::CodeCache::Slots Dimension::CodeCache::Clone() const {
+  MutexLock lock(mu_);
+  Slots out(by_column_.size());
+  for (size_t c = 0; c < by_column_.size(); ++c) {
+    if (by_column_[c] != nullptr) {
+      out[c] = std::make_unique<AttributeCodes>(*by_column_[c]);
+    }
+  }
+  return out;
+}
+
+Dimension::CodeCache::Slots Dimension::CodeCache::Take() {
+  MutexLock lock(mu_);
+  return std::exchange(by_column_, Slots());
 }
 
 Result<Value> Dimension::AttributeValue(int64_t key,
@@ -167,6 +293,12 @@ Result<std::vector<const ColumnVector*>> Dimension::AttributeColumns()
     cols.push_back(col);
   }
   return cols;
+}
+
+Result<const AttributeCodes*> Dimension::Codes(
+    const std::string& attribute) const {
+  DDGMS_ASSIGN_OR_RETURN(size_t column, table_.schema().FieldIndex(attribute));
+  return &codes_.Get(table_, column);
 }
 
 MemberIndex& Dimension::EnsureIndex(MemberIndex::Columns members) {
@@ -457,6 +589,7 @@ void Warehouse::CommitAppend(const PreparedAppend& batch) {
     for (size_t key = first; key < dim.num_members(); ++key) {
       index.Insert(members, key, MemberIndex::HashRow(members, key));
     }
+    dim.codes_.Extend(dim.table_);
   }
   Status st = fact_.Concat(batch.fact_);
   assert(st.ok());

@@ -3,13 +3,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/quarantine.h"
 #include "common/result.h"
+#include "common/sync.h"
 #include "table/table.h"
 #include "warehouse/schema_def.h"
 
@@ -47,6 +50,39 @@ class MemberIndex {
  private:
   std::vector<uint32_t> slots_;  // key + 1; 0 marks an empty slot
   size_t size_ = 0;
+};
+
+/// Dictionary codes of one attribute column of a dimension, the
+/// projection index a cube query reads instead of the values: each
+/// surrogate key has the code of its value, codes are numbered by first
+/// appearance in key order, and null is a code of its own. Values match
+/// as ValueEq pairs them within the column's type: in an int64 or
+/// double column 5 and 5.0 share a code (NumericKey), while a string,
+/// bool or date column matches only its own type. The lookup owns its
+/// keys, so the codes survive the member column growing.
+class AttributeCodes {
+ public:
+  /// Codes the rows of `col` past the last one coded: every row the
+  /// first time, then the members appended since. Codes already given
+  /// never change, and new values take the next codes.
+  void Extend(const ColumnVector& col);
+
+  /// The code of each surrogate key.
+  std::span<const int32_t> code_of_key() const { return code_of_key_; }
+  /// The first surrogate key holding each code.
+  std::span<const size_t> first_key() const { return first_key_; }
+  size_t num_codes() const { return first_key_.size(); }
+
+  /// The code of the members equal to `v`, or -1 when none is.
+  int32_t Find(const Value& v) const;
+
+ private:
+  DataType type_ = DataType::kNull;
+  std::vector<int32_t> code_of_key_;
+  std::vector<size_t> first_key_;
+  int32_t null_code_ = -1;
+  std::unordered_map<std::string, int32_t> strings_;  // a string column
+  std::unordered_map<uint64_t, int32_t> numbers_;     // any other column
 };
 
 /// A populated dimension table: surrogate keys 0..n-1 (the row index)
@@ -91,6 +127,13 @@ class Dimension {
     return index_ ? &*index_ : nullptr;
   }
 
+  /// The dictionary codes of `attribute`, coded over every member on
+  /// first use (safe from concurrent readers) and kept: appends extend
+  /// them. Neither building nor loading a warehouse codes anything, and
+  /// codes are never persisted. NotFound for an unknown attribute. The
+  /// codes stay valid until the dimension changes.
+  Result<const AttributeCodes*> Codes(const std::string& attribute) const;
+
  private:
   friend class StarSchemaBuilder;
   friend class Warehouse;  // incremental appends extend members
@@ -102,9 +145,40 @@ class Dimension {
   /// `members` is AttributeColumns().
   MemberIndex& EnsureIndex(MemberIndex::Columns members);
 
+  /// The AttributeCodes of each member-table column, each empty until a
+  /// query first asks for it. The mutex lets concurrent readers build
+  /// them; built codes are read without it, as the member table is, and
+  /// only a mutation of the dimension (which excludes readers) changes
+  /// them. Copies carry the built codes.
+  class CodeCache {
+   public:
+    CodeCache() = default;
+    CodeCache(const CodeCache& other) : by_column_(other.Clone()) {}
+    CodeCache(CodeCache&& other) noexcept : by_column_(other.Take()) {}
+    CodeCache& operator=(CodeCache other) noexcept;
+
+    /// The codes of column `column` of `members`, built first when they
+    /// are not.
+    const AttributeCodes& Get(const Table& members, size_t column) const
+        EXCLUDES(mu_);
+
+    /// Extends the built codes over the members `members` gained.
+    void Extend(const Table& members) EXCLUDES(mu_);
+
+   private:
+    using Slots = std::vector<std::unique_ptr<AttributeCodes>>;
+    Slots Clone() const EXCLUDES(mu_);
+    Slots Take() EXCLUDES(mu_);
+
+    mutable Mutex mu_;
+    // unique_ptr: growing the slots never moves codes a reader holds.
+    mutable Slots by_column_ GUARDED_BY(mu_);
+  };
+
   DimensionDef def_;
   Table table_;
   std::optional<MemberIndex> index_;
+  CodeCache codes_;
 };
 
 /// Key-integrity summary produced by CheckIntegrity().

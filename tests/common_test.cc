@@ -4,11 +4,13 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <set>
 #include <string_view>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/date.h"
@@ -336,6 +338,67 @@ TEST(StringsTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(2.5), "2.5");
   EXPECT_EQ(FormatDouble(2.50000001, 4), "2.5");
   EXPECT_EQ(FormatDouble(-0.25), "-0.25");
+}
+
+// printf("%.*f") into a buffer that holds any double, with FormatDouble's
+// trailing zeros trimmed: the spelling FormatDouble promises.
+std::string ReferenceFormatDouble(double value, int precision) {
+  std::vector<char> buf(400 + static_cast<size_t>(precision));
+  std::snprintf(buf.data(), buf.size(), "%.*f", precision, value);
+  std::string out(buf.data());
+  if (out.find('.') != std::string::npos) {
+    size_t last = out.find_last_not_of('0');
+    if (out[last] == '.') --last;
+    out.erase(last + 1);
+  }
+  return out;
+}
+
+TEST(StringsTest, FormatDoubleMatchesPrintfOnSeededValues) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 1e-7, 5e-7, 4.9e-324, 2.2250738585072014e-308,
+      123456.7890125, 9007199254740993.0, 1e22, 1e23, 1e300, -2.5e200,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(20130408);
+  for (int i = 0; i < 5000; ++i) {
+    uint64_t bits = rng.NextUint64();
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);  // any bit pattern: NaNs, subnormals, huge
+    values.push_back(rng.Uniform(-1e6, 1e6));
+    values.push_back(static_cast<double>(rng.UniformInt(-100000, 100000)) /
+                     1000.0);
+  }
+  for (double v : values) {
+    for (int precision : {0, 1, 4, 6, 17}) {
+      ASSERT_EQ(FormatDouble(v, precision), ReferenceFormatDouble(v, precision))
+          << "precision " << precision;
+    }
+  }
+}
+
+TEST(StringsTest, FormatDoubleKeepsEveryIntegerDigit) {
+  // 63 and more integer digits were once cut to 63 characters.
+  EXPECT_EQ(FormatDouble(1e300), ReferenceFormatDouble(1e300, 6));
+  EXPECT_EQ(FormatDouble(1e300).size(), 301u);
+  EXPECT_EQ(FormatDouble(1e300).substr(0, 17), "10000000000000000");
+  EXPECT_EQ(FormatDouble(-2.5e200).size(), 202u);
+  EXPECT_EQ(FormatDouble(-2.5e200), ReferenceFormatDouble(-2.5e200, 6));
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(FormatDouble(max).size(), 309u);
+  EXPECT_EQ(FormatDouble(max).substr(0, 20), "17976931348623157081");
+  EXPECT_EQ(FormatDouble(max), ReferenceFormatDouble(max, 6));
+  for (double v : {1e300, -2.5e200, max}) {
+    double back = 0;
+    ASSERT_TRUE(TryParseDouble(FormatDouble(v), &back)) << v;
+    EXPECT_EQ(back, v);
+  }
+  std::string appended = "x=";
+  AppendDouble(&appended, 2.5);
+  EXPECT_EQ(appended, "x=2.5");
 }
 
 TEST(StringsTest, StrFormat) {

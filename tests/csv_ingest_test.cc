@@ -117,15 +117,21 @@ Digest Load(const std::string& csv, Mode mode) {
   return loaded.ok() ? DigestOf(*loaded) : Digest{};
 }
 
-// `cohort` as CSV with an empty string in every fifth Education, beside
-// the nulls, written so that the two stay apart.
-std::string QuotedEmptyCsv(Table cohort) {
+// `cohort` with an empty string in every fifth Education, beside the
+// nulls.
+Table WithEmptyEducation(Table cohort) {
   for (size_t r = 0; r < cohort.num_rows(); r += 5) {
     EXPECT_TRUE(cohort.SetCell(r, "Education", Value::Str("")).ok());
   }
+  return cohort;
+}
+
+// WithEmptyEducation(cohort) as CSV, written so that the empty strings
+// and the nulls stay apart.
+std::string QuotedEmptyCsv(Table cohort) {
   CsvWriteOptions write;
   write.quote_empty_strings = true;
-  return cohort.ToCsv(write);
+  return WithEmptyEducation(std::move(cohort)).ToCsv(write);
 }
 
 class CohortDigestTest : public testing::TestWithParam<CohortCase> {};
@@ -203,6 +209,112 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CsvIngestTest, ExploreSizedCohortDigest) {
   EXPECT_EQ(Load(Cohort(8100, 20130408).ToCsv(), Mode::kStrict),
             (Digest{22382, 8763554, 0xe4c15712}));
+}
+
+// ------------------------------------------------------------ the writer
+
+// A table's row count plus the size and CRC32C of its CSV text.
+Digest CsvDigestOf(const Table& table, const CsvWriteOptions& options) {
+  const std::string text = table.ToCsv(options);
+  return Digest{table.num_rows(), text.size(), Crc32c(text)};
+}
+
+struct WriterCase {
+  size_t patients;
+  uint64_t seed;
+  // Table::ToCsv of the cohort; of WithEmptyEducation(cohort); and of
+  // that with quote_empty_strings.
+  Digest plain, empties, quoted_empties;
+};
+
+void PrintTo(const WriterCase& c, std::ostream* os) {
+  *os << c.patients << " patients, seed " << c.seed;
+}
+
+class CsvWriterDigestTest : public testing::TestWithParam<WriterCase> {};
+
+TEST_P(CsvWriterDigestTest, ToCsvWritesTheSameBytes) {
+  const WriterCase& c = GetParam();
+  const Table cohort = Cohort(c.patients, c.seed);
+  EXPECT_EQ(CsvDigestOf(cohort, {}), c.plain);
+  const Table empties = WithEmptyEducation(cohort);
+  EXPECT_EQ(CsvDigestOf(empties, {}), c.empties);
+  CsvWriteOptions write;
+  write.quote_empty_strings = true;
+  EXPECT_EQ(CsvDigestOf(empties, write), c.quoted_empties);
+}
+
+// Measured with the field-by-field writer (a Value and a std::string
+// per cell) that the in-place writer replaced.
+INSTANTIATE_TEST_SUITE_P(
+    Cohorts, CsvWriterDigestTest,
+    testing::Values(WriterCase{900,
+                               20130408,
+                               {2470, 943459, 0x617f89aa},
+                               {2470, 939243, 0xe39ca284},
+                               {2470, 940231, 0xeac8a702}},
+                    WriterCase{8100,
+                               20130408,
+                               {22382, 8557230, 0xa5907262},
+                               {22382, 8519033, 0x6fd6efdb},
+                               {22382, 8527987, 0xb506e126}}),
+    [](const testing::TestParamInfo<WriterCase>& info) {
+      return "Patients" + std::to_string(info.param.patients) + "Seed" +
+             std::to_string(info.param.seed);
+    });
+
+// ToCsv written field by field, the way the in-place writer replaced:
+// a Value and its spelling per cell, quoted by FormatCsvField.
+std::string FieldByFieldCsv(const Table& t, const CsvWriteOptions& options) {
+  std::vector<std::string> header;
+  for (const Field& f : t.schema().fields()) header.push_back(f.name);
+  std::string out = FormatCsvLine(header, options.delimiter) + "\n";
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (c > 0) out.push_back(options.delimiter);
+      const std::string cell = t.column(c).GetValue(r).ToString();
+      out += FormatCsvField(
+          cell, options.delimiter,
+          options.quote_empty_strings && cell.empty() && !t.column(c).IsNull(r));
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(CsvIngestTest, ToCsvQuotesEveryTypeLikeFormatCsvField) {
+  auto schema = Schema::Make({{"s", DataType::kString},
+                              {"i", DataType::kInt64},
+                              {"d", DataType::kDouble},
+                              {"b", DataType::kBool},
+                              {"day", DataType::kDate},
+                              {"a,b \"c\"", DataType::kString}});
+  Table t(std::move(schema).value());
+  const Date early = Date::FromYmd(-5, 3, 1).value();
+  const Date late = Date::FromYmd(12345, 12, 31).value();
+  const std::vector<Row> rows = {
+      {Value::Str("plain"), Value::Int(-42), Value::Real(-0.25),
+       Value::Bool(true), Value::FromDate(early), Value::Str("")},
+      {Value::Str(""), Value::Int(std::numeric_limits<int64_t>::min()),
+       Value::Real(1e300), Value::Bool(false), Value::FromDate(late),
+       Value::Null()},
+      {Value::Str("say \"hi\", then\nleave\r"), Value::Int(0),
+       Value::Real(std::numeric_limits<double>::quiet_NaN()), Value::Null(),
+       Value::Null(), Value::Str("tab\there; pipe|dot.dash-")},
+      {Value::Null(), Value::Null(), Value::Real(-0.0), Value::Bool(true),
+       Value::FromDate(Date(0)), Value::Str("5e3")}};
+  for (const Row& row : rows) ASSERT_TRUE(t.AppendRow(row).ok());
+  for (char delim : {',', ';', '\t', '|', '.', '-', '0', '5', 't', 'e', 'n',
+                     ' ', ':'}) {
+    for (bool quote_empty : {false, true}) {
+      CsvWriteOptions options;
+      options.delimiter = delim;
+      options.quote_empty_strings = quote_empty;
+      EXPECT_EQ(t.ToCsv(options), FieldByFieldCsv(t, options))
+          << "delimiter '" << delim << "', quote_empty_strings "
+          << quote_empty;
+    }
+  }
 }
 
 // ------------------------------------------------ the corrupt sample

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/resource.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "core/baseline.h"
 #include "discri/cohort.h"
@@ -434,6 +438,18 @@ TEST_F(CubeKernelTest, FortyThousandRowsFiveMeasures) {
   Cube cube = ExpectMatchesBaseline(q);
   EXPECT_EQ(cube.num_cells(), 14u);
   EXPECT_EQ(cube.facts_aggregated(), 40000u);
+}
+
+// Past three axes the scan's axis loop has a runtime length.
+TEST_F(CubeKernelTest, FourAxesTakeTheRuntimeLengthLoop) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "G", {}}, AxisSpec{"D", "B", {}},
+            AxisSpec{"D", "N", {}},
+            AxisSpec{"D", "K", {Value::Int(10), Value::Int(30)}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "DV", "avg"},
+                AggSpec{AggFn::kMin, "V", "lo"}};
+  ExpectMatchesBaseline(q);
 }
 
 TEST_F(CubeKernelTest, AllAggregatesOverNullableIntAndDouble) {
@@ -1256,6 +1272,348 @@ TEST_F(CubeNavigationTest, DerivedCubesAreChargedToTheCubePool) {
   EXPECT_EQ(From(), "cube");
   ASSERT_TRUE(rolled.ok());
   EXPECT_EQ(after - before, rolled->ApproxBytes());
+}
+
+// ------------------------------------------------------ codes at rest
+
+// A cube spelled out: its query, fact and cell counts, each axis's
+// members in order with their types, and every cell's coordinates,
+// measure values (doubles by their bits) and fact count.
+std::string CubeText(const Result<Cube>& cube) {
+  if (!cube.ok()) return "error: " + cube.status().ToString();
+  auto spell = [](const Value& v) {
+    std::string s = std::string(DataTypeName(v.type())) + ":";
+    if (v.type() == DataType::kDouble) {
+      return s + StrFormat("%016llx", static_cast<unsigned long long>(
+                                           std::bit_cast<uint64_t>(
+                                               v.double_value())));
+    }
+    return s + v.ToString();
+  };
+  std::string out = cube->query().ToString() + "\nfacts " +
+                    std::to_string(cube->facts_aggregated()) + ", cells " +
+                    std::to_string(cube->num_cells());
+  for (size_t a = 0; a < cube->num_axes(); ++a) {
+    out += "\naxis";
+    for (const Value& m : cube->AxisMembers(a)) {
+      out += ' ';
+      out += spell(m);
+    }
+  }
+  auto table = cube->ToTable();
+  if (!table.ok()) return out + "\nToTable: " + table.status().ToString();
+  for (size_t r = 0; r < table->num_rows(); ++r) {
+    out += "\n ";
+    std::vector<Value> coord;
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      const Value v = table->column(c).GetValue(r);
+      if (c < cube->num_axes()) coord.push_back(v);
+      out += ' ';
+      out += spell(v);
+    }
+    out += " n=" + std::to_string(cube->CellCount(coord));
+  }
+  return out;
+}
+
+// Attributes of every column type: string and int64 in Patient; double,
+// bool, date and a string that gains nulls in Lab.
+StarSchemaDef CodesSchema() {
+  StarSchemaDef def;
+  def.fact_name = "F";
+  def.dimensions = {
+      DimensionDef{"Patient", {"Ward", "Level"}, {}},
+      DimensionDef{"Lab", {"Score", "Flag", "Seen", "Band"}, {}}};
+  def.measures = {MeasureDef{"V", "V"}, MeasureDef{"N", "N"}};
+  return def;
+}
+
+// The extract's columns; `score` is Score's type (int64 spells a batch's
+// scores as integers).
+Table CodesTable(DataType score = DataType::kDouble) {
+  auto schema = Schema::Make({{"Ward", DataType::kString},
+                              {"Level", DataType::kInt64},
+                              {"Score", score},
+                              {"Flag", DataType::kBool},
+                              {"Seen", DataType::kDate},
+                              {"Band", DataType::kString},
+                              {"V", DataType::kDouble},
+                              {"N", DataType::kInt64}});
+  return Table(std::move(schema).value());
+}
+
+// `n` seeded rows over the given attribute values; V and N are nullable
+// measures.
+void AddCodesRows(Table* t, Rng& rng, size_t n,
+                  const std::vector<std::string>& wards,
+                  const std::vector<int64_t>& levels,
+                  const std::vector<Value>& scores,
+                  const std::vector<int32_t>& days,
+                  const std::vector<Value>& bands) {
+  auto pick = [&rng](const auto& values) {
+    return values[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1))];
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t draw = rng.UniformInt(0, 99);
+    Row row = {Value::Str(pick(wards)),
+               Value::Int(pick(levels)),
+               pick(scores),
+               Value::Bool(draw % 2 == 0),
+               Value::FromDate(Date(pick(days))),
+               pick(bands),
+               draw % 7 == 0 ? Value::Null()
+                             : Value::Real(rng.Uniform(-50.0, 50.0) / 3.0),
+               draw % 5 == 0 ? Value::Null() : Value::Int(draw - 40)};
+    ASSERT_TRUE(t->AppendRow(row).ok());
+  }
+}
+
+class CodesAtRestTest : public ::testing::Test {
+ protected:
+  // The base rows, then three batches: the first mints values of every
+  // attribute; the second spells scores as int64 (5 is the base's 5.0,
+  // 11 is new) and brings the first null Band; the third carries the
+  // values the queries' restrictions and slicers name, which no earlier
+  // row has.
+  static void SetUpTestSuite() {
+    Rng rng(20130408);
+    base_ = new Table(CodesTable());
+    AddCodesRows(base_, rng, 400, {"W1", "W2", "W3", "W4"}, {1, 2, 3},
+                 {Value::Real(0.5), Value::Real(1.5), Value::Real(5.0),
+                  Value::Real(2.25)},
+                 {15000, 15001, 15002, 15003},
+                 {Value::Str("lo"), Value::Str("hi")});
+    batches_ = new std::vector<Table>;
+    batches_->push_back(CodesTable());
+    AddCodesRows(&batches_->back(), rng, 60, {"W9", "W2"}, {7, 1},
+                 {Value::Real(9.75), Value::Real(1.5)}, {16000, 15001},
+                 {Value::Str("mid"), Value::Str("lo")});
+    batches_->push_back(CodesTable(DataType::kInt64));
+    AddCodesRows(&batches_->back(), rng, 60, {"W3", "W9"}, {2, 7},
+                 {Value::Int(5), Value::Int(11)}, {15003, 16000},
+                 {Value::Null(), Value::Str("hi")});
+    batches_->push_back(CodesTable());
+    AddCodesRows(&batches_->back(), rng, 60, {"W-late", "W1"}, {12, 3},
+                 {Value::Real(12.5), Value::Real(0.5)}, {17000, 15000},
+                 {Value::Str("late"), Value::Null()});
+  }
+
+  static void TearDownTestSuite() {
+    delete base_;
+    delete batches_;
+  }
+
+  // The base rows and the first `batches` batches in one table.
+  static Table Rows(size_t batches) {
+    Table all = CodesTable();
+    EXPECT_TRUE(all.Concat(*base_).ok());
+    for (size_t b = 0; b < batches; ++b) {
+      const Table& batch = (*batches_)[b];
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        EXPECT_TRUE(all.AppendRow(batch.GetRow(r)).ok());
+      }
+    }
+    return all;
+  }
+
+  static Warehouse Build(const Table& rows) {
+    auto wh = StarSchemaBuilder(CodesSchema()).Build(rows);
+    EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+    return std::move(wh).value();
+  }
+
+  // Cubes over every attribute: each alone and in pairs, restricted to
+  // listed members (new, absent, null, respelled and repeated ones), and
+  // sliced by values only the last batch has.
+  static std::vector<CubeQuery> Queries() {
+    const std::vector<AggSpec> measures = {
+        {AggFn::kCount, "", "n"},         {AggFn::kSum, "V", "s"},
+        {AggFn::kAvg, "N", "a"},          {AggFn::kVariance, "V", "var"},
+        {AggFn::kStdDev, "N", "sd"},      {AggFn::kCountValid, "V", "cv"},
+        {AggFn::kMin, "V", "lo"},         {AggFn::kMax, "N", "hi"},
+        {AggFn::kCountDistinct, "N", "d"}};
+    const std::vector<AxisSpec> attributes = {
+        {"Patient", "Ward", {}}, {"Patient", "Level", {}},
+        {"Lab", "Score", {}},    {"Lab", "Flag", {}},
+        {"Lab", "Seen", {}},     {"Lab", "Band", {}}};
+    const Value late_day = Value::FromDate(Date(17000));
+    std::vector<CubeQuery> out;
+    auto add = [&](std::vector<AxisSpec> axes,
+                   std::vector<SlicerSpec> slicers) {
+      CubeQuery q;
+      q.axes = std::move(axes);
+      q.slicers = std::move(slicers);
+      q.measures = measures;
+      out.push_back(q);
+      q.non_empty = false;
+      out.push_back(std::move(q));
+    };
+    for (const AxisSpec& a : attributes) add({a}, {});
+    for (size_t i = 0; i < attributes.size(); ++i) {
+      add({attributes[i], attributes[(i + 1) % attributes.size()]}, {});
+    }
+    add({{"Patient", "Ward",
+          {Value::Str("W-late"), Value::Str("W9"), Value::Str("absent"),
+           Value::Str("W1"), Value::Str("W9")}}},
+        {});
+    add({{"Lab", "Score",
+          {Value::Int(5), Value::Real(12.5), Value::Int(11), Value::Null(),
+           Value::Str("5")}},
+         {"Lab", "Band",
+          {Value::Null(), Value::Str("late"), Value::Str("mid"),
+           Value::Str("lo")}}},
+        {});
+    add({{"Patient", "Level", {Value::Real(12.0), Value::Int(7)}},
+         {"Lab", "Seen", {late_day, Value::FromDate(Date(15000))}}},
+        {});
+    add({{"Patient", "Ward", {}}},
+        {{"Lab", "Band", {Value::Str("late")}},
+         {"Lab", "Seen", {late_day, Value::Null()}}});
+    add({{"Lab", "Band", {}}},
+        {{"Patient", "Ward", {Value::Str("W-late"), Value::Str("W9")}}});
+    add({{"Lab", "Flag", {}}},
+        {{"Lab", "Score", {Value::Int(5), Value::Real(11.0)}},
+         {"Patient", "Level", {Value::Real(12.0), Value::Int(2)}}});
+    add({{"Patient", "Level", {}}}, {{"Lab", "Band", {Value::Null()}}});
+    add({}, {{"Lab", "Score", {Value::Real(12.5)}}});
+    return out;
+  }
+
+  // Runs every query, which codes every attribute `wh` has.
+  static void CodeEveryAttribute(const Warehouse& wh) {
+    for (const CubeQuery& q : Queries()) {
+      EXPECT_TRUE(CubeEngine(&wh).Execute(q).ok()) << q.ToString();
+    }
+  }
+
+  // Every query answers on `got` as on `want`.
+  static void ExpectSameCubes(const Warehouse& got, const Warehouse& want,
+                              const std::string& context) {
+    for (const CubeQuery& q : Queries()) {
+      EXPECT_EQ(CubeText(CubeEngine(&got).Execute(q)),
+                CubeText(CubeEngine(&want).Execute(q)))
+          << context;
+    }
+  }
+
+  static Table* base_;
+  static std::vector<Table>* batches_;
+};
+
+Table* CodesAtRestTest::base_ = nullptr;
+std::vector<Table>* CodesAtRestTest::batches_ = nullptr;
+
+TEST_F(CodesAtRestTest, AppendsExtendTheCodesLikeARebuild) {
+  Warehouse wh = Build(*base_);
+  ExpectSameCubes(wh, Build(Rows(0)), "before any append");  // codes built
+  for (size_t b = 0; b < batches_->size(); ++b) {
+    ASSERT_TRUE(wh.AppendRows((*batches_)[b]).ok());
+    ExpectSameCubes(wh, Build(Rows(b + 1)),
+                    "after batch " + std::to_string(b + 1));
+  }
+  // The restrictions and slicers found the last batch's values.
+  CubeQuery q;
+  q.slicers = {{"Lab", "Band", {Value::Str("late")}}};
+  q.measures = {{AggFn::kCount, "", "n"}};
+  auto late = CubeEngine(&wh).Execute(q);
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_GT(late->facts_aggregated(), 0u);
+}
+
+TEST_F(CodesAtRestTest, ACopyKeepsItsOwnCodes) {
+  Warehouse original = Build(*base_);
+  ExpectSameCubes(original, Build(Rows(0)), "original");
+  Warehouse copy = original;
+  for (const Table& batch : *batches_) {
+    ASSERT_TRUE(copy.AppendRows(batch).ok());
+  }
+  ExpectSameCubes(copy, Build(Rows(batches_->size())), "appended copy");
+  ExpectSameCubes(original, Build(Rows(0)), "original after the copy grew");
+  Warehouse assigned = Build(Rows(1));
+  assigned = original;  // takes the original's codes
+  ASSERT_TRUE(assigned.AppendRows((*batches_)[0]).ok());
+  ExpectSameCubes(assigned, Build(Rows(1)), "assigned, then appended");
+}
+
+TEST_F(CodesAtRestTest, DerivedAttributesAndFeedbackDimensionsAreCoded) {
+  auto ward_level = [](const Dimension& dim, int64_t key) {
+    Value ward = dim.AttributeValue(key, "Ward").value();
+    Value level = dim.AttributeValue(key, "Level").value();
+    return Value::Str(ward.ToString() + "/" + level.ToString());
+  };
+  auto risk = [](const Warehouse& w, size_t row) {
+    const ColumnVector& v = *w.fact().ColumnByName("V").value();
+    if (v.IsNull(row)) return Value::Null();
+    return Value::Str(v.doubles()[row] > 0 ? "high" : "low");
+  };
+  Warehouse wh = Build(*base_);
+  for (const Table& batch : *batches_) {
+    CodeEveryAttribute(wh);
+    ASSERT_TRUE(wh.AppendRows(batch).ok());
+  }
+  Warehouse want = Build(Rows(batches_->size()));
+  for (Warehouse* w : {&wh, &want}) {
+    ASSERT_TRUE(w->mutable_dimension("Patient")
+                    .value()
+                    ->AddDerivedAttribute("WardLevel", DataType::kString,
+                                          ward_level)
+                    .ok());
+    ASSERT_TRUE(w->AddFeedbackDimension("Risk", "RiskLabel", risk).ok());
+  }
+  ExpectSameCubes(wh, want, "after the derived attribute");
+  CubeQuery q;
+  q.axes = {AxisSpec{"Patient", "WardLevel", {}},
+            AxisSpec{"Risk", "RiskLabel", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "V", "a"}};
+  EXPECT_EQ(CubeText(CubeEngine(&wh).Execute(q)),
+            CubeText(CubeEngine(&want).Execute(q)));
+  q.axes[0].members = {Value::Str("W-late/12"), Value::Str("W1/1")};
+  q.slicers = {SlicerSpec{"Risk", "RiskLabel", {Value::Str("high")}}};
+  auto got = CubeEngine(&wh).Execute(q);
+  EXPECT_EQ(CubeText(got), CubeText(CubeEngine(&want).Execute(q)));
+  ASSERT_TRUE(got.ok());
+  EXPECT_GT(got->facts_aggregated(), 0u);
+}
+
+// Queries on many threads build one warehouse's codes at once.
+class CubeConcurrencyTest : public CodesAtRestTest {};
+
+// Each thread's answers equal the serial ones from a second warehouse
+// built from the same rows.
+TEST_F(CubeConcurrencyTest, ThreadsCodingOneWarehouseAnswerLikeOne) {
+  const Table rows = Rows(batches_->size());
+  const Warehouse shared = Build(rows);  // no query has coded it yet
+  const Warehouse serial_wh = Build(rows);
+  const std::vector<CubeQuery> queries = Queries();
+  std::vector<std::string> serial;
+  for (const CubeQuery& q : queries) {
+    serial.push_back(CubeText(CubeEngine(&serial_wh).Execute(q)));
+  }
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<std::string>> answers(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Each thread starts at a different query, so the first uses of
+      // an attribute overlap.
+      answers[t].resize(queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t q = (i + t * 3) % queries.size();
+        answers[t][q] = CubeText(CubeEngine(&shared).Execute(queries[q]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(answers[t][q], serial[q]) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

@@ -211,5 +211,55 @@ TEST_F(SqlTest, SumCountDistinctStddev) {
   EXPECT_EQ(*result->GetCell(0, "genders"), Value::Int(2));
 }
 
+TEST_F(SqlTest, AggregateOverZeroRowsAnswersOneRow) {
+  auto result = engine_.Execute(
+      "SELECT count(*) AS n, count(FBG) AS c, count_valid(FBG) AS v, "
+      "count_distinct(Gender) AS d, sum(Age) AS s, avg(FBG) AS a, "
+      "min(Age) AS lo, max(Visit) AS hi, stddev(FBG) AS sd "
+      "FROM patients WHERE Age > 1000");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 1u);
+  for (const char* count : {"n", "c", "v", "d"}) {
+    EXPECT_EQ(*result->GetCell(0, count), Value::Int(0)) << count;
+    EXPECT_EQ(result->GetCell(0, count)->type(), DataType::kInt64) << count;
+  }
+  for (const char* other : {"s", "a", "lo", "hi", "sd"}) {
+    EXPECT_TRUE(result->GetCell(0, other)->is_null()) << other;
+  }
+}
+
+TEST_F(SqlTest, AggregateOverAnEmptyTableAnswersOneRow) {
+  Table empty(patients_.schema());
+  engine_.RegisterTable("nobody", &empty);
+  auto result = engine_.Execute("SELECT COUNT(*) FROM nobody");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 1u);
+  EXPECT_EQ(*result->GetCell(0, "count(*)"), Value::Int(0));
+  // ORDER BY leaves the one row; LIMIT 0 still answers none.
+  auto ordered = engine_.Execute(
+      "SELECT sum(Age) AS s FROM nobody ORDER BY s DESC LIMIT 5");
+  ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+  ASSERT_EQ(ordered->num_rows(), 1u);
+  EXPECT_TRUE(ordered->GetCell(0, "s")->is_null());
+  auto limited = engine_.Execute("SELECT count(*) FROM nobody LIMIT 0");
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  EXPECT_EQ(limited->num_rows(), 0u);
+}
+
+TEST_F(SqlTest, GroupByOverZeroRowsAnswersNoRow) {
+  auto result = engine_.Execute(
+      "SELECT Gender, count(*) AS n FROM patients WHERE Age > 1000 "
+      "GROUP BY Gender");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_rows(), 0u);
+  EXPECT_EQ(result->num_columns(), 2u);
+  // A non-empty input keeps its usual answer.
+  auto some = engine_.Execute(
+      "SELECT count(*) AS n FROM patients WHERE Age > 60");
+  ASSERT_TRUE(some.ok()) << some.status().ToString();
+  ASSERT_EQ(some->num_rows(), 1u);
+  EXPECT_EQ(*some->GetCell(0, "n"), Value::Int(3));
+}
+
 }  // namespace
 }  // namespace ddgms

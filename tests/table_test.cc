@@ -420,6 +420,25 @@ TEST(TableTest, CsvRoundTrip) {
   EXPECT_EQ(back->schema().field(2).type, DataType::kDouble);
 }
 
+TEST(TableTest, CsvRoundTripKeepsHugeDoubles) {
+  // Doubles with 63 or more integer digits were once written cut short:
+  // 1e300 came back as 1e+62.
+  const double max = std::numeric_limits<double>::max();
+  auto schema = Schema::Make({{"x", DataType::kDouble}});
+  Table t(std::move(schema).value());
+  for (double v : {1e300, -2.5e200, max, 0.5}) {
+    ASSERT_TRUE(t.AppendRow({Value::Real(v)}).ok());
+  }
+  auto back = Table::FromCsv(t.ToCsv());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->schema().field(0).type, DataType::kDouble);
+  ASSERT_EQ(back->num_rows(), 4u);
+  EXPECT_EQ(back->column(0).DoubleAt(0), 1e300);
+  EXPECT_EQ(back->column(0).DoubleAt(1), -2.5e200);
+  EXPECT_EQ(back->column(0).DoubleAt(2), max);
+  EXPECT_EQ(back->column(0).DoubleAt(3), 0.5);
+}
+
 TEST(TableTest, CsvTypeInference) {
   auto t = Table::FromCsv(
       "i,d,s,b,date\n1,1.5,x,true,2020-01-02\n2,2,y,false,2021-03-04\n");
