@@ -469,8 +469,7 @@ Status HttpServer::ServeConnection(int fd) {
     return status;
   }
 
-  TraceSpan span("server.request");
-  ScopedLatencyTimer timer("ddgms.server.request_latency_us");
+  TraceSpan span("server.request", "ddgms.server.request_latency_us");
   DDGMS_METRIC_INC("ddgms.server.requests");
 
   HttpResponse response;

@@ -474,23 +474,4 @@ std::string MetricsSnapshot::ToPrometheusText() const {
   return out;
 }
 
-ScopedLatencyTimer::ScopedLatencyTimer(const char* histogram_name)
-    : name_(histogram_name) {
-  if (!MetricsRegistry::Enabled()) return;
-  active_ = true;
-  start_ = std::chrono::steady_clock::now();
-}
-
-double ScopedLatencyTimer::ElapsedMicros() const {
-  if (!active_) return 0.0;
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
-ScopedLatencyTimer::~ScopedLatencyTimer() {
-  if (!active_) return;
-  MetricsRegistry::Global().GetHistogram(name_).Observe(ElapsedMicros());
-}
-
 }  // namespace ddgms

@@ -2,7 +2,6 @@
 #define DDGMS_COMMON_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -172,27 +171,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       GUARDED_BY(mu_);
   static std::atomic<bool> enabled_;
-};
-
-/// RAII latency recorder: observes the elapsed wall time in
-/// microseconds into `histogram_name` on destruction. When the
-/// registry is disabled at construction the timer is fully inert (no
-/// clock read, no lookup).
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(const char* histogram_name);
-  ~ScopedLatencyTimer();
-
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-
-  /// Elapsed microseconds so far (0 when inert). Mostly for tests.
-  double ElapsedMicros() const;
-
- private:
-  const char* name_;
-  bool active_ = false;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Call-site helpers matching the DDGMS_FAULT_POINT idiom: one relaxed

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/annotations.h"
+#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace ddgms {
@@ -67,10 +68,10 @@ TraceCollector& TraceCollector::Global() {
   return *collector;
 }
 
-uint64_t TraceCollector::NowMicros() const {
+uint64_t TraceCollector::MicrosAt(
+    std::chrono::steady_clock::time_point t) const {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
+      std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
           .count());
 }
 
@@ -253,16 +254,21 @@ std::string TraceCollector::ToJson() const {
   return out;
 }
 
-TraceSpan::TraceSpan(const char* name) {
-  if (!TraceCollector::Enabled()) return;
-  active_ = true;
+TraceSpan::TraceSpan(const char* name, const char* histogram, bool timed)
+    : active_(TraceCollector::Enabled()) {
+  if (histogram != nullptr && MetricsRegistry::Enabled()) {
+    histogram_ = histogram;
+  }
+  timed_ = timed || active_ || histogram_ != nullptr;
+  if (!timed_) return;
+  start_ = std::chrono::steady_clock::now();
+  if (!active_) return;
   TraceCollector& collector = TraceCollector::Global();
   record_.id = collector.NextId();
   record_.parent_id = tls_current_span;
   record_.depth = tls_depth;
   record_.name = name;
-  record_.start_us = collector.NowMicros();
-  start_ = std::chrono::steady_clock::now();
+  record_.start_us = collector.MicrosAt(start_);
   saved_parent_ = tls_current_span;
   saved_grandparent_ = tls_parent_span;
   saved_depth_ = tls_depth;
@@ -271,15 +277,25 @@ TraceSpan::TraceSpan(const char* name) {
   tls_depth = tls_depth + 1;
 }
 
+double TraceSpan::Stop() {
+  if (!timed_ || stopped_) return micros_;
+  stopped_ = true;
+  micros_ = std::chrono::duration<double, std::micro>(
+                std::chrono::steady_clock::now() - start_)
+                .count();
+  if (histogram_ != nullptr) {
+    MetricsRegistry::Global().GetHistogram(histogram_).Observe(micros_);
+  }
+  return micros_;
+}
+
 TraceSpan::~TraceSpan() {
+  Stop();
   if (!active_) return;
   tls_current_span = saved_parent_;
   tls_parent_span = saved_grandparent_;
   tls_depth = saved_depth_;
-  record_.duration_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
+  record_.duration_us = static_cast<uint64_t>(micros_);
   TraceCollector::Global().Record(std::move(record_));
 }
 

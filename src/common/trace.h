@@ -22,9 +22,13 @@ namespace ddgms {
 /// fixed-capacity ring buffer (oldest evicted first) that the shell's
 /// `trace` command renders as a tree.
 ///
+/// A span may also name a latency histogram, which the same two clock
+/// readings feed while the metrics registry is enabled.
+///
 /// Like common/faults and common/metrics the collector is compiled in
-/// but inert by default: a disabled TraceSpan costs one relaxed
-/// atomic load and nothing else (no clock read, no allocation).
+/// but inert by default: a span with every collector off costs a
+/// relaxed atomic load per collector and nothing else (no clock read,
+/// no allocation).
 /// -------------------------------------------------------------------
 
 /// One finished span as stored by the collector.
@@ -82,7 +86,11 @@ class TraceCollector {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
   /// Microseconds since the collector epoch.
-  uint64_t NowMicros() const;
+  uint64_t NowMicros() const {
+    return MicrosAt(std::chrono::steady_clock::now());
+  }
+  /// Microseconds from the collector epoch to `t`.
+  uint64_t MicrosAt(std::chrono::steady_clock::time_point t) const;
 
   /// Id of the innermost live span on the calling thread (0 when no
   /// span is open, or tracing was disabled when it opened). The event
@@ -110,13 +118,15 @@ class TraceCollector {
 /// RAII span: opens on construction, records on destruction. Must be
 /// destroyed on the thread that created it (parentage is tracked in a
 /// thread-local stack). When the collector is disabled at construction
-/// the span is inert and every method is a no-op.
+/// the span is inert and every attribute method is a no-op.
 class TraceSpan {
  public:
   /// `name` should be a stable operation identifier
   /// ("warehouse.build", "etl.step"); put variable detail in
   /// attributes so disabled call sites never build strings.
-  explicit TraceSpan(const char* name);
+  /// `histogram` names a latency histogram, in microseconds.
+  explicit TraceSpan(const char* name, const char* histogram = nullptr)
+      : TraceSpan(name, histogram, /*timed=*/false) {}
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -124,6 +134,12 @@ class TraceSpan {
 
   bool active() const { return active_; }
   uint64_t id() const { return record_.id; }
+
+  /// Takes the closing clock reading (once) and observes the histogram;
+  /// returns the duration in microseconds, 0 with no clock read. The span
+  /// stays the thread's innermost until destroyed, so events logged
+  /// after Stop() still carry its id.
+  double Stop();
 
   /// Attaches key=value detail (no-op when inert).
   void SetAttribute(const std::string& key, std::string value);
@@ -138,8 +154,17 @@ class TraceSpan {
     SetAttribute(key, std::to_string(value));
   }
 
+ protected:
+  /// `timed`: read the clock even with every collector off, for a
+  /// subclass with a sink of its own (olap::Stage's plan node).
+  TraceSpan(const char* name, const char* histogram, bool timed);
+
  private:
   bool active_ = false;
+  bool timed_ = false;
+  bool stopped_ = false;
+  const char* histogram_ = nullptr;  // null unless a sample is owed
+  double micros_ = 0.0;
   SpanRecord record_;
   std::chrono::steady_clock::time_point start_;
   uint64_t saved_parent_ = 0;

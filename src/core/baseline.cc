@@ -5,6 +5,20 @@
 
 namespace ddgms::core {
 
+namespace {
+
+/// Rows whose `attribute` is one of `members`. `In` never matches a
+/// null row, so a listed null adds the nulls, as the cube engine does.
+PredicatePtr MemberOf(const std::string& attribute,
+                      const std::vector<Value>& members) {
+  for (const Value& m : members) {
+    if (m.is_null()) return Or(In(attribute, members), IsNull(attribute));
+  }
+  return In(attribute, members);
+}
+
+}  // namespace
+
 Result<Table> BaselineDgms::Execute(const olap::CubeQuery& query) const {
   if (flat_ == nullptr) {
     return Status::InvalidArgument("baseline has no table");
@@ -14,13 +28,13 @@ Result<Table> BaselineDgms::Execute(const olap::CubeQuery& query) const {
   }
   std::vector<PredicatePtr> preds;
   for (const olap::SlicerSpec& s : query.slicers) {
-    preds.push_back(In(s.attribute, s.values));
+    preds.push_back(MemberOf(s.attribute, s.values));
   }
   std::vector<std::string> group_by;
   for (const olap::AxisSpec& a : query.axes) {
     group_by.push_back(a.attribute);
     if (!a.members.empty()) {
-      preds.push_back(In(a.attribute, a.members));
+      preds.push_back(MemberOf(a.attribute, a.members));
     }
   }
   TableQuery tq(flat_);

@@ -1,13 +1,11 @@
 #include "core/dd_dgms.h"
 
 #include <cassert>
-#include <chrono>
 
 #include "common/log.h"
 #include "common/query_registry.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "mdx/parser.h"
 #include "table/sql.h"
 
 namespace ddgms::core {
@@ -72,9 +70,8 @@ Result<DdDgms> DdDgms::BuildFromStore(
 
 Status DdDgms::Rebuild() {
   DDGMS_FAULT_POINT("core.rebuild");
-  TraceSpan rebuild_span("core.rebuild");
+  TraceSpan rebuild_span("core.rebuild", "ddgms.core.rebuild_latency_us");
   rebuild_span.SetAttribute("raw_rows", raw_.num_rows());
-  ScopedLatencyTimer rebuild_timer("ddgms.core.rebuild_latency_us");
   Table working = raw_;
   etl::PipelineRunOptions pipeline_options;
   pipeline_options.error_mode = robustness_.error_mode;
@@ -128,56 +125,36 @@ warehouse::TelemetrySampler& DdDgms::telemetry() const {
 Result<mdx::MdxResult> DdDgms::QueryMdx(const std::string& mdx_text) const {
   // Live-registered for /queryz and the stall watchdog. ExplainMdx
   // delegates here, so one registration covers both entry points; the
-  // executor reports compile/execute stage transitions through the
+  // executor's stages report parse/compile/execute through the
   // thread-local channel this record opens.
   ScopedQueryRecord inflight("mdx", mdx_text);
-  // Parse here (rather than inside MdxExecutor::Execute(text)) so the
-  // FROM clause can route the query: the medical cube goes to the
-  // clinical warehouse, [Telemetry] to a warehouse built from the
-  // sampler's accumulated history.
-  const auto parse_start = std::chrono::steady_clock::now();
-  mdx::MdxQuery query;
-  {
-    TraceSpan parse_span("mdx.parse");
-    QueryRegistry::SetCurrentStage("parse");
-    DDGMS_ASSIGN_OR_RETURN(query, mdx::Parse(mdx_text));
+  // The FROM clause routes the query: [Telemetry] goes to a warehouse
+  // built from the sampler's accumulated history, every other cube to
+  // the clinical warehouse.
+  mdx::MdxExecutor executor(
+      [this](const std::string& cube) -> Result<const warehouse::Warehouse*> {
+        if (EqualsIgnoreCase(cube, warehouse_->def().fact_name) ||
+            !EqualsIgnoreCase(cube, "Telemetry")) {
+          return warehouse_.get();
+        }
+        DDGMS_ASSIGN_OR_RETURN(warehouse::Warehouse wh,
+                               telemetry().BuildWarehouse());
+        if (telemetry_warehouse_ == nullptr) {
+          telemetry_warehouse_ =
+              std::make_unique<warehouse::Warehouse>(std::move(wh));
+        } else {
+          *telemetry_warehouse_ = std::move(wh);
+        }
+        return telemetry_warehouse_.get();
+      });
+  // Clinical queries share the facade's cube cache. [Telemetry] queries
+  // bypass it: their warehouse is rebuilt per query, so the generation
+  // stamp would invalidate every entry anyway.
+  if (cube_cache_ == nullptr) {
+    cube_cache_ = std::make_unique<olap::CachingCubeEngine>(warehouse_.get());
   }
-  const double parse_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - parse_start)
-          .count();
-
-  const warehouse::Warehouse* target = warehouse_.get();
-  if (!EqualsIgnoreCase(query.cube_name, warehouse_->def().fact_name) &&
-      EqualsIgnoreCase(query.cube_name, "Telemetry")) {
-    DDGMS_ASSIGN_OR_RETURN(warehouse::Warehouse wh,
-                           telemetry().BuildWarehouse());
-    if (telemetry_warehouse_ == nullptr) {
-      telemetry_warehouse_ =
-          std::make_unique<warehouse::Warehouse>(std::move(wh));
-    } else {
-      *telemetry_warehouse_ = std::move(wh);
-    }
-    target = telemetry_warehouse_.get();
-  }
-
-  mdx::MdxExecutor executor(target);
-  if (target == warehouse_.get()) {
-    // Clinical queries share the facade's cube cache. [Telemetry]
-    // queries bypass it: their warehouse is rebuilt per query, so the
-    // generation stamp would invalidate every entry anyway.
-    if (cube_cache_ == nullptr) {
-      cube_cache_ =
-          std::make_unique<olap::CachingCubeEngine>(warehouse_.get());
-    }
-    executor.set_cube_cache(cube_cache_.get());
-  }
-  DDGMS_ASSIGN_OR_RETURN(mdx::MdxResult result, executor.Execute(query));
-  result.profile.stages.insert(result.profile.stages.begin(),
-                               mdx::MdxProfile::Stage{"parse", parse_us});
-  result.profile.total_micros += parse_us;
-  mdx::AttachParseStage(&result.profile.plan, parse_us);
-  return result;
+  executor.set_cube_cache(cube_cache_.get());
+  return executor.Execute(mdx_text);
 }
 
 Result<olap::PlanNode> DdDgms::ExplainMdx(const std::string& mdx_text) const {

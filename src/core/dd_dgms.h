@@ -237,7 +237,7 @@ class DdDgms {
   /// Rebuilt in place on every [Telemetry] query so pointers held by
   /// in-flight executors stay valid, mirroring warehouse_.
   mutable std::unique_ptr<warehouse::Warehouse> telemetry_warehouse_;
-  /// Lazily created by QueryMdx for clinical-cube queries. Safe across
+  /// Created by the first QueryMdx, for clinical-cube queries. Safe across
   /// AcquireData rebuilds because Rebuild assigns the warehouse in
   /// place (pointer stable) and the cache invalidates itself on the
   /// warehouse's generation stamp.

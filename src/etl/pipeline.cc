@@ -128,19 +128,17 @@ Result<TransformReport> TransformPipeline::Run(
                               }});
   }
 
-  TraceSpan run_span("etl.pipeline.run");
+  TraceSpan run_span("etl.pipeline.run", "ddgms.etl.run_latency_us");
   run_span.SetAttribute("steps", steps.size());
   run_span.SetAttribute("rows_in", report.input_rows);
-  ScopedLatencyTimer run_timer("ddgms.etl.run_latency_us");
   ScopedAccounting accounting("etl");
 
   const bool lenient = options.error_mode == ErrorMode::kLenient;
   for (const NamedStep& step : steps) {
     DDGMS_FAULT_POINT("etl.pipeline.step");
-    TraceSpan step_span("etl.step");
+    TraceSpan step_span("etl.step", "ddgms.etl.step_latency_us");
     step_span.SetAttribute("step", step.name);
     step_span.SetAttribute("rows_in", table->num_rows());
-    ScopedLatencyTimer step_timer("ddgms.etl.step_latency_us");
     const size_t quarantined_before = report.quarantine.size();
     if (lenient) {
       DDGMS_RETURN_IF_ERROR(RunStepLenient(step.name, step.fn, table,

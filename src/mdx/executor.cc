@@ -9,10 +9,8 @@
 
 #include "common/log.h"
 #include "common/metrics.h"
-#include "common/query_registry.h"
 #include "common/resource.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "mdx/parser.h"
 
 namespace ddgms::mdx {
@@ -219,11 +217,62 @@ class SetCompiler {
   std::vector<size_t>* axis_indices_;
 };
 
-/// Microseconds elapsed since `start` as a double.
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+/// Compiles the axes and WHERE clause of `query` into `cq`, noting
+/// which of its axes go on COLUMNS and which on ROWS.
+Status Compile(const MdxQuery& query, const Warehouse& wh, CubeQuery* cq,
+               std::vector<size_t>* column_axes,
+               std::vector<size_t>* row_axes) {
+  bool any_non_empty = false;
+  for (const AxisClause& axis : query.axes) {
+    std::vector<size_t>* indices =
+        axis.target == AxisClause::Target::kColumns ? column_axes : row_axes;
+    SetCompiler compiler(wh, cq, indices);
+    DDGMS_RETURN_IF_ERROR(compiler.Compile(axis.set));
+    any_non_empty = any_non_empty || axis.non_empty;
+  }
+  cq->non_empty = any_non_empty || cq->non_empty;
+
+  // WHERE: members become slicers; measures are selected.
+  for (const MemberRef& ref : query.where) {
+    if (!ref.path.empty() && EqualsIgnoreCase(ref.path[0], "Measures")) {
+      if (ref.path.size() != 2) {
+        return Status::ParseError(
+            "measure reference must be [Measures].[spec]");
+      }
+      DDGMS_ASSIGN_OR_RETURN(AggSpec spec, ParseMeasureSpec(ref.path[1], wh));
+      cq->measures.push_back(std::move(spec));
+      continue;
+    }
+    if (ref.path.size() != 3) {
+      return Status::ParseError(
+          "WHERE member must be [Dimension].[Attribute].[member]: " +
+          ref.ToString());
+    }
+    DDGMS_ASSIGN_OR_RETURN(const Dimension* dim, wh.dimension(ref.path[0]));
+    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* attr_col,
+                           dim->table().ColumnByName(ref.path[1]));
+    DDGMS_ASSIGN_OR_RETURN(Value member,
+                           ParseMemberValue(ref.path[2], *attr_col));
+    // Merge with an existing slicer on the same level (tuple of two
+    // members of one level = either-of).
+    bool merged = false;
+    for (SlicerSpec& s : cq->slicers) {
+      if (s.dimension == ref.path[0] && s.attribute == ref.path[1]) {
+        s.values.push_back(member);
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) {
+      cq->slicers.push_back(
+          SlicerSpec{ref.path[0], ref.path[1], {std::move(member)}});
+    }
+  }
+
+  if (cq->measures.empty()) {
+    cq->measures.push_back(AggSpec{AggFn::kCount, "", "count"});
+  }
+  return Status::OK();
 }
 
 std::string FormatMicros(double us) {
@@ -278,137 +327,73 @@ Result<Table> MdxResult::ToGrid() const {
   return cube.ToTable();
 }
 
-Result<MdxResult> MdxExecutor::Execute(
-    const std::string& query_text) const {
-  const auto parse_start = std::chrono::steady_clock::now();
+MdxExecutor::MdxExecutor(const Warehouse* wh)
+    : resolve_cube_([wh](const std::string&) -> Result<const Warehouse*> {
+        return wh;
+      }) {}
+
+Result<MdxResult> MdxExecutor::Execute(const std::string& query_text) const {
+  ScopedAccounting accounting("mdx");
+  // The root is a Stage like its children: the one child of `top`
+  // until it stops.
+  olap::PlanNode top;
+  olap::Stage root(&top, "mdx.execute", "ddgms.mdx.execute_latency_us");
   MdxQuery query;
+  double parse_us = 0.0;
   {
-    TraceSpan parse_span("mdx.parse");
+    olap::Stage parse(root.node(), "mdx.parse", nullptr, "parse");
     DDGMS_ASSIGN_OR_RETURN(query, Parse(query_text));
+    parse_us = parse.Stop();
   }
-  const double parse_us = MicrosSince(parse_start);
-  DDGMS_ASSIGN_OR_RETURN(MdxResult result, Execute(query));
-  result.profile.stages.insert(result.profile.stages.begin(),
-                               MdxProfile::Stage{"parse", parse_us});
-  result.profile.total_micros += parse_us;
-  AttachParseStage(&result.profile.plan, parse_us);
-  return result;
-}
-
-void AttachParseStage(olap::PlanNode* plan, double parse_us) {
-  olap::PlanNode parse("mdx.parse");
-  parse.micros = static_cast<uint64_t>(parse_us);
-  plan->children.insert(plan->children.begin(), std::move(parse));
-  plan->micros += static_cast<uint64_t>(parse_us);
-}
-
-Result<MdxResult> MdxExecutor::Execute(const MdxQuery& query) const {
-  if (warehouse_ == nullptr) {
+  DDGMS_ASSIGN_OR_RETURN(const Warehouse* wh,
+                         resolve_cube_(query.cube_name));
+  if (wh == nullptr) {
     return Status::InvalidArgument("MdxExecutor has no warehouse");
   }
-  if (!EqualsIgnoreCase(query.cube_name, warehouse_->def().fact_name)) {
+  if (!EqualsIgnoreCase(query.cube_name, wh->def().fact_name)) {
     return Status::NotFound("no cube named '" + query.cube_name +
-                            "' (fact table is '" +
-                            warehouse_->def().fact_name + "')");
+                            "' (fact table is '" + wh->def().fact_name +
+                            "')");
   }
-  TraceSpan exec_span("mdx.execute");
-  ScopedLatencyTimer exec_timer("ddgms.mdx.execute_latency_us");
-  ScopedAccounting accounting("mdx");
-  olap::PlanNode plan("mdx.execute");
-  QueryRegistry::SetCurrentStage("compile");
-  const auto compile_start = std::chrono::steady_clock::now();
   CubeQuery cq;
   std::vector<size_t> column_axes;
   std::vector<size_t> row_axes;
-  bool any_non_empty = false;
-  for (const AxisClause& axis : query.axes) {
-    std::vector<size_t>* indices =
-        axis.target == AxisClause::Target::kColumns ? &column_axes
-                                                    : &row_axes;
-    SetCompiler compiler(*warehouse_, &cq, indices);
-    DDGMS_RETURN_IF_ERROR(compiler.Compile(axis.set));
-    any_non_empty = any_non_empty || axis.non_empty;
-  }
-  cq.non_empty = any_non_empty || cq.non_empty;
-
-  // WHERE: members become slicers; measures are selected.
-  for (const MemberRef& ref : query.where) {
-    if (!ref.path.empty() && EqualsIgnoreCase(ref.path[0], "Measures")) {
-      if (ref.path.size() != 2) {
-        return Status::ParseError(
-            "measure reference must be [Measures].[spec]");
-      }
-      DDGMS_ASSIGN_OR_RETURN(AggSpec spec,
-                             ParseMeasureSpec(ref.path[1], *warehouse_));
-      cq.measures.push_back(std::move(spec));
-      continue;
-    }
-    if (ref.path.size() != 3) {
-      return Status::ParseError(
-          "WHERE member must be [Dimension].[Attribute].[member]: " +
-          ref.ToString());
-    }
-    DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
-                           warehouse_->dimension(ref.path[0]));
-    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* attr_col,
-                           dim->table().ColumnByName(ref.path[1]));
-    DDGMS_ASSIGN_OR_RETURN(Value member,
-                           ParseMemberValue(ref.path[2], *attr_col));
-    // Merge with an existing slicer on the same level (tuple of two
-    // members of one level = either-of).
-    bool merged = false;
-    for (SlicerSpec& s : cq.slicers) {
-      if (s.dimension == ref.path[0] && s.attribute == ref.path[1]) {
-        s.values.push_back(member);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      cq.slicers.push_back(
-          SlicerSpec{ref.path[0], ref.path[1], {std::move(member)}});
-    }
-  }
-
-  if (cq.measures.empty()) {
-    cq.measures.push_back(AggSpec{AggFn::kCount, "", "count"});
-  }
-  const double compile_us = MicrosSince(compile_start);
+  double compile_us = 0.0;
   {
-    olap::PlanNode& compile_node = plan.AddChild("mdx.compile");
-    compile_node.micros = static_cast<uint64_t>(compile_us);
-    compile_node.rows_out = cq.axes.size();
-    compile_node.AddProp("axes", static_cast<uint64_t>(cq.axes.size()));
-    compile_node.AddProp("slicers",
-                         static_cast<uint64_t>(cq.slicers.size()));
-    compile_node.AddProp("measures",
-                         static_cast<uint64_t>(cq.measures.size()));
+    olap::Stage compile(root.node(), "mdx.compile", nullptr, "compile");
+    DDGMS_RETURN_IF_ERROR(Compile(query, *wh, &cq, &column_axes, &row_axes));
+    compile_us = compile.Stop();
+    olap::PlanNode& node = *compile.node();
+    node.rows_out = cq.axes.size();
+    node.AddProp("axes", static_cast<uint64_t>(cq.axes.size()));
+    node.AddProp("slicers", static_cast<uint64_t>(cq.slicers.size()));
+    node.AddProp("measures", static_cast<uint64_t>(cq.measures.size()));
   }
 
-  QueryRegistry::SetCurrentStage("execute");
-  const auto execute_start = std::chrono::steady_clock::now();
-  if (const uint64_t delay_us = ExecuteDelayMicrosForTesting();
-      delay_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-  }
-  // The last child added to the root below; no further AddChild on the
-  // root happens while this pointer is live.
-  olap::PlanNode* exec_node = &plan.AddChild("");
   olap::Cube cube;
-  const bool use_cache =
-      cache_ != nullptr && cache_->warehouse() == warehouse_;
-  if (use_cache) {
-    DDGMS_ASSIGN_OR_RETURN(std::shared_ptr<const Cube> shared,
-                           cache_->Execute(cq, exec_node));
-    // MdxResult owns its cube by value: copy out of the cache (still
-    // far cheaper than re-scanning the fact table on a hit).
-    cube = *shared;
-  } else {
-    olap::CubeEngine engine(warehouse_);
-    DDGMS_ASSIGN_OR_RETURN(cube, engine.Execute(cq, exec_node));
+  double execute_us = 0.0;
+  {
+    // The cube's stage: the cache's node, or the engine's when uncached.
+    const bool use_cache = cache_ != nullptr && cache_->warehouse() == wh;
+    olap::Stage execute(
+        root.node(), use_cache ? "olap.cube.cache" : "olap.cube.execute",
+        use_cache ? nullptr : "ddgms.olap.execute_latency_us", "execute");
+    if (const uint64_t delay_us = ExecuteDelayMicrosForTesting();
+        delay_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    }
+    if (use_cache) {
+      DDGMS_ASSIGN_OR_RETURN(std::shared_ptr<const Cube> shared,
+                             cache_->Execute(cq, &execute));
+      // MdxResult owns its cube by value: copy out of the cache (still
+      // far cheaper than re-scanning the fact table on a hit).
+      cube = *shared;
+    } else {
+      DDGMS_ASSIGN_OR_RETURN(cube,
+                             olap::CubeEngine(wh).Execute(cq, &execute));
+    }
+    execute_us = execute.Stop();
   }
-  const double execute_us = MicrosSince(execute_start);
-  exec_node->micros = static_cast<uint64_t>(execute_us);
 
   MdxResult result;
   result.cube = std::move(cube);
@@ -416,26 +401,24 @@ Result<MdxResult> MdxExecutor::Execute(const MdxQuery& query) const {
   result.row_axes = std::move(row_axes);
 
   MdxProfile& profile = result.profile;
-  profile.stages.push_back(MdxProfile::Stage{"compile", compile_us});
-  profile.stages.push_back(MdxProfile::Stage{"execute", execute_us});
-  profile.total_micros = compile_us + execute_us;
+  profile.stages = {MdxProfile::Stage{"parse", parse_us},
+                    MdxProfile::Stage{"compile", compile_us},
+                    MdxProfile::Stage{"execute", execute_us}};
   profile.axes = cq.axes.size();
   profile.slicers = cq.slicers.size();
   profile.measures = cq.measures.size();
-  profile.fact_rows = warehouse_->fact().num_rows();
+  profile.fact_rows = wh->fact().num_rows();
   profile.facts_aggregated = result.cube.facts_aggregated();
   profile.cells = result.cube.num_cells();
+  profile.total_micros = root.Stop();
+  profile.plan = std::move(*root.node());
+  profile.plan.rows_in = profile.fact_rows;
+  profile.plan.rows_out = profile.cells;
 
-  plan.rows_in = profile.fact_rows;
-  plan.rows_out = profile.cells;
-  plan.micros = static_cast<uint64_t>(compile_us + execute_us);
-  plan.bytes = accounting.BytesCharged();
-  profile.plan = std::move(plan);
-
-  exec_span.SetAttribute("axes", profile.axes);
-  exec_span.SetAttribute("cells", profile.cells);
-  // Emitted inside exec_span's scope so the record is stamped with the
-  // enclosing mdx.execute span id.
+  root.SetAttribute("axes", profile.axes);
+  root.SetAttribute("cells", profile.cells);
+  // Emitted while the root span is still open, so the record is
+  // stamped with the enclosing mdx.execute span id.
   DDGMS_LOG_INFO("mdx.execute")
       .With("cube", query.cube_name)
       .With("axes", profile.axes)

@@ -1,6 +1,7 @@
 #ifndef DDGMS_MDX_EXECUTOR_H_
 #define DDGMS_MDX_EXECUTOR_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,17 +15,18 @@
 namespace ddgms::mdx {
 
 /// EXPLAIN-style per-stage timing profile of one MDX execution. Always
-/// populated (a handful of steady-clock reads per query), so callers
-/// can attach it to query output without enabling the global metrics
-/// or trace collectors.
+/// populated, so callers can attach it to query output without
+/// enabling the global metrics or trace collectors. Its times are the
+/// plan tree's own clock readings, in fractional microseconds.
 struct MdxProfile {
   struct Stage {
     std::string name;
     double micros = 0.0;
   };
-  /// In execution order: parse (only when executing from text),
-  /// compile (axis/slicer/measure resolution), execute (cube scan).
+  /// In execution order: parse, compile (axis/slicer/measure
+  /// resolution), execute (cube cache or scan) — the root's children.
   std::vector<Stage> stages;
+  /// The whole "mdx.execute" root, parse included.
   double total_micros = 0.0;
 
   // Shape of the compiled and executed query.
@@ -37,7 +39,7 @@ struct MdxProfile {
 
   /// EXPLAIN ANALYZE operator tree rooted at "mdx.execute": per-stage
   /// times, cardinalities, cube-cache hit/miss and resource-pool byte
-  /// deltas. Always built alongside the flat stage list above.
+  /// deltas.
   olap::PlanNode plan;
 
   /// Renders an EXPLAIN-style table: the query shape line followed by
@@ -78,17 +80,25 @@ struct MdxResult {
 /// When no measure is named anywhere, Count is used.
 class MdxExecutor {
  public:
-  explicit MdxExecutor(const warehouse::Warehouse* wh) : warehouse_(wh) {}
+  /// Maps a query's FROM cube name to the warehouse that answers it;
+  /// the query then fails NotFound unless the warehouse's fact table
+  /// has that name.
+  using CubeResolver = std::function<Result<const warehouse::Warehouse*>(
+      const std::string& cube_name)>;
 
-  /// Parses and executes.
+  /// Answers every query from `wh`.
+  explicit MdxExecutor(const warehouse::Warehouse* wh);
+  explicit MdxExecutor(CubeResolver resolve_cube)
+      : resolve_cube_(std::move(resolve_cube)) {}
+
+  /// Parses and executes under one "mdx.execute" Stage, whose children
+  /// are mdx.parse, mdx.compile and the cube's stage.
   Result<MdxResult> Execute(const std::string& query_text) const;
 
-  /// Executes an already parsed query.
-  Result<MdxResult> Execute(const MdxQuery& query) const;
-
   /// Routes cube execution through `cache` (non-owning; may be null to
-  /// detach). Ignored unless the cache was built over this executor's
-  /// warehouse. Hits and misses appear in the profile's plan tree.
+  /// detach). Ignored unless the cache was built over the warehouse a
+  /// query resolves to. Hits and misses appear in the profile's plan
+  /// tree.
   void set_cube_cache(olap::CachingCubeEngine* cache) { cache_ = cache; }
 
   /// Slow-query log: an execution whose profiled time meets or exceeds
@@ -106,14 +116,9 @@ class MdxExecutor {
   static uint64_t ExecuteDelayMicrosForTesting();
 
  private:
-  const warehouse::Warehouse* warehouse_;
+  CubeResolver resolve_cube_;
   olap::CachingCubeEngine* cache_ = nullptr;
 };
-
-/// Prepends a measured "mdx.parse" operator to an executed plan and
-/// folds its time into the root. Shared by MdxExecutor::Execute(text)
-/// and DdDgms::QueryMdx, which parse before routing.
-void AttachParseStage(olap::PlanNode* plan, double parse_us);
 
 }  // namespace ddgms::mdx
 

@@ -26,7 +26,7 @@ CachingCubeEngine::~CachingCubeEngine() {
 }
 
 Result<std::shared_ptr<const Cube>> CachingCubeEngine::Execute(
-    const CubeQuery& query, PlanNode* plan) {
+    const CubeQuery& query, Stage* stage) {
   if (warehouse_ == nullptr) {
     return Status::InvalidArgument("engine has no warehouse");
   }
@@ -40,7 +40,7 @@ Result<std::shared_ptr<const Cube>> CachingCubeEngine::Execute(
     Invalidate();
     cached_generation_ = warehouse_->generation();
   }
-  if (plan != nullptr && plan->op.empty()) plan->op = "olap.cube.cache";
+  PlanNode* plan = stage->node();
   std::string key = query.ToString();
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -55,13 +55,9 @@ Result<std::shared_ptr<const Cube>> CachingCubeEngine::Execute(
   }
   ++misses_;
   DDGMS_METRIC_INC("ddgms.olap.cache.misses");
-  CubeEngine engine(warehouse_);
-  PlanNode* engine_plan = nullptr;
-  if (plan != nullptr) {
-    plan->AddProp("cache", "miss");
-    engine_plan = &plan->AddChild("olap.cube.execute");
-  }
-  DDGMS_ASSIGN_OR_RETURN(Cube cube, engine.Execute(query, engine_plan));
+  if (plan != nullptr) plan->AddProp("cache", "miss");
+  DDGMS_ASSIGN_OR_RETURN(Cube cube,
+                         CubeEngine(warehouse_).Execute(query, plan));
   const uint64_t bytes = ResourceMeter::Enabled() ? cube.ApproxBytes() : 0;
   auto shared = std::make_shared<const Cube>(std::move(cube));
   lru_.push_front(Entry{key, shared, bytes});

@@ -40,14 +40,16 @@ class CachingCubeEngine {
   /// valid as long as the caller holds it (shared ownership), even if
   /// the entry is evicted.
   Result<std::shared_ptr<const Cube>> Execute(const CubeQuery& query) {
-    return Execute(query, nullptr);
+    Stage stage(nullptr, "olap.cube.cache");
+    return Execute(query, &stage);
   }
 
-  /// Like Execute(query); when `plan` is non-null it is filled with
-  /// the EXPLAIN ANALYZE tree: a "olap.cube.cache" node with a
-  /// hit/miss prop, whose child on a miss is the engine's stage plan.
+  /// Like Execute(query), under `stage`: the caller's open
+  /// "olap.cube.cache" record. Its plan node, when it has one, gets a
+  /// hit/miss prop and, on a miss, the engine's stage plan as its
+  /// child (EXPLAIN ANALYZE).
   Result<std::shared_ptr<const Cube>> Execute(const CubeQuery& query,
-                                              PlanNode* plan);
+                                              Stage* stage);
 
   /// Drops all cached cubes.
   void Invalidate();

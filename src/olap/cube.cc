@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -55,49 +54,6 @@ bool Admits(const std::vector<Value>& restriction, const Value& v) {
          std::any_of(restriction.begin(), restriction.end(),
                      [&v](const Value& m) { return m.Equals(v); });
 }
-
-/// Per-stage stopwatch for EXPLAIN ANALYZE: measures wall time and the
-/// resource-pool byte delta across one engine stage and writes them
-/// into a fresh child of `plan`. Fully inert when `plan` is null, so
-/// the plain Execute(query) path pays nothing.
-class StageTimer {
- public:
-  StageTimer(PlanNode* plan, const char* op,
-             const ScopedAccounting& accounting)
-      : accounting_(accounting), plan_(plan) {
-    if (plan_ == nullptr) return;
-    // Track the child by index: later stages may reallocate the
-    // children vector, so a reference would dangle.
-    index_ = plan_->children.size();
-    plan_->AddChild(op);
-    start_ = std::chrono::steady_clock::now();
-    bytes_at_entry_ = accounting_.BytesCharged();
-  }
-
-  /// Finishes the stage (idempotent); returns the node for cardinality
-  /// annotations, or nullptr when inert.
-  PlanNode* Finish() {
-    if (plan_ == nullptr) return nullptr;
-    PlanNode* node = &plan_->children[index_];
-    if (!finished_) {
-      finished_ = true;
-      node->micros = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start_)
-              .count());
-      node->bytes = accounting_.BytesCharged() - bytes_at_entry_;
-    }
-    return node;
-  }
-
- private:
-  const ScopedAccounting& accounting_;
-  PlanNode* plan_ = nullptr;
-  size_t index_ = 0;
-  bool finished_ = false;
-  std::chrono::steady_clock::time_point start_;
-  uint64_t bytes_at_entry_ = 0;
-};
 
 /// Above this many possible cells (the product of the axis member
 /// counts) the scan finds cell slots through a hash of the packed cell
@@ -470,8 +426,7 @@ Result<Cube> Cube::RollUp(size_t axis) const {
   if (axis >= query_.axes.size()) {
     return Status::OutOfRange(StrFormat("axis %zu out of range", axis));
   }
-  TraceSpan span("olap.rollup");
-  ScopedLatencyTimer timer("ddgms.olap.op_latency_us:rollup");
+  TraceSpan span("olap.rollup", "ddgms.olap.op_latency_us:rollup");
   DDGMS_METRIC_INC("ddgms.olap.ops:rollup");
   DDGMS_LOG_DEBUG("olap.rollup").With("axis", axis);
   CubeQuery q = query_;
@@ -495,9 +450,8 @@ Result<Cube> Cube::RollUpToCoarser(size_t axis) const {
                          warehouse_->dimension(spec.dimension));
   DDGMS_ASSIGN_OR_RETURN(std::string coarser,
                          dim->CoarserLevel(spec.attribute));
-  TraceSpan span("olap.rollup_to_coarser");
+  TraceSpan span("olap.rollup_to_coarser", "ddgms.olap.op_latency_us:rollup");
   span.SetAttribute("to", coarser);
-  ScopedLatencyTimer timer("ddgms.olap.op_latency_us:rollup");
   DDGMS_METRIC_INC("ddgms.olap.ops:rollup");
   DDGMS_LOG_DEBUG("olap.rollup_to_coarser").With("to", coarser);
   CubeQuery q = query_;
@@ -515,9 +469,8 @@ Result<Cube> Cube::DrillDown(size_t axis) const {
                          warehouse_->dimension(spec.dimension));
   DDGMS_ASSIGN_OR_RETURN(std::string finer,
                          dim->FinerLevel(spec.attribute));
-  TraceSpan span("olap.drilldown");
+  TraceSpan span("olap.drilldown", "ddgms.olap.op_latency_us:drilldown");
   span.SetAttribute("to", finer);
-  ScopedLatencyTimer timer("ddgms.olap.op_latency_us:drilldown");
   DDGMS_METRIC_INC("ddgms.olap.ops:drilldown");
   DDGMS_LOG_DEBUG("olap.drilldown").With("to", finer);
   CubeQuery q = query_;
@@ -536,9 +489,8 @@ Result<Cube> Cube::DrillDown(size_t axis) const {
 
 Result<Cube> Cube::Slice(const std::string& dimension,
                          const std::string& attribute, Value value) const {
-  TraceSpan span("olap.slice");
+  TraceSpan span("olap.slice", "ddgms.olap.op_latency_us:slice");
   span.SetAttribute("attribute", attribute);
-  ScopedLatencyTimer timer("ddgms.olap.op_latency_us:slice");
   DDGMS_METRIC_INC("ddgms.olap.ops:slice");
   DDGMS_LOG_DEBUG("olap.slice")
       .With("dimension", dimension)
@@ -567,9 +519,8 @@ Result<Cube> Cube::Slice(const std::string& dimension,
 Result<Cube> Cube::Dice(const std::string& dimension,
                         const std::string& attribute,
                         std::vector<Value> values) const {
-  TraceSpan span("olap.dice");
+  TraceSpan span("olap.dice", "ddgms.olap.op_latency_us:dice");
   span.SetAttribute("attribute", attribute);
-  ScopedLatencyTimer timer("ddgms.olap.op_latency_us:dice");
   DDGMS_METRIC_INC("ddgms.olap.ops:dice");
   DDGMS_LOG_DEBUG("olap.dice")
       .With("dimension", dimension)
@@ -823,7 +774,13 @@ uint64_t Cube::ApproxBytes() const {
 }
 
 Result<Cube> CubeEngine::Execute(const CubeQuery& query,
-                                 PlanNode* plan) const {
+                                 PlanNode* parent) const {
+  Stage stage(parent, "olap.cube.execute", "ddgms.olap.execute_latency_us");
+  return Execute(query, &stage);
+}
+
+Result<Cube> CubeEngine::Execute(const CubeQuery& query,
+                                 Stage* stage) const {
   if (warehouse_ == nullptr) {
     return Status::InvalidArgument("CubeEngine has no warehouse");
   }
@@ -833,22 +790,23 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
 
   const Table& fact = warehouse_->fact();
 
-  TraceSpan exec_span("olap.cube.execute");
-  exec_span.SetAttribute("axes", query.axes.size());
-  exec_span.SetAttribute("slicers", query.slicers.size());
-  exec_span.SetAttribute("measures", query.measures.size());
-  exec_span.SetAttribute("fact_rows", fact.num_rows());
-  ScopedLatencyTimer exec_timer("ddgms.olap.execute_latency_us");
+  stage->SetAttribute("axes", query.axes.size());
+  stage->SetAttribute("slicers", query.slicers.size());
+  stage->SetAttribute("measures", query.measures.size());
+  stage->SetAttribute("fact_rows", fact.num_rows());
+  // The engine's stages bill this pool; its own node, opened outside
+  // it, does not count their bytes again.
   ScopedAccounting accounting("olap.cube");
-  if (plan != nullptr) {
-    if (plan->op.empty()) plan->op = "olap.cube.execute";
-    plan->rows_in = fact.num_rows();
-  }
+  PlanNode* plan = stage->node();
+  if (plan != nullptr) plan->rows_in = fact.num_rows();
 
   ScanInput scan;
   scan.rows = fact.num_rows();
 
-  StageTimer axes_timer(plan, "olap.cube.resolve_axes", accounting);
+  // One stage at a time: emplacing the next ends the last, so each
+  // stage's span closes before its sibling's opens.
+  std::optional<Stage> step;
+  step.emplace(plan, "olap.cube.resolve_axes");
   // Resolve axes: read the attribute's codes at rest, map each
   // surrogate key to its member id on the axis (-1 = outside a member
   // restriction) and give the axis its mixed-radix place value. An
@@ -901,14 +859,15 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     scan.axes.push_back(
         ScanAxis{key_col->ints().data(), member_of_key, axis.stride});
   }
-  if (PlanNode* node = axes_timer.Finish()) {
+  step->Stop();
+  if (PlanNode* node = step->node()) {
     node->rows_in = query.axes.size();
     uint64_t members = 0;
     for (const ResolvedAxis& a : axes) members += a.num_members();
     node->rows_out = members;
   }
 
-  StageTimer slicers_timer(plan, "olap.cube.resolve_slicers", accounting);
+  step.emplace(plan, "olap.cube.resolve_slicers");
   // Resolve slicers into per-surrogate-key admission flags: look up
   // only the listed values, then read the codes at rest.
   for (const SlicerSpec& spec : query.slicers) {
@@ -932,7 +891,8 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     }
     scan.slicers.push_back(std::move(slicer));
   }
-  if (PlanNode* node = slicers_timer.Finish()) {
+  step->Stop();
+  if (PlanNode* node = step->node()) {
     node->rows_in = query.slicers.size();
     uint64_t admitted = 0;
     for (const ScanSlicer& s : scan.slicers) {
@@ -977,18 +937,19 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   cube.warehouse_ = warehouse_;
   cube.generation_ = warehouse_->generation();
   cube.query_ = query;
-  StageTimer scan_timer(plan, "olap.cube.scan", accounting);
+  step.emplace(plan, "olap.cube.scan");
   CellSlots slots(cell_space, scan);
   cube.facts_aggregated_ = Scan(scan, &slots);
+  step->Stop();
   const char* slot_kind = slots.dense() ? "dense" : "hashed";
-  if (PlanNode* node = scan_timer.Finish()) {
+  if (PlanNode* node = step->node()) {
     node->rows_in = scan.rows;
     node->rows_out = cube.facts_aggregated_;
     node->AddProp("slots", slot_kind);
     node->AddProp("groups", static_cast<uint64_t>(slots.size()));
   }
 
-  StageTimer materialize_timer(plan, "olap.cube.materialize", accounting);
+  step.emplace(plan, "olap.cube.materialize");
   // Materialize: decode each touched cell's packed index into member
   // ids, box its coordinates once and fold its partials into the
   // accumulators the cube keeps, where navigation can merge them.
@@ -1076,25 +1037,22 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   // charge it to the active pool ("olap.cube" here, so the materialize
   // stage's byte delta below covers it by construction).
   DDGMS_RESOURCE_CHARGE(cube.ApproxBytes());
-  if (PlanNode* node = materialize_timer.Finish()) {
+  step->Stop();
+  if (PlanNode* node = step->node()) {
     node->rows_in = slots.size();
     node->rows_out = cube.cells_.size();
   }
+  step.reset();
   if (plan != nullptr) {
     plan->rows_out = cube.cells_.size();
-    uint64_t total_micros = 0;
-    for (const PlanNode& child : plan->children) {
-      total_micros += child.micros;
-    }
-    plan->micros = std::max(plan->micros, total_micros);
     plan->AddProp("cells", static_cast<uint64_t>(cube.cells_.size()));
     plan->AddProp("facts_aggregated",
                   static_cast<uint64_t>(cube.facts_aggregated_));
   }
 
-  exec_span.SetAttribute("slots", slot_kind);
-  exec_span.SetAttribute("cells", cube.cells_.size());
-  exec_span.SetAttribute("facts_aggregated", cube.facts_aggregated_);
+  stage->SetAttribute("slots", slot_kind);
+  stage->SetAttribute("cells", cube.cells_.size());
+  stage->SetAttribute("facts_aggregated", cube.facts_aggregated_);
   DDGMS_LOG_DEBUG("olap.cube.execute")
       .With("axes", query.axes.size())
       .With("cells", cube.cells_.size())

@@ -206,18 +206,20 @@ class CubeEngine {
  public:
   explicit CubeEngine(const warehouse::Warehouse* wh) : warehouse_(wh) {}
 
-  /// Validates the query, scans the fact table once and aggregates.
-  /// InvalidArgument when the product of the axis member counts does
-  /// not fit in 64 bits.
-  Result<Cube> Execute(const CubeQuery& query) const {
-    return Execute(query, nullptr);
-  }
+  /// Validates the query, scans the fact table once and aggregates,
+  /// under a new "olap.cube.execute" Stage: a child of `parent` when it
+  /// is non-null, holding one child operator per engine stage —
+  /// resolve axes, resolve slicers, scan, materialize — with measured
+  /// times, cardinalities and resource-pool byte deltas (EXPLAIN
+  /// ANALYZE). InvalidArgument when the product of the axis member
+  /// counts does not fit in 64 bits.
+  Result<Cube> Execute(const CubeQuery& query,
+                       PlanNode* parent = nullptr) const;
 
-  /// Like Execute(query) but additionally fills `plan` (when non-null)
-  /// with one child operator per engine stage — resolve axes, resolve
-  /// slicers, scan, materialize — carrying measured times,
-  /// cardinalities and resource-pool byte deltas (EXPLAIN ANALYZE).
-  Result<Cube> Execute(const CubeQuery& query, PlanNode* plan) const;
+  /// Like Execute(query, parent), under `stage`: the caller's open
+  /// "olap.cube.execute" record, which the engine annotates and hangs
+  /// its stages beneath.
+  Result<Cube> Execute(const CubeQuery& query, Stage* stage) const;
 
  private:
   const warehouse::Warehouse* warehouse_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/query_registry.h"
 #include "common/strings.h"
 
 namespace ddgms::olap {
@@ -114,6 +115,25 @@ std::string PlanNode::ToString() const {
     out += "\n";
   }
   return out;
+}
+
+Stage::Stage(PlanNode* parent, const char* op, const char* histogram,
+             const char* query_stage)
+    : TraceSpan(op, histogram, /*timed=*/parent != nullptr) {
+  if (query_stage != nullptr) QueryRegistry::SetCurrentStage(query_stage);
+  if (parent == nullptr) return;
+  node_ = &parent->AddChild(op);
+  if (ResourceMeter::Enabled()) pool_ = ScopedAccounting::Current();
+  if (pool_ != nullptr) allocated_at_entry_ = pool_->allocated();
+}
+
+double Stage::Stop() {
+  const double micros = TraceSpan::Stop();
+  if (node_ == nullptr || filled_) return micros;
+  filled_ = true;
+  node_->micros = static_cast<uint64_t>(micros);
+  if (pool_ != nullptr) node_->bytes = pool_->allocated() - allocated_at_entry_;
+  return micros;
 }
 
 std::string PlanNode::ToJson() const {

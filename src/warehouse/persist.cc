@@ -13,6 +13,7 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/strings.h"
+#include "common/trace.h"
 #include "warehouse/schema_def.h"
 #include "warehouse/snapshot.h"
 
@@ -295,7 +296,7 @@ Status DurableWarehouseStore::OpenJournal() {
 
 Status DurableWarehouseStore::CommitSnapshot(const Warehouse& wh) {
   DDGMS_FAULT_POINT("persist.commit");
-  ScopedLatencyTimer timer("ddgms.persist.commit_latency_us");
+  TraceSpan span("persist.commit", "ddgms.persist.commit_latency_us");
   const uint64_t previous_seq = seq_;
   const uint64_t next = max_seq_seen_ + 1;
   // The old journal stays untouched until the MANIFEST swap commits
@@ -403,7 +404,7 @@ Result<Warehouse> DurableWarehouseStore::ApplyJournal(
 
 Result<Warehouse> DurableWarehouseStore::Load() {
   DDGMS_FAULT_POINT("persist.load");
-  ScopedLatencyTimer timer("ddgms.persist.load_latency_us");
+  TraceSpan span("persist.load", "ddgms.persist.load_latency_us");
   if (!manifest_error_.empty()) {
     return Status::DataLoss("MANIFEST of '" + dir_ +
                             "' is unreadable: " + manifest_error_ +
@@ -426,7 +427,7 @@ Result<Warehouse> DurableWarehouseStore::Recover(RecoveryReport* report) {
     return Status::InvalidArgument("recovery requires a report out-param");
   }
   *report = RecoveryReport{};
-  ScopedLatencyTimer timer("ddgms.persist.recover_latency_us");
+  TraceSpan span("persist.recover", "ddgms.persist.recover_latency_us");
   DDGMS_METRIC_INC("ddgms.persist.recoveries");
   report->manifest_intact = manifest_error_.empty();
 

@@ -667,11 +667,10 @@ Result<Warehouse> StarSchemaBuilder::Build(
     const Table& source, const BuildOptions& options) const {
   DDGMS_FAULT_POINT("warehouse.build");
   DDGMS_RETURN_IF_ERROR(def_.Validate());
-  TraceSpan build_span("warehouse.build");
+  TraceSpan build_span("warehouse.build", "ddgms.warehouse.build_latency_us");
   build_span.SetAttribute("source_rows", source.num_rows());
   build_span.SetAttribute("dimensions", def_.dimensions.size());
   build_span.SetAttribute("measures", def_.measures.size());
-  ScopedLatencyTimer build_timer("ddgms.warehouse.build_latency_us");
   ScopedAccounting accounting("warehouse");
   const bool lenient = options.error_mode == ErrorMode::kLenient;
   QuarantineReport local_sink;

@@ -179,8 +179,9 @@ TEST(InstrumentNameTest, AcceptsConformingNames) {
       "  DDGMS_METRIC_INC(\"ddgms.olap.cache.hits\");\n"
       "  DDGMS_METRIC_INC(\"ddgms.olap.ops:dice\");\n"
       "  registry.GetCounter(\"ddgms.retry.attempts:\" + op);\n"
-      "  ScopedLatencyTimer timer(\"ddgms.olap.execute_latency_us\");\n"
-      "  TraceSpan span(\"olap.cube.execute\");\n"
+      "  TraceSpan span(\"olap.cube.execute\",\n"
+      "                 \"ddgms.olap.execute_latency_us\");\n"
+      "  olap::Stage scan(plan, \"olap.cube.scan\");\n"
       "  DDGMS_LOG_WARN(\"quarantine.row\");\n"
       "  LogEvent slow(LogLevel::kWarn, \"mdx.slow_query\");\n"
       "  ScopedAccounting accounting(\"olap.cube\");\n"
@@ -202,9 +203,12 @@ TEST(InstrumentNameTest, FlagsBadNames) {
       "  DDGMS_LOG_WARN(\"olap.CamelCase\");\n"              // bad seg
       "  TraceSpan span(\"olap.a.b.c.d\");\n"                // too deep
       "  ScopedAccounting accounting(\"olap.cube:hot\");\n"  // ':' pool
+      // Histogram names follow the metric grammar.
+      "  TraceSpan span(\"olap.rollup\", \"olap.rollup_us\");\n"
+      "  olap::Stage s(&plan, \"mdx.parse\", \"ddgms.mdx\");\n"
       "}\n"};
   std::vector<Finding> findings = CheckInstrumentNames(file);
-  EXPECT_EQ(findings.size(), 7u);
+  EXPECT_EQ(findings.size(), 9u);
   for (const Finding& f : findings) {
     EXPECT_EQ(f.rule, "instrument-name");
   }
@@ -216,8 +220,8 @@ TEST(InstrumentNameTest, AcceptsServerAndQueriesLayers) {
       "void F() {\n"
       "  DDGMS_METRIC_INC(\"ddgms.server.requests\");\n"
       "  DDGMS_METRIC_GAUGE_SET(\"ddgms.queries.active\", 1.0);\n"
-      "  ScopedLatencyTimer timer(\"ddgms.server.request_latency_us\");\n"
-      "  TraceSpan span(\"server.request\");\n"
+      "  TraceSpan span(\"server.request\",\n"
+      "                 \"ddgms.server.request_latency_us\");\n"
       "  DDGMS_LOG_WARN(\"queries.watchdog_start\");\n"
       "  DDGMS_FAULT_POINT(\"server.accept\");\n"
       "}\n"};

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 
 namespace ddgms {
 namespace {
@@ -323,9 +324,9 @@ TEST_F(MetricsTest, MacroCreatesAndIncrements) {
   EXPECT_EQ(snap.counter("t.macro"), 5u);
 }
 
-TEST_F(MetricsTest, ScopedLatencyTimerObserves) {
+TEST_F(MetricsTest, SpanHistogramObserves) {
   {
-    ScopedLatencyTimer timer("t.latency");
+    TraceSpan span("t.span", "t.latency");
     // Any work; even an empty scope records a >= 0 duration.
   }
   Histogram& h = MetricsRegistry::Global().GetHistogram(
@@ -437,10 +438,10 @@ TEST_F(MetricsTest, PrometheusLabelValuesAreEscaped) {
   EXPECT_NE(text.find("_bucket{le=\"+Inf\"} 1"), std::string::npos);
 }
 
-TEST_F(MetricsTest, ScopedLatencyTimerInertWhenDisabled) {
+TEST_F(MetricsTest, SpanHistogramInertWhenDisabled) {
   MetricsRegistry::Disable();
   {
-    ScopedLatencyTimer timer("t.latency.off");
+    TraceSpan span("t.span", "t.latency.off");
   }
   MetricsRegistry::Enable();
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/faults.h"
 #include "common/metrics.h"
+#include "common/query_registry.h"
 #include "common/trace.h"
 #include "core/dd_dgms.h"
 #include "discri/cohort.h"
@@ -140,17 +142,112 @@ TEST_F(ObservabilityTest, MdxQueryEmitsProfileAndMetrics) {
   EXPECT_GT(CounterValue(snap, "ddgms.olap.cells_materialized"), 0u);
   EXPECT_GT(CounterValue(snap, "ddgms.olap.facts_scanned"), 0u);
 
-  // The MDX span tree: mdx.execute wrapping olap.cube.execute.
+  // The MDX span tree: mdx.execute wrapping the cache's miss, which
+  // wraps olap.cube.execute.
   std::vector<SpanRecord> spans = TraceCollector::Global().Snapshot();
   const SpanRecord* mdx_exec = nullptr;
+  const SpanRecord* cube_cache = nullptr;
   const SpanRecord* cube_exec = nullptr;
   for (const SpanRecord& s : spans) {
     if (s.name == "mdx.execute") mdx_exec = &s;
+    if (s.name == "olap.cube.cache") cube_cache = &s;
     if (s.name == "olap.cube.execute") cube_exec = &s;
   }
   ASSERT_NE(mdx_exec, nullptr);
+  ASSERT_NE(cube_cache, nullptr);
   ASSERT_NE(cube_exec, nullptr);
-  EXPECT_EQ(cube_exec->parent_id, mdx_exec->id);
+  EXPECT_EQ(cube_cache->parent_id, mdx_exec->id);
+  EXPECT_EQ(cube_exec->parent_id, cube_cache->id);
+}
+
+// Checks that the spans below `span` mirror `node`: one span per plan
+// node, named by its op, parented like it and lasting its micros.
+// Returns the number of spans matched.
+size_t ExpectSpanMirrorsNode(const std::vector<SpanRecord>& spans,
+                             const SpanRecord& span,
+                             const olap::PlanNode& node) {
+  EXPECT_EQ(span.name, node.op);
+  EXPECT_EQ(span.duration_us, node.micros) << node.op;
+  // Span ids are handed out as spans open, so they order siblings.
+  std::vector<const SpanRecord*> kids;
+  for (const SpanRecord& s : spans) {
+    if (s.parent_id == span.id) kids.push_back(&s);
+  }
+  std::sort(kids.begin(), kids.end(),
+            [](const SpanRecord* a, const SpanRecord* b) {
+              return a->id < b->id;
+            });
+  EXPECT_EQ(kids.size(), node.children.size()) << node.op;
+  size_t matched = 1;
+  for (size_t i = 0; i < kids.size() && i < node.children.size(); ++i) {
+    matched += ExpectSpanMirrorsNode(spans, *kids[i], node.children[i]);
+  }
+  return matched;
+}
+
+size_t CountNodes(const olap::PlanNode& node) {
+  size_t n = 1;
+  for (const olap::PlanNode& child : node.children) n += CountNodes(child);
+  return n;
+}
+
+TEST_F(ObservabilityTest, OneRecordPerStageFeedsSpansPlanProfileAndHistogram) {
+  QueryRegistry::Enable();
+  auto dgms = BuildSample();
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+  const std::string query =
+      "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+      "{ [PersonalInformation].[AgeBand].Members } ON ROWS "
+      "FROM [MedicalMeasures]";
+
+  // A cache miss, then a hit of the same query.
+  for (const char* verdict : {"miss", "hit"}) {
+    SCOPED_TRACE(verdict);
+    TraceCollector::Global().Clear();
+    auto result = dgms->QueryMdx(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const mdx::MdxProfile& profile = result->profile;
+    const olap::PlanNode& plan = profile.plan;
+
+    // The spans are exactly the plan tree, parse under mdx.execute.
+    std::vector<SpanRecord> spans = TraceCollector::Global().Snapshot();
+    const SpanRecord* root = nullptr;
+    for (const SpanRecord& s : spans) {
+      if (s.parent_id == 0) {
+        EXPECT_EQ(root, nullptr) << "second root " << s.name;
+        root = &s;
+      }
+    }
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->name, "mdx.execute");
+    EXPECT_EQ(ExpectSpanMirrorsNode(spans, *root, plan), spans.size());
+    EXPECT_EQ(spans.size(), CountNodes(plan));
+    ASSERT_EQ(plan.children.size(), 3u);
+    EXPECT_EQ(plan.children[0].op, "mdx.parse");
+    EXPECT_EQ(plan.children[2].op, "olap.cube.cache");
+    bool saw_verdict = false;
+    for (const auto& [key, value] : plan.children[2].props) {
+      if (key == "cache") saw_verdict = value == verdict;
+    }
+    EXPECT_TRUE(saw_verdict);
+
+    // The profile carries the root's and its children's readings.
+    ASSERT_EQ(profile.stages.size(), plan.children.size());
+    for (size_t i = 0; i < profile.stages.size(); ++i) {
+      EXPECT_EQ(static_cast<uint64_t>(profile.stages[i].micros),
+                plan.children[i].micros)
+          << profile.stages[i].name;
+    }
+    EXPECT_EQ(static_cast<uint64_t>(profile.total_micros), plan.micros);
+  }
+
+  // One latency sample per query, parse included in its root.
+  const MetricsSnapshot snap = core::DdDgms::MetricsSnapshot();
+  const HistogramSnapshot* latency =
+      snap.histogram("ddgms.mdx.execute_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 2u);
+  QueryRegistry::Disable();
 }
 
 TEST_F(ObservabilityTest, ProfileIsPopulatedWithoutRegistries) {

@@ -409,9 +409,10 @@ class CubeKernelTest : public ::testing::Test {
     return std::move(cube).value();
   }
 
+  // `plan` holds the engine's "olap.cube.execute" node.
   static const std::string* ScanProp(const PlanNode& plan,
                                      const std::string& key) {
-    for (const PlanNode& child : plan.children) {
+    for (const PlanNode& child : plan.children.at(0).children) {
       if (child.op != "olap.cube.scan") continue;
       for (const auto& [k, v] : child.props) {
         if (k == key) return &v;
@@ -489,6 +490,31 @@ TEST_F(CubeKernelTest, AxisWithNullMembers) {
   EXPECT_EQ(r->AxisMembers(0)[0], Value::Str("b"));
   EXPECT_TRUE(r->AxisMembers(0)[1].is_null());
   EXPECT_EQ(r->CellCount({Value::Null()}), 40000u / 11 + 1);
+}
+
+// A restriction or a slicer that lists the null member admits the null
+// rows, in the engine and in the baseline alike.
+TEST_F(CubeKernelTest, RestrictionListingNullMatchesBaseline) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "G", {}},
+            AxisSpec{"D", "K", {Value::Int(10), Value::Null()}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kSum, "IV", "s"}};
+  Cube cube = ExpectMatchesBaseline(q);
+  // K = 10 only on odd rows (G = y); K null on both.
+  EXPECT_EQ(cube.num_cells(), 3u);
+  EXPECT_EQ(cube.facts_aggregated(), 9231u);
+}
+
+TEST_F(CubeKernelTest, NullSlicerMatchesBaseline) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"D", "G", {}}};
+  q.slicers = {SlicerSpec{"D", "K", {Value::Null()}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "DV", "avg"}};
+  Cube cube = ExpectMatchesBaseline(q);
+  EXPECT_EQ(cube.num_cells(), 2u);
+  EXPECT_EQ(cube.facts_aggregated(), 3077u);
 }
 
 TEST_F(CubeKernelTest, IntTypedAxisAttribute) {

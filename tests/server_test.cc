@@ -269,8 +269,12 @@ TEST_F(QueryRegistryTest, ScopedRecordRoutesCurrentStage) {
       QueryRegistry::SetCurrentStage("execute");
       // The innermost record gets the stage update.
       for (const auto& q : QueryRegistry::Global().Snapshot()) {
-        if (q.id == inner.id()) EXPECT_EQ(q.stage, "execute");
-        if (q.id == record.id()) EXPECT_EQ(q.stage, "compile");
+        if (q.id == inner.id()) {
+          EXPECT_EQ(q.stage, "execute");
+        }
+        if (q.id == record.id()) {
+          EXPECT_EQ(q.stage, "compile");
+        }
       }
     }
     // TLS restored: updates target the outer record again.

@@ -395,6 +395,7 @@ std::vector<Finding> CheckInstrumentNamesTokens(const std::string& path,
     bool is_metric;       // ddgms.-prefixed grammar
     bool declaration;     // token is a type: an identifier precedes '('
     bool skip_first_arg;  // name is the second argument (LogEvent)
+    bool histogram_next = false;  // a second literal names a histogram
   };
   static const Trigger kTriggers[] = {
       {"DDGMS_METRIC_INC", true, false, false},
@@ -403,8 +404,9 @@ std::vector<Finding> CheckInstrumentNamesTokens(const std::string& path,
       {"GetCounter", true, false, false},
       {"GetGauge", true, false, false},
       {"GetHistogram", true, false, false},
-      {"ScopedLatencyTimer", true, true, false},
-      {"TraceSpan", false, true, false},
+      {"TraceSpan", false, true, false, true},
+      // olap::Stage(parent, "op", "histogram", "query stage").
+      {"Stage", false, true, true, true},
       {"DDGMS_LOG_DEBUG", false, false, false},
       {"DDGMS_LOG_INFO", false, false, false},
       {"DDGMS_LOG_WARN", false, false, false},
@@ -427,8 +429,11 @@ std::vector<Finding> CheckInstrumentNamesTokens(const std::string& path,
       }
     }
     if (trigger == nullptr) continue;
-    // SomeScope::GetCounter is another registry's function.
-    if (i >= 1 && IsPunctTok(tf, i - 1, "::")) continue;
+    // SomeScope::GetCounter is another registry's function; a type
+    // may be qualified (olap::Stage).
+    if (!trigger->declaration && i >= 1 && IsPunctTok(tf, i - 1, "::")) {
+      continue;
+    }
     size_t cursor = i + 1;
     if (trigger->declaration) {
       // `TraceSpan span(` — step over the variable name. A '(' right
@@ -452,14 +457,20 @@ std::vector<Finding> CheckInstrumentNamesTokens(const std::string& path,
       if (!IsPunctTok(tf, cursor, ",")) continue;
       ++cursor;
     }
+    auto check = [&](size_t at, bool is_metric) {
+      const std::string& name = toks[at].text;
+      const std::string why = ValidateInstrumentName(name, is_metric);
+      if (!why.empty()) {
+        findings.push_back({path, toks[at].line, "instrument-name",
+                            "'" + name + "' (" +
+                                std::string(trigger->token) + "): " + why});
+      }
+    };
     if (!IsStringTok(tf, cursor)) continue;  // dynamic name
-    const std::string& name = toks[cursor].text;
-    const std::string why =
-        ValidateInstrumentName(name, trigger->is_metric);
-    if (!why.empty()) {
-      findings.push_back({path, toks[cursor].line, "instrument-name",
-                          "'" + name + "' (" + std::string(trigger->token) +
-                              "): " + why});
+    check(cursor, trigger->is_metric);
+    if (trigger->histogram_next && IsPunctTok(tf, cursor + 1, ",") &&
+        IsStringTok(tf, cursor + 2)) {
+      check(cursor + 2, /*is_metric=*/true);
     }
   }
   return findings;

@@ -115,9 +115,10 @@ std::vector<Finding> CheckHeaderGuard(const SourceFile& file,
 std::vector<Finding> CheckBannedCalls(const SourceFile& file);
 
 /// instrument-name: extracts literal instrument names from call sites
-/// (DDGMS_METRIC_*, GetCounter/GetGauge/GetHistogram,
-/// ScopedLatencyTimer, TraceSpan, DDGMS_LOG_*, LogEvent,
-/// ScopedAccounting, GetPool, DDGMS_FAULT_POINT) and validates them:
+/// (DDGMS_METRIC_*, GetCounter/GetGauge/GetHistogram, TraceSpan and
+/// olap::Stage with the span name and then an optional histogram name,
+/// DDGMS_LOG_*, LogEvent, ScopedAccounting, GetPool, DDGMS_FAULT_POINT)
+/// and validates them:
 ///   metrics      ddgms.<layer>.<seg>[.<seg>][:detail]
 ///   everything else      <layer>[.<seg>[.<seg>]]
 /// where <layer> must be on the registered list (see kInstrumentLayers
