@@ -304,7 +304,9 @@ std::string ProfileDump::ToJson() const {
                      static_cast<unsigned long long>(stack.span_id));
     for (size_t f = 0; f < stack.frames.size(); ++f) {
       if (f > 0) out += ",";
-      out += "\"" + JsonEscape(stack.frames[f]) + "\"";
+      out += '"';
+      out += JsonEscape(stack.frames[f]);
+      out += '"';
     }
     out += "]}";
   }

@@ -70,7 +70,7 @@ std::string PickCategory(Rng* rng, const std::vector<double>& weights,
 Patient MakePatient(size_t index, const CohortOptions& opt, Rng* rng) {
   Patient p;
   p.id = StrFormat("P%04zu", index + 1);
-  p.gender = rng->Bernoulli(0.55) ? "F" : "M";
+  p.gender += rng->Bernoulli(0.55) ? "F" : "M";
   p.education = PickCategory(
       rng, {0.25, 0.40, 0.25, 0.10},
       {"primary", "secondary", "tertiary", "postgraduate"});

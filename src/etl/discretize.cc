@@ -194,12 +194,14 @@ Result<DiscretisationScheme> DiscretisationScheme::MakeAutoLabeled(
   if (cuts.empty()) {
     labels.push_back("all");
   } else {
-    labels.push_back("<" + FormatDouble(cuts.front(), 4));
+    labels.emplace_back("<");
+    labels.back() += FormatDouble(cuts.front(), 4);
     for (size_t i = 1; i < cuts.size(); ++i) {
       labels.push_back(FormatDouble(cuts[i - 1], 4) + "-" +
                        FormatDouble(cuts[i], 4));
     }
-    labels.push_back(">=" + FormatDouble(cuts.back(), 4));
+    labels.emplace_back(">=");
+    labels.back() += FormatDouble(cuts.back(), 4);
   }
   return Make(std::move(name), std::move(cuts), std::move(labels));
 }
@@ -226,12 +228,17 @@ std::string DiscretisationScheme::ToString() const {
     if (cuts_.empty()) {
       out += "(-inf,+inf)";
     } else if (i == 0) {
-      out += "<" + FormatDouble(cuts_[0], 4);
+      out += '<';
+      out += FormatDouble(cuts_[0], 4);
     } else if (i == labels_.size() - 1) {
-      out += ">=" + FormatDouble(cuts_[i - 1], 4);
+      out += ">=";
+      out += FormatDouble(cuts_[i - 1], 4);
     } else {
-      out += "[" + FormatDouble(cuts_[i - 1], 4) + "," +
-             FormatDouble(cuts_[i], 4) + ")";
+      out += '[';
+      out += FormatDouble(cuts_[i - 1], 4);
+      out += ',';
+      out += FormatDouble(cuts_[i], 4);
+      out += ')';
     }
     out += " '" + labels_[i] + "'";
   }

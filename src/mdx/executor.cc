@@ -385,8 +385,6 @@ Result<MdxResult> MdxExecutor::Execute(const std::string& query_text) const {
     if (use_cache) {
       DDGMS_ASSIGN_OR_RETURN(std::shared_ptr<const Cube> shared,
                              cache_->Execute(cq, &execute));
-      // MdxResult owns its cube by value: copy out of the cache (still
-      // far cheaper than re-scanning the fact table on a hit).
       cube = *shared;
     } else {
       DDGMS_ASSIGN_OR_RETURN(cube,

@@ -38,8 +38,8 @@ struct MdxProfile {
   size_t cells = 0;
 
   /// EXPLAIN ANALYZE operator tree rooted at "mdx.execute": per-stage
-  /// times, cardinalities, cube-cache hit/miss and resource-pool byte
-  /// deltas.
+  /// times, cardinalities, cube-cache hit/rolled/miss and resource-pool
+  /// byte deltas.
   olap::PlanNode plan;
 
   /// Renders an EXPLAIN-style table: the query shape line followed by
@@ -47,8 +47,9 @@ struct MdxProfile {
   std::string ToString() const;
 };
 
-/// Result of executing an MDX query: the underlying cube plus the
-/// mapping of cube axes onto the MDX COLUMNS / ROWS display axes.
+/// Result of executing an MDX query: the underlying cube (through the
+/// cube cache, sharing the cached cube's cells) plus the mapping of
+/// cube axes onto the MDX COLUMNS / ROWS display axes.
 struct MdxResult {
   olap::Cube cube;
   std::vector<size_t> column_axes;  // indices into cube.query().axes

@@ -141,7 +141,8 @@ NaiveBayesClassifier::ValueOfInformation(
       expected_entropy +=
           (p / total_vp) * PosteriorEntropy(*hypothetical);
     }
-    probe[f] = CategoricalDataset::kMissing;
+    probe[f].clear();
+    probe[f] += CategoricalDataset::kMissing;
     out.push_back(AcquisitionValue{
         feature_names_[f],
         std::max(0.0, current_entropy - expected_entropy)});

@@ -42,7 +42,9 @@ Status RandomForestClassifier::Train(const CategoricalDataset& data) {
           rng.UniformInt(0, static_cast<int64_t>(n) - 1));
       std::vector<std::string> row = data.rows[pick];
       for (size_t f = 0; f < num_features_; ++f) {
-        if (!mask[f]) row[f] = CategoricalDataset::kMissing;
+        if (mask[f]) continue;
+        row[f].clear();
+        row[f] += CategoricalDataset::kMissing;
       }
       sample.rows.push_back(std::move(row));
       sample.labels.push_back(data.labels[pick]);

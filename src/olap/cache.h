@@ -12,20 +12,27 @@
 
 namespace ddgms::olap {
 
-/// CubeEngine with an LRU cache of materialized cubes, keyed by the
-/// canonical query string. Clinical analysis sessions re-issue the same
-/// multivariate queries (drill-down and back, re-rendering); caching
-/// turns those into dictionary hits.
+/// CubeEngine with an LRU cache of materialized cubes. Clinical
+/// analysis sessions re-issue the same multivariate queries (drill-down
+/// and back, re-rendering); caching turns those into dictionary hits.
+/// Entries are keyed on an injective encoding of the whole CubeQuery
+/// (typed, length-prefixed members and slicer values, measure aliases,
+/// non_empty), so two queries share an entry only when they are equal.
 ///
-/// Every Execute first compares the warehouse's generation stamp with
-/// the one the cache was filled under and drops all entries on a
-/// mismatch, so rebuilds, incremental appends, feedback dimensions and
-/// durable-store reloads/recoveries (which all bump the stamp, even
-/// when the fact-row count comes back identical) can never serve stale
-/// cubes. Invalidate() remains for callers that mutate the warehouse
-/// through a side channel the stamp cannot see.
+/// Each entry is checked against the warehouse when a query finds it:
+///  * hit — the warehouse is still at the generation the cube was
+///    computed under;
+///  * rolled — every change since was an append (the cube's lineage is
+///    the warehouse's), so CubeEngine::Extend rolls the cube forward
+///    over just the appended fact rows and the entry keeps the result;
+///  * miss — otherwise: a rebuild, a reload or recovery, a feedback
+///    dimension or an assignment ended the cube's append chain (an
+///    invalidation), or a count_distinct measure, whose cells keep only
+///    their counts, cannot roll. The cube is computed afresh.
+/// Invalidate() remains for callers that mutate the warehouse through a
+/// side channel the stamps cannot see.
 ///
-/// Observability: hits, misses, evictions and invalidations are
+/// Observability: hits, rolls, misses, evictions and invalidations are
 /// exported as "ddgms.olap.cache.*" counters, and retained cube bytes
 /// are charged to (and released from) the "olap.cube.cache" resource
 /// pool, so the cache's live footprint is always attributable.
@@ -36,9 +43,9 @@ class CachingCubeEngine {
       : warehouse_(wh), capacity_(capacity) {}
   ~CachingCubeEngine();
 
-  /// Executes (or returns a cached) cube. The returned pointer stays
-  /// valid as long as the caller holds it (shared ownership), even if
-  /// the entry is evicted.
+  /// Executes (or returns a cached, or rolls forward a cached) cube.
+  /// The returned pointer stays valid as long as the caller holds it
+  /// (shared ownership), even if the entry is evicted or rolled.
   Result<std::shared_ptr<const Cube>> Execute(const CubeQuery& query) {
     Stage stage(nullptr, "olap.cube.cache");
     return Execute(query, &stage);
@@ -46,8 +53,8 @@ class CachingCubeEngine {
 
   /// Like Execute(query), under `stage`: the caller's open
   /// "olap.cube.cache" record. Its plan node, when it has one, gets a
-  /// hit/miss prop and, on a miss, the engine's stage plan as its
-  /// child (EXPLAIN ANALYZE).
+  /// hit/rolled/miss prop and, unless it is a hit, the engine's stage
+  /// plan as its child (EXPLAIN ANALYZE).
   Result<std::shared_ptr<const Cube>> Execute(const CubeQuery& query,
                                               Stage* stage);
 
@@ -57,6 +64,7 @@ class CachingCubeEngine {
   const warehouse::Warehouse* warehouse() const { return warehouse_; }
 
   size_t hits() const { return hits_; }
+  size_t rolls() const { return rolls_; }
   size_t misses() const { return misses_; }
   size_t size() const { return entries_.size(); }
 
@@ -64,10 +72,14 @@ class CachingCubeEngine {
   struct Entry {
     std::string key;
     std::shared_ptr<const Cube> cube;
-    /// ApproxBytes at insert, remembered so the eventual release
-    /// matches the charge exactly.
+    /// ApproxBytes when the cube was stored, remembered so the eventual
+    /// release matches the charge exactly.
     uint64_t charged_bytes = 0;
   };
+
+  /// Puts `cube` in `entry`, moving the entry's pool charge from its
+  /// old cube to this one; returns the stored cube.
+  static std::shared_ptr<const Cube> Store(Entry* entry, Cube cube);
 
   /// Removes the LRU tail entry, releasing its charge.
   void EvictOne();
@@ -76,10 +88,8 @@ class CachingCubeEngine {
   size_t capacity_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> entries_;
-  /// Warehouse::generation() the cached cubes were computed from; 0 =
-  /// nothing cached yet (generations start at 1).
-  uint64_t cached_generation_ = 0;
   size_t hits_ = 0;
+  size_t rolls_ = 0;
   size_t misses_ = 0;
 };
 

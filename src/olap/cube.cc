@@ -47,6 +47,16 @@ std::vector<Value> DistinctMembers(const std::vector<Value>& listed) {
   return out;
 }
 
+/// True when a measure of `query` is count_distinct. Such a cell keeps
+/// only its count, which neither merges (navigation) nor resumes (a
+/// roll forward).
+bool CountsDistinct(const CubeQuery& query) {
+  return std::any_of(query.measures.begin(), query.measures.end(),
+                     [](const AggSpec& m) {
+                       return m.fn == AggFn::kCountDistinct;
+                     });
+}
+
 /// True when an axis with member restriction `restriction` (empty = all
 /// members) admits the facts whose attribute equals `v`.
 bool Admits(const std::vector<Value>& restriction, const Value& v) {
@@ -116,6 +126,7 @@ struct MeasureSource {
 };
 
 struct ScanInput {
+  size_t first_row = 0;  // the rows [first_row, rows) are scanned
   size_t rows = 0;
   std::vector<ScanAxis> axes;
   std::vector<ScanSlicer> slicers;
@@ -156,6 +167,15 @@ class CellSlots {
   }
   Accumulator* boxed(size_t slot) {
     return boxed_accs_.data() + slot * boxed_.size();
+  }
+
+  /// Opens the slot of `cell` holding `rows` rows already, for a roll
+  /// forward to fill with the rest of the cell's state before the scan
+  /// continues it; returns the slot.
+  size_t Seed(uint64_t cell, size_t rows) {
+    const auto slot = static_cast<size_t>(Open(cell));
+    rows_[slot] = rows;
+    return slot;
   }
 
   /// Counts one row into `cell`, opening its slot on the first touch;
@@ -223,7 +243,7 @@ DDGMS_HOT size_t ScanFacts(const ScanInput& in,
   const std::span<const TypedMeasure> typed = in.typed;
   const bool boxed = !in.boxed.empty();
   size_t admitted = 0;
-  for (size_t row = 0, rows = in.rows; row < rows; ++row) {
+  for (size_t row = in.first_row, rows = in.rows; row < rows; ++row) {
     // A slicer usually admits few rows, so a rejected row leaves early.
     bool keep = true;
     for (const ScanSlicer& s : slicers) {
@@ -329,11 +349,18 @@ std::string CubeQuery::ToString() const {
   return out;
 }
 
+Cube::Cube() {
+  // Every empty cube shares one Data, which is never freed.
+  static const auto* const kEmpty =
+      new std::shared_ptr<const Data>(std::make_shared<const Data>());
+  data_ = *kEmpty;
+}
+
 // Pivot and share tables call this once per output cell.
 DDGMS_HOT Value Cube::CellValue(const std::vector<Value>& coords,
                                 size_t measure_index) const {
-  auto it = cells_.find(coords);
-  if (it == cells_.end() ||
+  auto it = data_->cells.find(coords);
+  if (it == data_->cells.end() ||
       measure_index >= it->second.accumulators.size()) {
     return Value::Null();
   }
@@ -341,16 +368,16 @@ DDGMS_HOT Value Cube::CellValue(const std::vector<Value>& coords,
 }
 
 size_t Cube::CellCount(const std::vector<Value>& coords) const {
-  auto it = cells_.find(coords);
-  return it == cells_.end() ? 0 : it->second.fact_count();
+  auto it = data_->cells.find(coords);
+  return it == data_->cells.end() ? 0 : it->second.fact_count();
 }
 
 std::optional<size_t> Cube::SoleAxis(const std::string& dimension,
                                      const std::string& attribute) const {
   std::optional<size_t> found;
-  for (size_t i = 0; i < query_.axes.size(); ++i) {
-    if (query_.axes[i].dimension == dimension &&
-        query_.axes[i].attribute == attribute) {
+  for (size_t i = 0; i < query().axes.size(); ++i) {
+    if (query().axes[i].dimension == dimension &&
+        query().axes[i].attribute == attribute) {
       if (found) return std::nullopt;
       found = i;
     }
@@ -359,23 +386,24 @@ std::optional<size_t> Cube::SoleAxis(const std::string& dimension,
 }
 
 bool Cube::CellsCurrent() const {
-  return warehouse_ != nullptr && warehouse_->generation() == generation_ &&
-         std::none_of(query_.measures.begin(), query_.measures.end(),
-                      [](const AggSpec& m) {
-                        return m.fn == AggFn::kCountDistinct;
-                      });
+  return data_->warehouse != nullptr &&
+         data_->warehouse->generation() == data_->generation &&
+         !CountsDistinct(query());
 }
 
 Cube Cube::Derive(
     CubeQuery query, size_t axis,
     const std::function<const Value*(const Value&)>& member_of) const {
   ScopedAccounting accounting("olap.cube");
-  const bool drop_axis = query.axes.size() < query_.axes.size();
-  Cube out;
-  out.warehouse_ = warehouse_;
-  out.generation_ = generation_;
-  out.query_ = std::move(query);
-  for (const auto& [coord, cell] : cells_) {
+  const bool drop_axis = query.axes.size() < num_axes();
+  auto out = std::make_shared<Data>();
+  out->warehouse = data_->warehouse;
+  out->generation = data_->generation;
+  out->lineage = data_->lineage;
+  out->derived = true;
+  out->query = std::move(query);
+  for (const CellMap::value_type* entry : data_->order) {
+    const auto& [coord, cell] = *entry;
     const Value* member = member_of(coord[axis]);
     if (member == nullptr) continue;
     std::vector<Value> key = coord;
@@ -384,13 +412,15 @@ Cube Cube::Derive(
     } else {
       key[axis] = *member;
     }
-    auto [it, fresh] = out.cells_.try_emplace(std::move(key), cell);
-    if (!fresh) {
+    auto [it, fresh] = out->cells.try_emplace(std::move(key), cell);
+    if (fresh) {
+      out->order.push_back(&*it);
+    } else {
       for (size_t m = 0; m < cell.accumulators.size(); ++m) {
         it->second.accumulators[m].Merge(cell.accumulators[m]);
       }
     }
-    out.facts_aggregated_ += cell.fact_count();
+    out->facts_aggregated += cell.fact_count();
   }
 
   // Axis members follow the engine's rule: a restricted axis lists its
@@ -399,81 +429,82 @@ Cube Cube::Derive(
   // cube's lists are in that order and a derived cube sees no member
   // this one did not, so filtering them by what the derived cells see
   // is enough; a diced axis starts from its new restriction.
-  const std::vector<AxisSpec>& axes = out.query_.axes;
-  out.axis_members_.resize(axes.size());
+  const std::vector<AxisSpec>& axes = out->query.axes;
+  out->axis_members.resize(axes.size());
   for (size_t a = 0; a < axes.size(); ++a) {
     std::vector<Value> members;
     if (a == axis && !drop_axis) {
       members = DistinctMembers(axes[a].members);
     } else {
-      members = axis_members_[drop_axis && a >= axis ? a + 1 : a];
+      members = AxisMembers(drop_axis && a >= axis ? a + 1 : a);
     }
-    if (!axes[a].members.empty() && !out.query_.non_empty) {
-      out.axis_members_[a] = std::move(members);
+    if (!axes[a].members.empty() && !out->query.non_empty) {
+      out->axis_members[a] = std::move(members);
       continue;
     }
     std::unordered_set<Value, ValueHash, ValueEq> seen;
-    for (const auto& [coord, cell] : out.cells_) seen.insert(coord[a]);
+    for (const auto& [coord, cell] : out->cells) seen.insert(coord[a]);
     for (Value& m : members) {
-      if (seen.count(m) != 0) out.axis_members_[a].push_back(std::move(m));
+      if (seen.count(m) != 0) out->axis_members[a].push_back(std::move(m));
     }
   }
-  DDGMS_RESOURCE_CHARGE(out.ApproxBytes());
-  return out;
+  Cube cube(std::move(out));
+  DDGMS_RESOURCE_CHARGE(cube.ApproxBytes());
+  return cube;
 }
 
 Result<Cube> Cube::RollUp(size_t axis) const {
-  if (axis >= query_.axes.size()) {
+  if (axis >= query().axes.size()) {
     return Status::OutOfRange(StrFormat("axis %zu out of range", axis));
   }
   TraceSpan span("olap.rollup", "ddgms.olap.op_latency_us:rollup");
   DDGMS_METRIC_INC("ddgms.olap.ops:rollup");
   DDGMS_LOG_DEBUG("olap.rollup").With("axis", axis);
-  CubeQuery q = query_;
+  CubeQuery q = query();
   q.axes.erase(q.axes.begin() + static_cast<ptrdiff_t>(axis));
   // The engine answers without the axis's member restriction, so the
   // cells of a restricted axis hold too few facts.
-  if (CellsCurrent() && query_.axes[axis].members.empty()) {
+  if (CellsCurrent() && query().axes[axis].members.empty()) {
     span.SetAttribute("from", "cube");
     return Derive(std::move(q), axis, [](const Value& v) { return &v; });
   }
   span.SetAttribute("from", "warehouse");
-  return CubeEngine(warehouse_).Execute(q);
+  return CubeEngine(data_->warehouse).Execute(q);
 }
 
 Result<Cube> Cube::RollUpToCoarser(size_t axis) const {
-  if (axis >= query_.axes.size()) {
+  if (axis >= query().axes.size()) {
     return Status::OutOfRange(StrFormat("axis %zu out of range", axis));
   }
-  const AxisSpec& spec = query_.axes[axis];
+  const AxisSpec& spec = query().axes[axis];
   DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
-                         warehouse_->dimension(spec.dimension));
+                         data_->warehouse->dimension(spec.dimension));
   DDGMS_ASSIGN_OR_RETURN(std::string coarser,
                          dim->CoarserLevel(spec.attribute));
   TraceSpan span("olap.rollup_to_coarser", "ddgms.olap.op_latency_us:rollup");
   span.SetAttribute("to", coarser);
   DDGMS_METRIC_INC("ddgms.olap.ops:rollup");
   DDGMS_LOG_DEBUG("olap.rollup_to_coarser").With("to", coarser);
-  CubeQuery q = query_;
+  CubeQuery q = query();
   q.axes[axis].attribute = coarser;
   q.axes[axis].members.clear();  // member names change across levels
-  return CubeEngine(warehouse_).Execute(q);
+  return CubeEngine(data_->warehouse).Execute(q);
 }
 
 Result<Cube> Cube::DrillDown(size_t axis) const {
-  if (axis >= query_.axes.size()) {
+  if (axis >= query().axes.size()) {
     return Status::OutOfRange(StrFormat("axis %zu out of range", axis));
   }
-  const AxisSpec& spec = query_.axes[axis];
+  const AxisSpec& spec = query().axes[axis];
   DDGMS_ASSIGN_OR_RETURN(const Dimension* dim,
-                         warehouse_->dimension(spec.dimension));
+                         data_->warehouse->dimension(spec.dimension));
   DDGMS_ASSIGN_OR_RETURN(std::string finer,
                          dim->FinerLevel(spec.attribute));
   TraceSpan span("olap.drilldown", "ddgms.olap.op_latency_us:drilldown");
   span.SetAttribute("to", finer);
   DDGMS_METRIC_INC("ddgms.olap.ops:drilldown");
   DDGMS_LOG_DEBUG("olap.drilldown").With("to", finer);
-  CubeQuery q = query_;
+  CubeQuery q = query();
   // Keep the coarse level as a slicer-free outer axis? The paper's
   // drill-down replaces the level while retaining any member
   // restriction semantics at the coarse level, which we express by
@@ -484,7 +515,7 @@ Result<Cube> Cube::DrillDown(size_t axis) const {
   }
   q.axes[axis].attribute = finer;
   q.axes[axis].members.clear();
-  return CubeEngine(warehouse_).Execute(q);
+  return CubeEngine(data_->warehouse).Execute(q);
 }
 
 Result<Cube> Cube::Slice(const std::string& dimension,
@@ -495,7 +526,7 @@ Result<Cube> Cube::Slice(const std::string& dimension,
   DDGMS_LOG_DEBUG("olap.slice")
       .With("dimension", dimension)
       .With("attribute", attribute);
-  CubeQuery q = query_;
+  CubeQuery q = query();
   // If the sliced attribute is an axis, remove the axis.
   for (size_t i = 0; i < q.axes.size(); ++i) {
     if (q.axes[i].dimension == dimension &&
@@ -506,14 +537,14 @@ Result<Cube> Cube::Slice(const std::string& dimension,
   }
   q.slicers.push_back(SlicerSpec{dimension, attribute, {value}});
   const std::optional<size_t> axis = SoleAxis(dimension, attribute);
-  if (axis && CellsCurrent() && Admits(query_.axes[*axis].members, value)) {
+  if (axis && CellsCurrent() && Admits(query().axes[*axis].members, value)) {
     span.SetAttribute("from", "cube");
     return Derive(std::move(q), *axis, [&value](const Value& v) {
       return v.Equals(value) ? &value : nullptr;
     });
   }
   span.SetAttribute("from", "warehouse");
-  return CubeEngine(warehouse_).Execute(q);
+  return CubeEngine(data_->warehouse).Execute(q);
 }
 
 Result<Cube> Cube::Dice(const std::string& dimension,
@@ -526,7 +557,7 @@ Result<Cube> Cube::Dice(const std::string& dimension,
       .With("dimension", dimension)
       .With("attribute", attribute)
       .With("values", values.size());
-  CubeQuery q = query_;
+  CubeQuery q = query();
   bool applied = false;
   for (AxisSpec& a : q.axes) {
     if (a.dimension == dimension && a.attribute == attribute) {
@@ -545,7 +576,7 @@ Result<Cube> Cube::Dice(const std::string& dimension,
   if (axis && CellsCurrent() && !values.empty() &&
       std::all_of(values.begin(), values.end(),
                   [this, &axis](const Value& v) {
-                    return Admits(query_.axes[*axis].members, v);
+                    return Admits(query().axes[*axis].members, v);
                   })) {
     span.SetAttribute("from", "cube");
     // A cell takes the first listed spelling of its member.
@@ -558,17 +589,17 @@ Result<Cube> Cube::Dice(const std::string& dimension,
                   });
   }
   span.SetAttribute("from", "warehouse");
-  return CubeEngine(warehouse_).Execute(q);
+  return CubeEngine(data_->warehouse).Execute(q);
 }
 
 Result<Table> Cube::ToTable() const {
   std::vector<Field> fields;
-  for (size_t ax = 0; ax < query_.axes.size(); ++ax) {
+  for (size_t ax = 0; ax < query().axes.size(); ++ax) {
     // Axis output column named after the attribute; type from members.
     fields.push_back(
-        Field{query_.axes[ax].attribute, MemberType(axis_members_[ax])});
+        Field{query().axes[ax].attribute, MemberType(AxisMembers(ax))});
   }
-  for (const AggSpec& m : query_.measures) {
+  for (const AggSpec& m : query().measures) {
     DataType t;
     switch (m.fn) {
       case AggFn::kCount:
@@ -586,21 +617,21 @@ Result<Table> Cube::ToTable() const {
   Table out(std::move(schema));
 
   // Enumerate cells in sorted coordinate order for deterministic output.
-  std::vector<const std::vector<Value>*> coords;
-  coords.reserve(cells_.size());
-  for (const auto& [c, cell] : cells_) coords.push_back(&c);
-  std::sort(coords.begin(), coords.end(),
-            [](const std::vector<Value>* a, const std::vector<Value>* b) {
-              for (size_t i = 0; i < a->size() && i < b->size(); ++i) {
-                int c = (*a)[i].Compare((*b)[i]);
+  std::vector<const CellMap::value_type*> sorted = data_->order;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const CellMap::value_type* x, const CellMap::value_type* y) {
+              const std::vector<Value>& a = x->first;
+              const std::vector<Value>& b = y->first;
+              for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+                int c = a[i].Compare(b[i]);
                 if (c != 0) return c < 0;
               }
-              return a->size() < b->size();
+              return a.size() < b.size();
             });
-  for (const std::vector<Value>* c : coords) {
-    const Cell& cell = cells_.at(*c);
-    if (query_.non_empty && cell.fact_count() == 0) continue;
-    Row row = *c;
+  for (const CellMap::value_type* entry : sorted) {
+    const auto& [coord, cell] = *entry;
+    if (query().non_empty && cell.fact_count() == 0) continue;
+    Row row = coord;
     for (const Accumulator& acc : cell.accumulators) {
       row.push_back(acc.Finish());
     }
@@ -611,22 +642,22 @@ Result<Table> Cube::ToTable() const {
 
 Result<Table> Cube::Pivot(size_t row_axis, size_t col_axis,
                           size_t measure_index) const {
-  if (query_.axes.size() != 2) {
+  if (query().axes.size() != 2) {
     return Status::FailedPrecondition(
         StrFormat("Pivot needs exactly 2 axes; cube has %zu",
-                  query_.axes.size()));
+                  query().axes.size()));
   }
   if (row_axis >= 2 || col_axis >= 2 || row_axis == col_axis) {
     return Status::InvalidArgument("bad pivot axis indices");
   }
-  if (measure_index >= query_.measures.size()) {
+  if (measure_index >= query().measures.size()) {
     return Status::OutOfRange("measure index out of range");
   }
-  const std::vector<Value>& rows = axis_members_[row_axis];
-  const std::vector<Value>& cols = axis_members_[col_axis];
+  const std::vector<Value>& rows = AxisMembers(row_axis);
+  const std::vector<Value>& cols = AxisMembers(col_axis);
 
   DataType measure_type;
-  switch (query_.measures[measure_index].fn) {
+  switch (query().measures[measure_index].fn) {
     case AggFn::kCount:
     case AggFn::kCountValid:
     case AggFn::kCountDistinct:
@@ -638,7 +669,7 @@ Result<Table> Cube::Pivot(size_t row_axis, size_t col_axis,
   }
   std::vector<Field> fields;
   fields.push_back(
-      Field{query_.axes[row_axis].attribute, MemberType(rows)});
+      Field{query().axes[row_axis].attribute, MemberType(rows)});
   for (const Value& c : cols) {
     fields.push_back(Field{c.ToString(), measure_type});
   }
@@ -729,12 +760,12 @@ Result<Table> Cube::PivotShare(size_t row_axis, size_t col_axis,
 
 Result<std::vector<Cube::RankedCell>> Cube::TopCells(
     size_t k, size_t measure_index, bool largest) const {
-  if (measure_index >= query_.measures.size()) {
+  if (measure_index >= query().measures.size()) {
     return Status::OutOfRange("measure index out of range");
   }
   std::vector<RankedCell> ranked;
-  ranked.reserve(cells_.size());
-  for (const auto& [coord, cell] : cells_) {
+  ranked.reserve(data_->cells.size());
+  for (const auto& [coord, cell] : data_->cells) {
     if (measure_index >= cell.accumulators.size()) continue;
     Result<double> v = cell.accumulators[measure_index].Finish().AsDouble();
     if (!v.ok()) continue;
@@ -758,18 +789,20 @@ Result<std::vector<Cube::RankedCell>> Cube::TopCells(
 
 uint64_t Cube::ApproxBytes() const {
   uint64_t bytes = 0;
-  // Hash-map node overhead per cell: bucket pointer + hash + vectors.
-  constexpr uint64_t kCellOverhead = sizeof(Cell) + 4 * sizeof(void*);
-  for (const auto& [coord, cell] : cells_) {
+  // Per cell: its hash-map node (bucket pointer, hash, vectors) and its
+  // entry in the first-touch order.
+  constexpr uint64_t kCellOverhead = sizeof(Cell) + 5 * sizeof(void*);
+  for (const auto& [coord, cell] : data_->cells) {
     bytes += kCellOverhead;
     for (const Value& v : coord) bytes += ValueApproxBytes(v);
     for (const Accumulator& acc : cell.accumulators) {
       bytes += acc.ApproxBytes();
     }
   }
-  for (const std::vector<Value>& members : axis_members_) {
+  for (const std::vector<Value>& members : data_->axis_members) {
     for (const Value& v : members) bytes += ValueApproxBytes(v);
   }
+  bytes += data_->member_ids.size() * sizeof(int32_t);
   return bytes;
 }
 
@@ -781,6 +814,28 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
 
 Result<Cube> CubeEngine::Execute(const CubeQuery& query,
                                  Stage* stage) const {
+  return Compute(query, nullptr, stage);
+}
+
+bool CubeEngine::CanExtend(const Cube& cube) const {
+  const Cube::Data& data = *cube.data_;
+  return warehouse_ != nullptr && data.warehouse == warehouse_ &&
+         !data.derived && data.lineage == warehouse_->lineage() &&
+         !CountsDistinct(data.query);
+}
+
+Result<Cube> CubeEngine::Extend(const Cube& cube, PlanNode* parent) const {
+  if (!CanExtend(cube)) {
+    return Status::FailedPrecondition("cube cannot roll forward: " +
+                                      cube.query().ToString());
+  }
+  Stage stage(parent, "olap.cube.execute", "ddgms.olap.execute_latency_us");
+  return Compute(cube.query(), cube.data_.get(), &stage);
+}
+
+Result<Cube> CubeEngine::Compute(const CubeQuery& query,
+                                 const Cube::Data* base,
+                                 Stage* stage) const {
   if (warehouse_ == nullptr) {
     return Status::InvalidArgument("CubeEngine has no warehouse");
   }
@@ -789,19 +844,20 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   }
 
   const Table& fact = warehouse_->fact();
+  ScanInput scan;
+  scan.first_row = base == nullptr ? 0 : base->fact_rows;
+  scan.rows = fact.num_rows();
 
   stage->SetAttribute("axes", query.axes.size());
   stage->SetAttribute("slicers", query.slicers.size());
   stage->SetAttribute("measures", query.measures.size());
   stage->SetAttribute("fact_rows", fact.num_rows());
+  if (base != nullptr) stage->SetAttribute("from_row", scan.first_row);
   // The engine's stages bill this pool; its own node, opened outside
   // it, does not count their bytes again.
   ScopedAccounting accounting("olap.cube");
   PlanNode* plan = stage->node();
-  if (plan != nullptr) plan->rows_in = fact.num_rows();
-
-  ScanInput scan;
-  scan.rows = fact.num_rows();
+  if (plan != nullptr) plan->rows_in = scan.rows - scan.first_row;
 
   // One stage at a time: emplacing the next ends the last, so each
   // stage's span closes before its sibling's opens.
@@ -933,18 +989,47 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     }
   }
 
-  Cube cube;
-  cube.warehouse_ = warehouse_;
-  cube.generation_ = warehouse_->generation();
-  cube.query_ = query;
+  auto data = std::make_shared<Cube::Data>();
+  data->warehouse = warehouse_;
+  data->generation = warehouse_->generation();
+  data->lineage = warehouse_->lineage();
+  data->fact_rows = scan.rows;
+  data->query = query;
   step.emplace(plan, "olap.cube.scan");
   CellSlots slots(cell_space, scan);
-  cube.facts_aggregated_ = Scan(scan, &slots);
+  if (base != nullptr) {
+    // Roll forward: open the base's cells first, in its first-touch
+    // order and holding its state, so the scan of the appended rows
+    // continues each running sum and numbers new cells as a scan of
+    // every row would. Member ids hold along the append chain; only the
+    // strides grow with the member counts.
+    const int32_t* ids = base->member_ids.data();
+    for (const Cube::CellMap::value_type* entry : base->order) {
+      const Cube::Cell& cell = entry->second;
+      uint64_t index = 0;
+      for (const ResolvedAxis& axis : axes) {
+        index += static_cast<uint64_t>(*ids++) * axis.stride;
+      }
+      const size_t slot = slots.Seed(index, cell.fact_count());
+      for (size_t m = 0; m < sources.size(); ++m) {
+        const Accumulator& acc = cell.accumulators[m];
+        if (sources[m].kind == MeasureSource::Kind::kTyped) {
+          slots.typed(slot)[sources[m].index] =
+              TypedPartial{acc.valid(), acc.sum(), acc.sum_sq()};
+        } else if (sources[m].kind == MeasureSource::Kind::kBoxed) {
+          slots.boxed(slot)[sources[m].index] = acc;
+        }
+      }
+    }
+    data->facts_aggregated = base->facts_aggregated;
+  }
+  const size_t admitted = Scan(scan, &slots);
+  data->facts_aggregated += admitted;
   step->Stop();
   const char* slot_kind = slots.dense() ? "dense" : "hashed";
   if (PlanNode* node = step->node()) {
-    node->rows_in = scan.rows;
-    node->rows_out = cube.facts_aggregated_;
+    node->rows_in = scan.rows - scan.first_row;
+    node->rows_out = admitted;
     node->AddProp("slots", slot_kind);
     node->AddProp("groups", static_cast<uint64_t>(slots.size()));
   }
@@ -984,7 +1069,9 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   }
 
   const size_t width = query.measures.size();
-  cube.cells_.reserve(slots.size());
+  data->cells.reserve(slots.size());
+  data->order.reserve(slots.size());
+  data->member_ids.reserve(slots.size() * num_axes);
   for (size_t slot = 0; slot < slots.size(); ++slot) {
     Cube::Cell cell;
     cell.accumulators.reserve(width);
@@ -1007,14 +1094,17 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     std::vector<Value> coord;
     coord.reserve(num_axes);
     for (size_t a = 0; a < num_axes; ++a) {
-      coord.push_back(members[a][member_id(slots.cell(slot), a)]);
+      const size_t member = member_id(slots.cell(slot), a);
+      data->member_ids.push_back(static_cast<int32_t>(member));
+      coord.push_back(members[a][member]);
     }
-    cube.cells_.emplace(std::move(coord), std::move(cell));
+    data->order.push_back(
+        &*data->cells.emplace(std::move(coord), std::move(cell)).first);
   }
 
-  cube.axis_members_.resize(num_axes);
+  data->axis_members.resize(num_axes);
   for (size_t a = 0; a < num_axes; ++a) {
-    std::vector<Value>& out = cube.axis_members_[a];
+    std::vector<Value>& out = data->axis_members[a];
     if (!axes[a].restriction.empty()) {
       // An explicit member list fixes the axis order (clinical band
       // labels such as "<40" do not sort lexicographically).
@@ -1033,6 +1123,7 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
     });
   }
 
+  Cube cube(std::move(data));
   // The cube's retained footprint is the engine's materialized output;
   // charge it to the active pool ("olap.cube" here, so the materialize
   // stage's byte delta below covers it by construction).
@@ -1040,28 +1131,28 @@ Result<Cube> CubeEngine::Execute(const CubeQuery& query,
   step->Stop();
   if (PlanNode* node = step->node()) {
     node->rows_in = slots.size();
-    node->rows_out = cube.cells_.size();
+    node->rows_out = cube.num_cells();
   }
   step.reset();
   if (plan != nullptr) {
-    plan->rows_out = cube.cells_.size();
-    plan->AddProp("cells", static_cast<uint64_t>(cube.cells_.size()));
+    plan->rows_out = cube.num_cells();
+    plan->AddProp("cells", static_cast<uint64_t>(cube.num_cells()));
     plan->AddProp("facts_aggregated",
-                  static_cast<uint64_t>(cube.facts_aggregated_));
+                  static_cast<uint64_t>(cube.facts_aggregated()));
   }
 
   stage->SetAttribute("slots", slot_kind);
-  stage->SetAttribute("cells", cube.cells_.size());
-  stage->SetAttribute("facts_aggregated", cube.facts_aggregated_);
+  stage->SetAttribute("cells", cube.num_cells());
+  stage->SetAttribute("facts_aggregated", cube.facts_aggregated());
   DDGMS_LOG_DEBUG("olap.cube.execute")
       .With("axes", query.axes.size())
-      .With("cells", cube.cells_.size())
-      .With("facts_scanned", scan.rows)
-      .With("facts_aggregated", cube.facts_aggregated_);
+      .With("cells", cube.num_cells())
+      .With("facts_scanned", scan.rows - scan.first_row)
+      .With("facts_aggregated", cube.facts_aggregated());
   DDGMS_METRIC_INC("ddgms.olap.queries");
-  DDGMS_METRIC_ADD("ddgms.olap.cells_materialized", cube.cells_.size());
-  DDGMS_METRIC_ADD("ddgms.olap.facts_scanned", scan.rows);
-  DDGMS_METRIC_ADD("ddgms.olap.facts_aggregated", cube.facts_aggregated_);
+  DDGMS_METRIC_ADD("ddgms.olap.cells_materialized", cube.num_cells());
+  DDGMS_METRIC_ADD("ddgms.olap.facts_scanned", scan.rows - scan.first_row);
+  DDGMS_METRIC_ADD("ddgms.olap.facts_aggregated", cube.facts_aggregated());
   return cube;
 }
 

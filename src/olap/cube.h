@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -72,18 +73,36 @@ struct CubeQuery {
 /// RollUpToCoarser always, re-executes against the warehouse (ROLAP
 /// style). Either way the result equals what CubeEngine returns for
 /// the navigated query, and a Cube must not outlive its Warehouse.
+///
+/// A Cube is a handle on immutable cells: a copy shares them and costs
+/// a reference count, and nothing changes them once they are built. So
+/// a cube someone holds (an MdxResult, a navigation's parent) never
+/// changes, and a default-constructed Cube stays empty. Rolling a cube
+/// forward over the facts appended since it was computed
+/// (CubeEngine::Extend, which the cube cache calls when every change
+/// since was an append) builds new cells and leaves this cube as it
+/// was.
 class Cube {
  public:
-  const CubeQuery& query() const { return query_; }
-  size_t num_axes() const { return query_.axes.size(); }
-  size_t num_measures() const { return query_.measures.size(); }
-  size_t num_cells() const { return cells_.size(); }
+  /// An empty cube: no axes, measures or cells.
+  Cube();
+
+  const CubeQuery& query() const { return data_->query; }
+  size_t num_axes() const { return data_->query.axes.size(); }
+  size_t num_measures() const { return data_->query.measures.size(); }
+  size_t num_cells() const { return data_->cells.size(); }
   /// Total facts that passed the slicers.
-  size_t facts_aggregated() const { return facts_aggregated_; }
+  size_t facts_aggregated() const { return data_->facts_aggregated; }
+
+  /// Warehouse::generation() and Warehouse::lineage() the cells were
+  /// computed under (0 for an empty cube); a derived cube inherits its
+  /// parent's.
+  uint64_t generation() const { return data_->generation; }
+  uint64_t lineage() const { return data_->lineage; }
 
   /// Distinct coordinate values seen on axis `axis`, sorted.
   const std::vector<Value>& AxisMembers(size_t axis) const {
-    return axis_members_[axis];
+    return data_->axis_members[axis];
   }
 
   /// Aggregated value for a full coordinate tuple; Null for empty cells.
@@ -140,7 +159,8 @@ class Cube {
                                            bool largest = true) const;
 
   /// Estimated heap footprint of the materialized cube (cells, their
-  /// coordinate Values and measure accumulators, axis member lists).
+  /// coordinate Values, measure accumulators, order and member ids, and
+  /// the axis member lists).
   /// This is the amount Execute, and a navigation that derives its
   /// cube from this one, charge to the "olap.cube" resource pool.
   uint64_t ApproxBytes() const;
@@ -156,6 +176,36 @@ class Cube {
 
     size_t fact_count() const { return accumulators.front().rows(); }
   };
+  using CellMap = std::unordered_map<std::vector<Value>, Cell,
+                                     ValueVectorHash, ValueVectorEq>;
+
+  /// What a cube and its copies share. Built once, then only read.
+  struct Data {
+    const warehouse::Warehouse* warehouse = nullptr;
+    uint64_t generation = 0;
+    uint64_t lineage = 0;
+    /// For a cube the engine computed, the fact rows [0, fact_rows) its
+    /// cells sum: each sum runs over its cell's rows in row order, so
+    /// Extend can resume it. A derived cube merged its parent's sums,
+    /// which resuming would not reproduce, so it never rolls forward.
+    size_t fact_rows = 0;
+    bool derived = false;
+    CubeQuery query;
+    CellMap cells;
+    /// `cells` in first-touch order: the order a scan first reaches
+    /// them. Navigation merges cells in this order and a roll forward
+    /// keeps it, so a rolled cube navigates exactly as a fresh one.
+    std::vector<const CellMap::value_type*> order;
+    /// For a cube the engine computed, each cell's member id on each
+    /// axis, cell by cell in `order`: the attribute's code, or the
+    /// index in the axis's member restriction. Both hold along an
+    /// append chain, so Extend places a cell without hashing Values.
+    std::vector<int32_t> member_ids;
+    std::vector<std::vector<Value>> axis_members;
+    size_t facts_aggregated = 0;
+  };
+
+  explicit Cube(std::shared_ptr<const Data> data) : data_(std::move(data)) {}
 
   /// The axis whose attribute is `attribute` of `dimension`, when
   /// exactly one axis is; nullopt otherwise.
@@ -177,16 +227,7 @@ class Cube {
               const std::function<const Value*(const Value&)>& member_of)
       const;
 
-  const warehouse::Warehouse* warehouse_ = nullptr;
-  /// Warehouse::generation() the cells were computed under; a derived
-  /// cube inherits its parent's.
-  uint64_t generation_ = 0;
-  CubeQuery query_;
-  std::unordered_map<std::vector<Value>, Cell, ValueVectorHash,
-                     ValueVectorEq>
-      cells_;
-  std::vector<std::vector<Value>> axis_members_;
-  size_t facts_aggregated_ = 0;
+  std::shared_ptr<const Data> data_;
 };
 
 /// Executes CubeQueries against a Warehouse. Stateless aside from the
@@ -221,7 +262,26 @@ class CubeEngine {
   /// its stages beneath.
   Result<Cube> Execute(const CubeQuery& query, Stage* stage) const;
 
+  /// True when Extend can bring `cube` up to date: this engine's
+  /// warehouse computed it (Execute or Extend, not a navigation) under
+  /// its current lineage(), and no measure is count_distinct, whose
+  /// cells keep only their counts.
+  bool CanExtend(const Cube& cube) const;
+
+  /// Rolls `cube` forward over the fact rows appended since it was
+  /// computed: it resumes each of its cells' running sums, in row
+  /// order, over just those rows, under the same stages as Execute
+  /// (the scan's rows_in counts the appended rows only). The result
+  /// equals Execute(cube.query()) on the warehouse as it is now, to
+  /// the bit, and `cube` is left as it was. FailedPrecondition unless
+  /// CanExtend(cube).
+  Result<Cube> Extend(const Cube& cube, PlanNode* parent = nullptr) const;
+
  private:
+  /// Execute when `base` is null, otherwise Extend of `*base`.
+  Result<Cube> Compute(const CubeQuery& query, const Cube::Data* base,
+                       Stage* stage) const;
+
   const warehouse::Warehouse* warehouse_;
 };
 

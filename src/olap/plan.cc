@@ -148,8 +148,11 @@ std::string PlanNode::ToJson() const {
     out += ",\"props\":{";
     for (size_t i = 0; i < props.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"" + JsonEscape(props[i].first) + "\":\"" +
-             JsonEscape(props[i].second) + "\"";
+      out += '"';
+      out += JsonEscape(props[i].first);
+      out += "\":\"";
+      out += JsonEscape(props[i].second);
+      out += '"';
     }
     out += "}";
   }

@@ -88,6 +88,17 @@ class Accumulator {
   /// Number of rows fed (including nulls).
   size_t rows() const { return rows_; }
 
+  /// What AddPartial folds in: the number of non-null values fed, and
+  /// their running sum and sum of squares in feed order. A scan that
+  /// starts its partials from these, continues them over later rows
+  /// and AddPartial's the totals into a fresh accumulator gets, to the
+  /// bit, this accumulator fed those rows too: the running sums start
+  /// from +0.0 and so never hold -0.0, which 0.0 + x would turn into
+  /// +0.0.
+  size_t valid() const { return valid_; }
+  double sum() const { return sum_; }
+  double sum_sq() const { return sum_sq_; }
+
   /// Final aggregate value; Value::Null() when undefined (e.g. avg of an
   /// empty group).
   Value Finish() const;

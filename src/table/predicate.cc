@@ -161,8 +161,12 @@ class BinaryLogicPredicate final : public Predicate {
   }
 
   std::string ToString() const override {
-    return "(" + a_->ToString() + (is_and_ ? " AND " : " OR ") +
-           b_->ToString() + ")";
+    std::string out = "(";
+    out += a_->ToString();
+    out += is_and_ ? " AND " : " OR ";
+    out += b_->ToString();
+    out += ')';
+    return out;
   }
 
  private:

@@ -440,6 +440,7 @@ Status Warehouse::AddFeedbackDimension(
   dimensions_.emplace_back(std::move(dim_def), std::move(dim_table));
   def_.dimensions.push_back(dimensions_.back().def());
   generation_ = NextWarehouseGeneration();
+  lineage_.Renew();
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/quarantine.h"
@@ -229,6 +230,18 @@ class Warehouse {
   /// reload that happens to restore the same number of rows.
   uint64_t generation() const { return generation_; }
 
+  /// Stamp of the current append chain: fresh at construction, on copy
+  /// (construction or assignment) and at AddFeedbackDimension, kept by
+  /// CommitAppend, and carried by a move, which leaves the source a
+  /// fresh one. While it holds, the warehouse has only gained fact rows
+  /// (and the members they mint) at its end: the rows, member keys and
+  /// attribute codes it had are unchanged. So a cube computed under
+  /// this stamp rolls forward by scanning just the rows appended since.
+  /// Stamps come from NextWarehouseGeneration, so none repeats; like
+  /// generation(), it does not see changes made through
+  /// mutable_dimension().
+  uint64_t lineage() const { return lineage_.value(); }
+
   /// Dimension lookup by name.
   Result<const Dimension*> dimension(const std::string& name) const;
   Result<Dimension*> mutable_dimension(const std::string& name);
@@ -286,10 +299,35 @@ class Warehouse {
   IntegrityReport CheckIntegrity() const;
 
  private:
+  /// The value behind lineage(), with its copy and move rules, so the
+  /// warehouse keeps its implicit copy and move operations.
+  class LineageStamp {
+   public:
+    LineageStamp() = default;
+    LineageStamp(const LineageStamp&) {}
+    LineageStamp(LineageStamp&& other) noexcept
+        : value_(std::exchange(other.value_, NextWarehouseGeneration())) {}
+    LineageStamp& operator=(const LineageStamp&) {
+      Renew();
+      return *this;
+    }
+    LineageStamp& operator=(LineageStamp&& other) noexcept {
+      value_ = std::exchange(other.value_, NextWarehouseGeneration());
+      return *this;
+    }
+
+    uint64_t value() const { return value_; }
+    void Renew() { value_ = NextWarehouseGeneration(); }
+
+   private:
+    uint64_t value_ = NextWarehouseGeneration();
+  };
+
   StarSchemaDef def_;
   Table fact_;
   std::vector<Dimension> dimensions_;
   uint64_t generation_ = NextWarehouseGeneration();
+  LineageStamp lineage_;
 };
 
 /// How StarSchemaBuilder reacts to source rows that cannot be wired

@@ -181,6 +181,107 @@ TEST(CacheLifecycleTest, InvalidatesOnFactCountChange) {
             static_cast<int64_t>(dgms->warehouse().num_fact_rows()));
 }
 
+// A cube's answer: its cell count, each axis's members with their types,
+// and its flattened cells under their measures' output names.
+std::string Answer(const olap::Cube& cube) {
+  std::string out = std::to_string(cube.num_cells()) + " cells";
+  for (size_t a = 0; a < cube.num_axes(); ++a) {
+    out += "\naxis";
+    for (const Value& m : cube.AxisMembers(a)) {
+      out += ' ';
+      out += DataTypeName(m.type());
+      out += ':';
+      out += m.ToString();
+    }
+  }
+  auto table = cube.ToTable();
+  out += '\n';
+  out += table.ok() ? table->ToPrettyString(1000) : table.status().ToString();
+  return out;
+}
+
+Result<core::DdDgms> CacheKeyFacade() {
+  discri::CohortOptions opt;
+  opt.num_patients = 200;
+  opt.seed = 7;
+  DDGMS_ASSIGN_OR_RETURN(Table raw, discri::GenerateCohort(opt));
+  return core::DdDgms::Build(std::move(raw), discri::MakeDiscriPipeline(),
+                             discri::MakeDiscriSchemaDef());
+}
+
+// Two members F and M, and one member named "F,M", print alike in
+// CubeQuery::ToString; through the facade's cache each query, asked
+// first or second, answers like the uncached executor.
+TEST(CacheKeyTest, MemberListsThatPrintAlikeKeepTheirOwnEntries) {
+  const char* const two =
+      "SELECT { [PersonalInformation].[Gender].[F], "
+      "[PersonalInformation].[Gender].[M] } ON COLUMNS "
+      "FROM [MedicalMeasures]";
+  const char* const one =
+      "SELECT { [PersonalInformation].[Gender].[F,M] } ON COLUMNS "
+      "FROM [MedicalMeasures]";
+  for (const auto& order : {std::vector<const char*>{two, one},
+                            std::vector<const char*>{one, two}}) {
+    auto dgms = CacheKeyFacade();
+    ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+    mdx::MdxExecutor uncached(&dgms->warehouse());
+    for (const char* text : order) {
+      auto got = dgms->QueryMdx(text);
+      auto want = uncached.Execute(text);
+      ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+      EXPECT_EQ(Answer(got->cube), Answer(want->cube))
+          << text << " after " << order.front();
+      EXPECT_EQ(want->cube.num_cells(), text == two ? 2u : 0u) << text;
+    }
+  }
+}
+
+// Null and "", Int 1 and Str "1", and two aliases of one measure print
+// alike too; each query of a pair, run first or second through one
+// cache, answers like the engine.
+TEST(CacheKeyTest, TypedMembersAndAliasesKeepTheirOwnEntries) {
+  auto dgms = CacheKeyFacade();
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+  auto restricted = [](const char* dimension, const char* attribute,
+                       Value member, const char* alias) {
+    olap::CubeQuery q;
+    q.axes = {{dimension, attribute, {std::move(member)}}};
+    q.measures = {{AggFn::kCount, "", alias}};
+    return q;
+  };
+  const std::pair<olap::CubeQuery, olap::CubeQuery> pairs[] = {
+      {restricted("MedicalCondition", "DiagnosticHTYearsBand", Value::Null(),
+                  "n"),
+       restricted("MedicalCondition", "DiagnosticHTYearsBand",
+                  Value::Str(""), "n")},
+      {restricted("Cardinality", "VisitNumber", Value::Int(1), "n"),
+       restricted("Cardinality", "VisitNumber", Value::Str("1"), "n")},
+      {restricted("Cardinality", "VisitNumber", Value::Int(1), "n"),
+       restricted("Cardinality", "VisitNumber", Value::Int(1), "visits")}};
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(a.ToString(), b.ToString());
+    for (const auto& order : {std::vector<const olap::CubeQuery*>{&a, &b},
+                              std::vector<const olap::CubeQuery*>{&b, &a}}) {
+      olap::CachingCubeEngine cache(&dgms->warehouse());
+      for (const olap::CubeQuery* q : order) {
+        auto got = cache.Execute(*q);
+        auto want = olap::CubeEngine(&dgms->warehouse()).Execute(*q);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_EQ(Answer(**got), Answer(*want)) << q->ToString();
+      }
+      EXPECT_EQ(cache.misses(), 2u);
+    }
+  }
+  // Each pair's first query finds facts, so the answers differ.
+  for (const auto& [a, b] : pairs) {
+    auto cube = olap::CubeEngine(&dgms->warehouse()).Execute(a);
+    ASSERT_TRUE(cube.ok());
+    EXPECT_GT(cube->facts_aggregated(), 0u) << a.ToString();
+  }
+}
+
 // ------------------------------------------------- warehouse persistence
 
 TEST_F(ExtensionsTest, SaveLoadRoundTrip) {
@@ -667,8 +768,8 @@ mining::CategoricalDataset MakeSelectionData(size_t n) {
   Rng rng(55);
   for (size_t i = 0; i < n; ++i) {
     bool y = rng.Bernoulli(0.5);
-    std::string good = y ? "a" : "b";
-    if (rng.Bernoulli(0.05)) good = y ? "b" : "a";  // slight noise
+    const bool noisy = rng.Bernoulli(0.05);  // slight noise
+    std::string good = y != noisy ? "a" : "b";
     std::string weak = (y == rng.Bernoulli(0.7)) ? "x" : "y";
     auto noise = [&] { return rng.Bernoulli(0.5) ? "p" : "q"; };
     ds.rows.push_back({noise(), good, noise(), weak, noise()});

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/resource.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -19,6 +20,7 @@
 #include "core/baseline.h"
 #include "discri/cohort.h"
 #include "discri/model.h"
+#include "olap/cache.h"
 #include "olap/cube.h"
 #include "warehouse/warehouse.h"
 
@@ -1640,6 +1642,474 @@ TEST_F(CubeConcurrencyTest, ThreadsCodingOneWarehouseAnswerLikeOne) {
       EXPECT_EQ(answers[t][q], serial[q]) << "thread " << t;
     }
   }
+}
+
+// ------------------------------------------------- rolling forward
+
+// The rows `rows` of `t`, in that order.
+Table TakeRows(const Table& t, const std::vector<size_t>& rows) {
+  Table out(t.schema());
+  for (size_t r : rows) EXPECT_TRUE(out.AppendRow(t.GetRow(r)).ok());
+  return out;
+}
+
+// A rolled cube equals the engine's cube for its query on the warehouse
+// as it is now, to the bit: CubeText (cells, spellings, fact counts,
+// doubles by their bits), the stamps, and every roll-up from its cells,
+// which merges them in their first-touch order.
+void ExpectSameCube(const Cube& got, const Cube& want,
+                    const std::string& where) {
+  EXPECT_EQ(CubeText(got), CubeText(want)) << where;
+  EXPECT_EQ(got.generation(), want.generation()) << where;
+  EXPECT_EQ(got.lineage(), want.lineage()) << where;
+  for (size_t a = 0; a < want.num_axes(); ++a) {
+    EXPECT_EQ(CubeText(got.RollUp(a)), CubeText(want.RollUp(a)))
+        << where << " rollup " << a;
+  }
+}
+
+bool HasCountDistinct(const CubeQuery& q) {
+  return std::any_of(q.measures.begin(), q.measures.end(),
+                     [](const AggSpec& m) {
+                       return m.fn == AggFn::kCountDistinct;
+                     });
+}
+
+// The navigation extract split into a base and four batches. Rows with
+// a held-back member stay out of the base: the rarest AgeBand5 and
+// HbA1cBand members first appear in batches 1-3, and the rarest
+// VisitNumber only in batch 4.
+class CubeRollForwardTest : public CubeNavigationTest {
+ protected:
+  static void SetUpTestSuite() {
+    CubeNavigationTest::SetUpTestSuite();
+    const Table extract = MakeNavigationExtract(300, 424);
+    late_ = new std::vector<std::pair<std::string, Value>>{
+        {"AgeBand5", Rarest(extract, "AgeBand5")},
+        {"HbA1cBand", Rarest(extract, "HbA1cBand")},
+        {"VisitNumber", Rarest(extract, "VisitNumber")}};
+    auto has = [&extract](size_t row, const std::pair<std::string, Value>& m) {
+      return extract.ColumnByName(m.first).value()->GetValue(row).Equals(
+          m.second);
+    };
+    std::vector<size_t> early;
+    std::vector<size_t> late;
+    std::vector<size_t> last;
+    for (size_t r = 0; r < extract.num_rows(); ++r) {
+      if (has(r, (*late_)[2])) {
+        last.push_back(r);
+      } else if (has(r, (*late_)[0]) || has(r, (*late_)[1])) {
+        late.push_back(r);
+      } else {
+        early.push_back(r);
+      }
+    }
+    const size_t base_rows = early.size() * 2 / 3;
+    base_ = new Table(TakeRows(
+        extract, std::vector<size_t>(early.begin(), early.begin() +
+                                                        base_rows)));
+    std::vector<size_t> rest(early.begin() + base_rows, early.end());
+    rest.insert(rest.end(), late.begin(), late.end());
+    std::sort(rest.begin(), rest.end());
+    batches_ = new std::vector<Table>;
+    for (size_t b = 0; b < 3; ++b) {
+      batches_->push_back(TakeRows(
+          extract, std::vector<size_t>(rest.begin() + rest.size() * b / 3,
+                                       rest.begin() +
+                                           rest.size() * (b + 1) / 3)));
+    }
+    batches_->push_back(TakeRows(extract, last));
+  }
+
+  static void TearDownTestSuite() {
+    delete base_;
+    delete batches_;
+    delete late_;
+    CubeNavigationTest::TearDownTestSuite();
+  }
+
+  // The least frequent non-null value of `column` (the first seen on a
+  // tie).
+  static Value Rarest(const Table& t, const std::string& column) {
+    const ColumnVector& col = *t.ColumnByName(column).value();
+    std::vector<std::pair<Value, size_t>> counts;
+    for (size_t r = 0; r < col.size(); ++r) {
+      const Value v = col.GetValue(r);
+      if (v.is_null()) continue;
+      auto it = std::find_if(counts.begin(), counts.end(),
+                             [&v](const auto& c) { return c.first.Equals(v); });
+      if (it == counts.end()) {
+        counts.emplace_back(v, 1);
+      } else {
+        ++it->second;
+      }
+    }
+    EXPECT_FALSE(counts.empty()) << column;
+    return std::min_element(counts.begin(), counts.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.second < b.second;
+                            })
+        ->first;
+  }
+
+  // The member of `attribute` held out of the base.
+  static const Value& Late(const std::string& attribute) {
+    for (const auto& [attr, value] : *late_) {
+      if (attr == attribute) return value;
+    }
+    ADD_FAILURE() << "no late member of " << attribute;
+    return late_->front().second;
+  }
+
+  // Hand-written cubes over the held-back members, null members,
+  // include-empty and all nine aggregates, then random 1-3-axis cubes in
+  // the style of RandomCubesMatchTheEngine.
+  static std::vector<CubeQuery> Queries() {
+    const AggFn fns[] = {AggFn::kCount,    AggFn::kCountValid,
+                         AggFn::kSum,      AggFn::kAvg,
+                         AggFn::kMin,      AggFn::kMax,
+                         AggFn::kVariance, AggFn::kStdDev};
+    const char* columns[] = {"FBG", "AgeOrNull"};
+    std::vector<CubeQuery> out;
+    CubeQuery q;
+    q.axes = {AxisSpec{"PersonalInformation",
+                       "AgeBand5",
+                       {Late("AgeBand5"), Attr("AgeBand5").members[0],
+                        Value::Str("absent")}},
+              AxisSpec{"PersonalInformation", "Gender", {}}};
+    q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                  AggSpec{AggFn::kSum, "FBG", "s"},
+                  AggSpec{AggFn::kAvg, "AgeOrNull", "a"}};
+    out.push_back(q);
+    q.non_empty = false;
+    out.push_back(q);
+    q = CubeQuery{};
+    q.axes = {AxisSpec{"Cardinality",
+                       "VisitNumber",
+                       {Late("VisitNumber"), Value::Int(1), Value::Null()}}};
+    q.slicers = {SlicerSpec{"FastingBloods",
+                            "HbA1cBand",
+                            {Late("HbA1cBand"), Value::Null()}}};
+    q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                  AggSpec{AggFn::kMax, "FBG", "hi"}};
+    out.push_back(q);
+    q.non_empty = false;
+    out.push_back(q);
+    // Nullable int64 and double measures under every aggregate, on an
+    // axis with a null member; count_distinct never rolls.
+    const NavAttr& ht = Attr("DiagnosticHTYearsBand");
+    EXPECT_TRUE(Lists(ht.members, Value::Null()));
+    q = CubeQuery{};
+    q.axes = {AxisSpec{ht.dimension, ht.name, {}}};
+    for (const char* column : columns) {
+      for (AggFn fn : fns) q.measures.push_back(AggSpec{fn, column, ""});
+    }
+    out.push_back(q);
+    q.measures.push_back(AggSpec{AggFn::kCountDistinct, "AgeOrNull", ""});
+    out.push_back(q);
+    q = CubeQuery{};
+    q.slicers = {SlicerSpec{"Cardinality", "VisitNumber",
+                            {Late("VisitNumber")}}};
+    q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                  AggSpec{AggFn::kVariance, "FBG", "var"}};
+    out.push_back(q);
+
+    std::vector<const NavAttr*> axis_pool;
+    for (const NavAttr& a : *attrs_) {
+      if (a.members.size() <= 16) axis_pool.push_back(&a);
+    }
+    Rng rng(4711);
+    auto pick = [&rng](const auto& v) -> decltype(auto) {
+      return v[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(std::size(v)) - 1))];
+    };
+    auto some_members = [&](const NavAttr& a) {
+      std::vector<Value> members;
+      const int64_t n = rng.UniformInt(1, 3);
+      for (int64_t i = 0; i < n; ++i) members.push_back(pick(a.members));
+      for (const auto& [attr, value] : *late_) {
+        if (attr == a.name && rng.Bernoulli(0.7)) members.push_back(value);
+      }
+      return members;
+    };
+    while (out.size() < 40) {
+      rng.Shuffle(&axis_pool);
+      q = CubeQuery{};
+      const size_t n_axes = static_cast<size_t>(rng.UniformInt(1, 3));
+      for (size_t i = 0; i < n_axes; ++i) {
+        const NavAttr& a = *axis_pool[i];
+        q.axes.push_back(AxisSpec{a.dimension, a.name, {}});
+        if (rng.Bernoulli(0.3)) q.axes.back().members = some_members(a);
+      }
+      if (rng.Bernoulli(0.4)) {
+        const NavAttr& a = *axis_pool[n_axes];
+        q.slicers.push_back(SlicerSpec{a.dimension, a.name, some_members(a)});
+      }
+      const int64_t n_measures = rng.UniformInt(1, 3);
+      for (int64_t i = 0; i < n_measures; ++i) {
+        const AggFn fn = pick(fns);
+        q.measures.push_back(AggSpec{
+            fn, fn == AggFn::kCount && rng.Bernoulli(0.5) ? ""
+                                                          : pick(columns),
+            ""});
+      }
+      q.non_empty = rng.Bernoulli(0.5);
+      out.push_back(q);
+    }
+    return out;
+  }
+
+  static Table* base_;
+  static std::vector<Table>* batches_;
+  static std::vector<std::pair<std::string, Value>>* late_;
+};
+
+Table* CubeRollForwardTest::base_ = nullptr;
+std::vector<Table>* CubeRollForwardTest::batches_ = nullptr;
+std::vector<std::pair<std::string, Value>>* CubeRollForwardTest::late_ =
+    nullptr;
+
+TEST_F(CubeRollForwardTest, RolledCubesEqualTheEngineBitForBit) {
+  Warehouse wh = BuildNavigationWarehouse(*base_);
+  CachingCubeEngine cache(&wh);
+  const std::vector<CubeQuery> queries = Queries();
+  ASSERT_LE(queries.size(), 64u);  // the cache's capacity: nothing evicts
+  std::vector<Cube> held;
+  std::vector<std::string> held_text;
+  for (const CubeQuery& q : queries) {
+    auto cube = cache.Execute(q);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    held.push_back(**cube);
+    held_text.push_back(CubeText(held.back()));
+  }
+  EXPECT_EQ(cache.misses(), queries.size());
+  // The base lacks the held-back members.
+  for (const auto& [attr, value] : *late_) {
+    CubeQuery q;
+    q.slicers = {SlicerSpec{Attr(attr).dimension, attr, {value}}};
+    q.measures = {AggSpec{AggFn::kCount, "", "n"}};
+    EXPECT_EQ(CubeEngine(&wh).Execute(q)->facts_aggregated(), 0u) << attr;
+  }
+
+  for (size_t b = 0; b < batches_->size(); ++b) {
+    ASSERT_TRUE(wh.AppendRows((*batches_)[b]).ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const CubeQuery& q = queries[i];
+      const std::string where =
+          "batch " + std::to_string(b + 1) + ": " + q.ToString();
+      const size_t rolls = cache.rolls();
+      auto got = cache.Execute(q);
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+      EXPECT_EQ(cache.rolls(), rolls + (HasCountDistinct(q) ? 0 : 1))
+          << where;
+      auto want = CubeEngine(&wh).Execute(q);
+      ASSERT_TRUE(want.ok()) << where;
+      ExpectSameCube(**got, *want, where);
+      // Answered again, the rolled cube is a hit.
+      auto again = cache.Execute(q);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again->get(), got->get()) << where;
+    }
+  }
+  EXPECT_GT(cache.rolls(), 100u);
+  EXPECT_GT(wh.num_fact_rows(), base_->num_rows());
+
+  // A cube someone held never changed; navigating from it, stale now,
+  // rescans the warehouse.
+  for (size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(CubeText(held[i]), held_text[i]) << queries[i].ToString();
+  }
+  From();  // drain
+  auto rolled_up = held[0].RollUp(1);
+  EXPECT_EQ(From(), "warehouse");
+  ExpectMatchesEngine(rolled_up, wh, "rollup of a held cube");
+}
+
+TEST_F(CubeRollForwardTest, ARollScansOnlyTheAppendedRows) {
+  Warehouse wh = BuildNavigationWarehouse(*base_);
+  ResourceMeter::Enable();
+  ResourcePool& pool = ResourceMeter::Global().GetPool("olap.cube.cache");
+  const int64_t empty = pool.current();
+  CachingCubeEngine cache(&wh);
+  const CubeQuery q = Queries().front();
+  auto first = cache.Execute(q);
+  ASSERT_TRUE(first.ok());
+  const auto first_bytes = static_cast<int64_t>((*first)->ApproxBytes());
+  EXPECT_EQ(pool.current() - empty, first_bytes);
+  const Table& batch = batches_->front();
+  ASSERT_TRUE(wh.AppendRows(batch).ok());
+  PlanNode root("test");
+  std::shared_ptr<const Cube> rolled;
+  {
+    Stage stage(&root, "olap.cube.cache");
+    auto got = cache.Execute(q, &stage);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    rolled = *got;
+  }
+  // The pool let go of the old cube's bytes and holds the new one's.
+  EXPECT_EQ(pool.current() - empty,
+            static_cast<int64_t>(rolled->ApproxBytes()));
+  EXPECT_NE(first_bytes, static_cast<int64_t>(rolled->ApproxBytes()));
+  cache.Invalidate();
+  EXPECT_EQ(pool.current(), empty);
+  ResourceMeter::Disable();
+  EXPECT_EQ(cache.rolls(), 1u);
+  ASSERT_EQ(root.children.size(), 1u);
+  const PlanNode& node = root.children[0];
+  ASSERT_EQ(node.props.size(), 1u);
+  EXPECT_EQ(node.props[0], std::make_pair(std::string("cache"),
+                                          std::string("rolled")));
+  EXPECT_EQ(node.rows_out, rolled->num_cells());
+  ASSERT_EQ(node.children.size(), 1u);
+  const PlanNode& exec = node.children[0];
+  EXPECT_EQ(exec.op, "olap.cube.execute");
+  EXPECT_EQ(exec.rows_in, batch.num_rows());
+  bool scanned = false;
+  for (const PlanNode& step : exec.children) {
+    if (step.op != "olap.cube.scan") continue;
+    scanned = true;
+    EXPECT_EQ(step.rows_in, batch.num_rows());
+  }
+  EXPECT_TRUE(scanned);
+}
+
+TEST_F(CubeRollForwardTest, AnyOtherChangeRecomputes) {
+  MetricsRegistry::Global().ResetValues();
+  MetricsRegistry::Enable();
+  Counter& invalidations =
+      MetricsRegistry::Global().GetCounter("ddgms.olap.cache.invalidations");
+  Counter& rolls = MetricsRegistry::Global().GetCounter(
+      "ddgms.olap.cache.rolls");
+  Warehouse wh = BuildNavigationWarehouse(*base_);
+  CachingCubeEngine cache(&wh);
+  CubeQuery q;
+  q.axes = {AxisSpec{"PersonalInformation", "Gender", {}},
+            AxisSpec{"MedicalCondition", "DiabetesStatus", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "FBG", "avg"}};
+  CubeQuery distinct = q;
+  distinct.measures.push_back(
+      AggSpec{AggFn::kCountDistinct, "AgeOrNull", "ages"});
+  // Runs `query` and checks it rolled forward, or was computed afresh,
+  // and that only an ended chain counted an invalidation.
+  auto expect = [&](const CubeQuery& query, bool roll, bool invalidated,
+                    const std::string& what) {
+    const size_t misses = cache.misses();
+    const size_t rolled = cache.rolls();
+    const uint64_t ended = invalidations.value();
+    auto got = cache.Execute(query);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    EXPECT_EQ(cache.rolls(), rolled + (roll ? 1 : 0)) << what;
+    EXPECT_EQ(cache.misses(), misses + (roll ? 0 : 1)) << what;
+    EXPECT_EQ(invalidations.value(), ended + (invalidated ? 1 : 0)) << what;
+    auto want = CubeEngine(&wh).Execute(query);
+    ASSERT_TRUE(want.ok()) << what;
+    ExpectSameCube(**got, *want, what);
+  };
+  ASSERT_TRUE(cache.Execute(q).ok());
+  ASSERT_TRUE(cache.Execute(distinct).ok());
+
+  ASSERT_TRUE(wh.AppendRows((*batches_)[0]).ok());
+  expect(q, true, false, "append");
+  expect(distinct, false, false, "count_distinct after an append");
+  EXPECT_EQ(rolls.value(), 1u);
+
+  // An in-place reload of the same rows.
+  Table rows = *base_;
+  ASSERT_TRUE(rows.Concat((*batches_)[0]).ok());
+  wh = BuildNavigationWarehouse(rows);
+  expect(q, false, true, "reload");
+
+  // Copies that diverge: neither rolls the other's cubes, whether the
+  // copy is assigned or moved into the watched warehouse.
+  Warehouse copy = wh;
+  EXPECT_NE(copy.lineage(), wh.lineage());
+  ASSERT_TRUE(copy.AppendRows((*batches_)[1]).ok());
+  ASSERT_TRUE(wh.AppendRows((*batches_)[2]).ok());
+  expect(q, true, false, "the watched warehouse's own append");
+  auto on_copy = CubeEngine(&copy).Execute(q);
+  ASSERT_TRUE(on_copy.ok());
+  EXPECT_FALSE(CubeEngine(&wh).CanExtend(*on_copy));
+  wh = copy;
+  expect(q, false, true, "a diverged copy assigned in place");
+  Warehouse other = wh;
+  ASSERT_TRUE(other.AppendRows((*batches_)[3]).ok());
+  ASSERT_TRUE(wh.AppendRows((*batches_)[3]).ok());
+  ASSERT_TRUE(cache.Execute(q).ok());
+  const uint64_t moved_lineage = other.lineage();
+  wh = std::move(other);
+  EXPECT_EQ(wh.lineage(), moved_lineage);
+  // The moved-from warehouse took a fresh lineage.
+  EXPECT_NE(other.lineage(), moved_lineage);  // NOLINT
+  expect(q, false, true, "a diverged copy moved in");
+
+  // A feedback dimension.
+  ASSERT_TRUE(wh.AddFeedbackDimension("Risk", "RiskLabel",
+                                      [](const Warehouse&, size_t row) {
+                                        return Value::Str(row % 2 == 0 ? "a"
+                                                                       : "b");
+                                      })
+                  .ok());
+  expect(q, false, true, "feedback dimension");
+  MetricsRegistry::Disable();
+  MetricsRegistry::Global().ResetValues();
+
+  // An empty cube, and a derived one, never roll.
+  EXPECT_FALSE(CubeEngine(&wh).CanExtend(Cube()));
+  auto fresh = CubeEngine(&wh).Execute(q);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(CubeEngine(&wh).CanExtend(*fresh));
+  auto derived = fresh->RollUp(1);
+  ASSERT_TRUE(derived.ok());
+  EXPECT_FALSE(CubeEngine(&wh).CanExtend(*derived));
+  EXPECT_TRUE(CubeEngine(&wh).Extend(*derived).status().IsFailedPrecondition());
+}
+
+// A roll forward whose cell space grows past the dense slot limit: the
+// base's 47 x 22 x 53 cells sit in a dense array, the grown 47 x 43 x 53
+// in a hash.
+TEST_F(CubeKernelTest, RollsForwardOntoHashedSlots) {
+  auto range = [](size_t from, size_t to) {
+    std::vector<size_t> rows;
+    for (size_t r = from; r < to; ++r) rows.push_back(r);
+    return rows;
+  };
+  StarSchemaDef def;
+  def.fact_name = "F";
+  def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
+                  MeasureDef{"DV", "DV"}};
+  def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
+                    DimensionDef{"W", {"P", "Q", "R"}, {}}};
+  auto built =
+      StarSchemaBuilder(def).Build(TakeRows(*extract_, range(0, 1000)));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Warehouse wh = std::move(built).value();
+  CachingCubeEngine cache(&wh);
+  CubeQuery q;
+  q.axes = {AxisSpec{"W", "P", {}}, AxisSpec{"W", "Q", {}},
+            AxisSpec{"W", "R", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "DV", "avg"},
+                AggSpec{AggFn::kSum, "IV", "s"},
+                AggSpec{AggFn::kMax, "IV", "hi"}};
+  auto slots_of = [&](const std::string& what) {
+    PlanNode root("test");
+    Stage stage(&root, "olap.cube.cache");
+    auto got = cache.Execute(q, &stage);
+    EXPECT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    stage.Stop();
+    auto want = CubeEngine(&wh).Execute(q);
+    EXPECT_TRUE(want.ok()) << what;
+    if (got.ok() && want.ok()) ExpectSameCube(**got, *want, what);
+    const std::string* slots = ScanProp(root.children.at(0), "slots");
+    return slots == nullptr ? std::string() : *slots;
+  };
+  EXPECT_EQ(slots_of("base"), "dense");
+  ASSERT_TRUE(wh.AppendRows(TakeRows(*extract_, range(1000, 3000))).ok());
+  EXPECT_EQ(slots_of("first roll"), "hashed");
+  ASSERT_TRUE(wh.AppendRows(TakeRows(*extract_, range(3000, 6000))).ok());
+  EXPECT_EQ(slots_of("second roll"), "hashed");
+  EXPECT_EQ(cache.rolls(), 2u);
 }
 
 }  // namespace

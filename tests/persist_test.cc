@@ -15,6 +15,7 @@
 #include "discri/cohort.h"
 #include "discri/model.h"
 #include "gtest/gtest.h"
+#include "mdx/executor.h"
 #include "olap/cache.h"
 #include "table/table.h"
 #include "warehouse/journal.h"
@@ -903,6 +904,103 @@ TEST(DurableFacadeTest, ExtraRawColumnIsRejectedBeforeJournaling) {
                                           {}, FastOptions());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->warehouse().num_fact_rows(), facts);
+}
+
+// ------------------------------------------- cubes rolled forward
+
+const char* const kFig5Mdx =
+    "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+    "{ [PersonalInformation].[AgeBand10].Members } ON ROWS "
+    "FROM [MedicalMeasures] "
+    "WHERE ( [MedicalCondition].[DiabetesStatus].[Type2] )";
+const char* const kFig6Mdx =
+    "SELECT { [MedicalCondition].[DiagnosticHTYearsBand].Members } "
+    "ON COLUMNS, { [PersonalInformation].[AgeBand5].Members } ON ROWS "
+    "FROM [MedicalMeasures] "
+    "WHERE ( [MedicalCondition].[HypertensionStatus].[Yes] )";
+
+/// The "cache" prop of the result's cube-cache node, or "" without one.
+std::string CacheVerdict(const mdx::MdxResult& result) {
+  for (const olap::PlanNode& node : result.profile.plan.children) {
+    if (node.op != "olap.cube.cache") continue;
+    for (const auto& [key, value] : node.props) {
+      if (key == "cache") return value;
+    }
+  }
+  return "";
+}
+
+/// The query's grid as text.
+std::string GridText(const core::DdDgms& dgms, const char* mdx) {
+  auto result = dgms.QueryMdx(mdx);
+  if (!result.ok()) return "error: " + result.status().ToString();
+  auto grid = result->ToGrid();
+  if (!grid.ok()) return "error: " + grid.status().ToString();
+  return grid->ToPrettyString(1000);
+}
+
+// Durable acquisitions roll the facade's cached Fig 5 and Fig 6 cubes
+// forward; their grids equal those of a facade reloaded from the store.
+TEST(CacheRollForwardTest, DurableAcquisitionsMatchAReload) {
+  std::string dir = FreshDir("ddgms_roll_forward");
+  auto dgms = DurableFacade(dir);
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+  for (const char* mdx : {kFig5Mdx, kFig6Mdx}) {
+    auto first = dgms->QueryMdx(mdx);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(CacheVerdict(*first), "miss");
+  }
+  for (uint64_t seed : {301, 302, 303}) {
+    ASSERT_TRUE(dgms->AcquireData(RawCohort(10, seed)).ok());
+    for (const char* mdx : {kFig5Mdx, kFig6Mdx}) {
+      auto rolled = dgms->QueryMdx(mdx);
+      ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+      EXPECT_EQ(CacheVerdict(*rolled), "rolled") << seed;
+      EXPECT_EQ(rolled->cube.facts_aggregated(),
+                rolled->profile.facts_aggregated);
+    }
+  }
+
+  // Two results of one cached query share its cells.
+  auto a = dgms->QueryMdx(kFig5Mdx);
+  auto b = dgms->QueryMdx(kFig5Mdx);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(CacheVerdict(*b), "hit");
+  EXPECT_EQ(&a->cube.AxisMembers(0), &b->cube.AxisMembers(0));
+
+  auto loaded = core::DdDgms::LoadDurable(dir, discri::MakeDiscriPipeline(),
+                                          {}, FastOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->warehouse().num_fact_rows(),
+            dgms->warehouse().num_fact_rows());
+  for (const char* mdx : {kFig5Mdx, kFig6Mdx}) {
+    EXPECT_EQ(GridText(*dgms, mdx), GridText(*loaded, mdx)) << mdx;
+  }
+}
+
+// Without durable storage an acquisition rebuilds the warehouse, which
+// ends the cached cubes' append chain: they are computed afresh, and
+// answer like a facade built from every row.
+TEST(CacheRollForwardTest, ANonDurableRebuildRecomputes) {
+  auto dgms = core::DdDgms::Build(RawCohort(200, 11),
+                                  discri::MakeDiscriPipeline(),
+                                  discri::MakeDiscriSchemaDef());
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+  ASSERT_TRUE(dgms->QueryMdx(kFig5Mdx).ok());
+  const Table extra = RawCohort(10, 12);
+  ASSERT_TRUE(dgms->AcquireData(extra).ok());
+  auto after = dgms->QueryMdx(kFig5Mdx);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(CacheVerdict(*after), "miss");
+
+  Table all = RawCohort(200, 11);
+  ASSERT_TRUE(all.Concat(extra).ok());
+  auto whole = core::DdDgms::Build(std::move(all),
+                                   discri::MakeDiscriPipeline(),
+                                   discri::MakeDiscriSchemaDef());
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(GridText(*dgms, kFig5Mdx), GridText(*whole, kFig5Mdx));
 }
 
 }  // namespace

@@ -372,7 +372,9 @@ TEST_F(QueryRegistryTest, CompletedQueriesMoveIntoBoundedHistory) {
 
   std::vector<uint64_t> ids;
   for (int i = 0; i < 10; ++i) {
-    const uint64_t id = registry.Begin("mdx", "q" + std::to_string(i));
+    std::string text = "q";
+    text += std::to_string(i);
+    const uint64_t id = registry.Begin("mdx", text);
     registry.SetStage(id, "execute");
     registry.End(id);
     ids.push_back(id);
@@ -423,9 +425,11 @@ TEST_F(QueryRegistryTest, HistoryStaysBoundedUnderConcurrentLoad) {
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([t] {
       for (int i = 0; i < 100; ++i) {
-        ScopedQueryRecord record("mdx",
-                                 "w" + std::to_string(t) + "-q" +
-                                     std::to_string(i));
+        std::string text = "w";
+        text += std::to_string(t);
+        text += "-q";
+        text += std::to_string(i);
+        ScopedQueryRecord record("mdx", text);
         QueryRegistry::SetCurrentStage("execute");
       }
     });

@@ -152,7 +152,9 @@ TokenFile Tokenize(const std::string& src) {
         ++d;
       }
       if (d < n && src[d] == '(') {
-        const std::string close = ")" + src.substr(i + 2, d - (i + 2)) + "\"";
+        std::string close = ")";
+        close.append(src, i + 2, d - (i + 2));
+        close += '"';
         const size_t end = src.find(close, d + 1);
         const size_t stop = end == std::string::npos ? n : end;
         Token tok{TokenKind::kString, src.substr(d + 1, stop - d - 1), line};
