@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "discri/cohort.h"
+#include "discri/model.h"
 #include "mdx/executor.h"
 #include "mdx/lexer.h"
 #include "mdx/parser.h"
@@ -292,6 +300,137 @@ TEST(ExecutorTest, CaseInsensitiveCubeName) {
                            "FROM [medicalmeasures]")
                   .ok());
 }
+
+// ------------------------------------------------------------- fuzzing
+
+// The paper's Fig 4-6 queries, Fig 5's drill-down, and a query with
+// NON EMPTY, .Children and a measure in the WHERE tuple: the inputs the
+// fuzzer mutates.
+const char* const kFuzzQueries[] = {
+    "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+    "CROSSJOIN( { [PersonalInformation].[AgeBand].Members }, "
+    "{ [PersonalInformation].[FamilyHistoryDiabetes].Members } ) "
+    "ON ROWS FROM [MedicalMeasures]",
+    "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+    "{ [PersonalInformation].[AgeBand10].Members } ON ROWS "
+    "FROM [MedicalMeasures] "
+    "WHERE ( [MedicalCondition].[DiabetesStatus].[Type2] )",
+    "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+    "{ [PersonalInformation].[AgeBand10].[70-80].Children } ON ROWS "
+    "FROM [MedicalMeasures] "
+    "WHERE ( [MedicalCondition].[DiabetesStatus].[Type2] )",
+    "SELECT { [MedicalCondition].[DiagnosticHTYearsBand].Members } "
+    "ON COLUMNS, { [PersonalInformation].[AgeBand5].Members } ON ROWS "
+    "FROM [MedicalMeasures] "
+    "WHERE ( [MedicalCondition].[HypertensionStatus].[Yes] )",
+    "SELECT NON EMPTY { [PersonalInformation].[AgeBand10].[60-70].Children, "
+    "[PersonalInformation].[AgeBand10].[70-80].Children } ON ROWS, "
+    "{ [MedicalCondition].[DiabetesStatus].Members } ON COLUMNS "
+    "FROM [MedicalMeasures] WHERE ( [PersonalInformation].[Gender].[F], "
+    "[Measures].[Avg(FBG)] )",
+};
+
+// What an insertion splices in: MDX keywords, punctuation, names the
+// warehouse knows, and bytes a lexer must not trip over.
+const char* const kMdxTokens[] = {
+    "SELECT", "ON", "COLUMNS", "ROWS", "FROM", "WHERE", "NON", "EMPTY",
+    "CROSSJOIN", "Members", "Children", ".Members", ".Children", "{", "}",
+    "(", ")", "[", "]", "]]", ",", ".", " ", "[Measures]", "[Count]",
+    "[Avg(FBG)]", "[Sum(Age)]", "[StdDev(HbA1c)]", "[MedicalMeasures]",
+    "[PersonalInformation]", "[Gender]", "[AgeBand10]", "[70-80]", "[F]",
+    "[MedicalCondition]", "[DiabetesStatus]", "0", "-1", "1e309", "\"",
+    "\\", "\xff", "\t\n"};
+
+// One seeded mutant of `input`: one to four edits, each a byte delete,
+// an insertion from kMdxTokens, a truncation or a duplicated span.
+std::string MutateMdx(const std::string& input, uint64_t seed) {
+  Rng rng(seed);
+  std::string out = input;
+  auto pos = [&] {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(out.size())));
+  };
+  const int64_t edits = rng.UniformInt(1, 4);
+  for (int64_t e = 0; e < edits; ++e) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        if (!out.empty()) out.erase(std::min(pos(), out.size() - 1), 1);
+        break;
+      case 1:
+        out.insert(pos(), kMdxTokens[rng.UniformInt(
+                              0, std::size(kMdxTokens) - 1)]);
+        break;
+      case 2:
+        out.resize(pos());
+        break;
+      default: {
+        const size_t begin = pos();
+        const size_t length = std::min<size_t>(
+            out.size() - begin, static_cast<size_t>(rng.UniformInt(1, 40)));
+        out.insert(begin, out.substr(begin, length));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// A DiScRi warehouse of 300 patients: big enough for every member the
+// queries name, small enough that a mutant that compiles scans fast.
+class MdxFuzzTest : public testing::TestWithParam<size_t> {
+ protected:
+  static void SetUpTestSuite() {
+    discri::CohortOptions options;
+    options.num_patients = 300;
+    options.seed = 20130408;
+    auto cohort = discri::GenerateCohort(options);
+    ASSERT_TRUE(cohort.ok()) << cohort.status().ToString();
+    Table extract = std::move(cohort).value();
+    ASSERT_TRUE(discri::MakeDiscriPipeline().Run(&extract).ok());
+    auto wh = StarSchemaBuilder(discri::MakeDiscriSchemaDef()).Build(extract);
+    ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+    warehouse_ = new Warehouse(std::move(wh).value());
+  }
+
+  static void TearDownTestSuite() {
+    delete warehouse_;
+    warehouse_ = nullptr;
+  }
+
+  static Warehouse* warehouse_;
+};
+
+Warehouse* MdxFuzzTest::warehouse_ = nullptr;
+
+// Every mutant either fails with a Status or executes, and an executed
+// one renders its grid or fails with a Status; none crashes. About a
+// second in Release over all inputs. A failure names the input and the
+// mutant's Rng seed: MutateMdx(kFuzzQueries[input], seed) replays it.
+TEST_P(MdxFuzzTest, SeededMutantsReturnAStatus) {
+  const size_t input = GetParam();
+  MdxExecutor executor(warehouse_);
+  ASSERT_TRUE(executor.Execute(kFuzzQueries[input]).ok());
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t seed = 20130408u + (uint64_t{input} << 32) +
+                          static_cast<uint64_t>(i);
+    const std::string text = MutateMdx(kFuzzQueries[input], seed);
+    SCOPED_TRACE("replay: input " + std::to_string(input) +
+                 ", MutateMdx seed " + std::to_string(seed) + ": " + text);
+    auto result = executor.Execute(text);
+    if (!result.ok()) {
+      EXPECT_FALSE(result.status().message().empty());
+      continue;
+    }
+    auto grid = result->ToGrid();
+    if (grid.ok()) {
+      EXPECT_TRUE(grid->num_rows() > 0 || result->cube.num_cells() == 0);
+    }
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Queries, MdxFuzzTest,
+                         testing::Range<size_t>(0, std::size(kFuzzQueries)));
 
 }  // namespace
 }  // namespace ddgms::mdx

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/metrics.h"
 #include "common/resource.h"
 #include "common/rng.h"
@@ -371,14 +372,23 @@ class CubeKernelTest : public ::testing::Test {
   }
 
   // Executes `q` and checks it against the baseline: the same cells,
-  // each with the same fact count and measure values. Returns the cube
-  // for case-specific checks.
+  // each with the same fact count and measure values, doubles to the
+  // bit (the baseline feeds Accumulator::Add in row order). Returns the
+  // cube for case-specific checks.
   static Cube ExpectMatchesBaseline(const CubeQuery& q,
                                     PlanNode* plan = nullptr) {
-    auto cube = CubeEngine(warehouse_).Execute(q, plan);
+    return ExpectMatchesBaselineOn(*warehouse_, *extract_, q, plan);
+  }
+
+  // ExpectMatchesBaseline for the warehouse `wh` built from `extract`.
+  static Cube ExpectMatchesBaselineOn(const Warehouse& wh,
+                                      const Table& extract,
+                                      const CubeQuery& q,
+                                      PlanNode* plan = nullptr) {
+    auto cube = CubeEngine(&wh).Execute(q, plan);
     EXPECT_TRUE(cube.ok()) << cube.status().ToString();
     if (!cube.ok()) return Cube();
-    auto flat = core::BaselineDgms(extract_).Execute(q);
+    auto flat = core::BaselineDgms(&extract).Execute(q);
     EXPECT_TRUE(flat.ok()) << flat.status().ToString();
     if (!flat.ok()) return std::move(cube).value();
     EXPECT_EQ(cube->num_cells(), flat->num_rows()) << q.ToString();
@@ -397,9 +407,10 @@ class CubeKernelTest : public ::testing::Test {
         const Value got = cube->CellValue(coord, m);
         if (want.type() == DataType::kDouble &&
             got.type() == DataType::kDouble) {
-          EXPECT_NEAR(got.double_value(), want.double_value(),
-                      1e-9 * std::max(1.0, std::fabs(want.double_value())))
-              << where << q.measures[m].OutputName();
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.double_value()),
+                    std::bit_cast<uint64_t>(want.double_value()))
+              << where << q.measures[m].OutputName() << ": got "
+              << got.ToString() << " want " << want.ToString();
         } else {
           EXPECT_TRUE(got.Equals(want) && got.type() == want.type())
               << where << q.measures[m].OutputName() << ": got '"
@@ -807,6 +818,119 @@ INSTANTIATE_TEST_SUITE_P(
                       DimAttr("Person", "AgeBand10"),
                       DimAttr("Person", "AgeBand5"),
                       DimAttr("Condition", "Diabetes")));
+
+// ---------------------------------------------------------------------
+// Grid bytes: what Pivot, ToTable, PivotShare and TopCells print for
+// small cubes, pinned by size and CRC32C.
+// ---------------------------------------------------------------------
+
+// Every grid a cube offers, as text: both pivots and the three shares
+// of a two-axis cube (or the error a cube of another shape gets), the
+// flat table, and for each measure the whole ranking and the three
+// smallest cells.
+std::string GridsText(const Result<Cube>& cube) {
+  if (!cube.ok()) return "error: " + cube.status().ToString();
+  std::string out;
+  auto add = [&out](const char* what, const Result<Table>& table) {
+    out += what;
+    out += '\n';
+    out += table.ok() ? table->ToPrettyString(1000)
+                      : "error: " + table.status().ToString() + "\n";
+  };
+  add("pivot", cube->Pivot(0, 1));
+  add("pivot transposed", cube->Pivot(1, 0));
+  add("row share", cube->PivotShare(0, 1, Cube::ShareBasis::kRow));
+  add("column share", cube->PivotShare(0, 1, Cube::ShareBasis::kColumn));
+  add("grand share", cube->PivotShare(0, 1, Cube::ShareBasis::kGrand));
+  add("table", cube->ToTable());
+  for (size_t m = 0; m < cube->num_measures(); ++m) {
+    for (const bool largest : {true, false}) {
+      auto ranked = cube->TopCells(largest ? cube->num_cells() : 3, m,
+                                   largest);
+      out += "top cells of measure ";
+      out += std::to_string(m);
+      out += largest ? ", largest first\n" : ", smallest three\n";
+      if (!ranked.ok()) {
+        out += "error: ";
+        out += ranked.status().ToString();
+        out += '\n';
+        continue;
+      }
+      for (const Cube::RankedCell& c : *ranked) {
+        for (const Value& v : c.coordinates) {
+          out += v.ToString();
+          out += ' ';
+        }
+        out += StrFormat("%.17g n=%zu\n", c.value, c.fact_count);
+      }
+    }
+  }
+  return out;
+}
+
+struct GridDigest {
+  size_t bytes = 0;
+  uint32_t crc32c = 0;
+
+  bool operator==(const GridDigest& other) const {
+    return bytes == other.bytes && crc32c == other.crc32c;
+  }
+};
+
+void PrintTo(const GridDigest& d, std::ostream* os) {
+  *os << "{" << d.bytes << ", 0x" << std::hex << d.crc32c << std::dec << "}";
+}
+
+GridDigest DigestOf(const std::string& text) {
+  return GridDigest{text.size(), Crc32c(text)};
+}
+
+// Measured with the boxed cube (a hash map of coordinate vectors) that
+// the flat cube replaced.
+TEST(CubeGridTest, RestrictedAxisInListedOrderIncludingEmpty) {
+  Warehouse wh = MakeWarehouse();
+  CubeQuery q;
+  q.axes = {AxisSpec{"Person", "AgeBand10",
+                     {Value::Str("70-80"), Value::Str("absent"),
+                      Value::Str("60-70")}},
+            AxisSpec{"Person", "Gender", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"}};
+  q.non_empty = false;
+  const std::string text = GridsText(CubeEngine(&wh).Execute(q));
+  EXPECT_EQ(DigestOf(text), (GridDigest{1091, 0x557d19a3})) << text;
+}
+
+TEST(CubeGridTest, NullMembersOnRowsAndColumns) {
+  Warehouse wh = MakeNullFirstWarehouse();
+  CubeQuery q;
+  q.axes = {AxisSpec{"Person", "Diabetes", {}},
+            AxisSpec{"Person", "Visits", {}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kMax, "FBG", "hi"}};
+  const std::string text = GridsText(CubeEngine(&wh).Execute(q));
+  EXPECT_EQ(DigestOf(text), (GridDigest{1820, 0xbad14a24})) << text;
+}
+
+TEST(CubeGridTest, DoubleMeasure) {
+  Warehouse wh = MakeWarehouse();
+  CubeQuery q;
+  q.axes = {AxisSpec{"Person", "AgeBand5", {}},
+            AxisSpec{"Person", "Gender", {}}};
+  q.measures = {AggSpec{AggFn::kAvg, "FBG", "avg"},
+                AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kStdDev, "FBG", "sd"}};
+  const std::string text = GridsText(CubeEngine(&wh).Execute(q));
+  EXPECT_EQ(DigestOf(text), (GridDigest{1944, 0x85358f46})) << text;
+}
+
+TEST(CubeGridTest, ZeroAxes) {
+  Warehouse wh = MakeWarehouse();
+  CubeQuery q;
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kSum, "FBG", "s"}};
+  const std::string text = GridsText(CubeEngine(&wh).Execute(q));
+  EXPECT_EQ(DigestOf(text), (GridDigest{636, 0x87dfd86a})) << text;
+}
 
 // ---------------------------------------------------------------------
 // Navigation from the parent cube. RollUp, Slice and Dice derive their
@@ -2110,6 +2234,166 @@ TEST_F(CubeKernelTest, RollsForwardOntoHashedSlots) {
   ASSERT_TRUE(wh.AppendRows(TakeRows(*extract_, range(3000, 6000))).ok());
   EXPECT_EQ(slots_of("second roll"), "hashed");
   EXPECT_EQ(cache.rolls(), 2u);
+}
+
+// A few cells in a cell space past the dense slot limit. Measured with
+// the boxed cube (a hash map of coordinate vectors) that the flat cube
+// replaced.
+TEST_F(CubeKernelTest, GridsOfAHashedCubeKeepTheirBytes) {
+  CubeQuery q;
+  q.axes = {AxisSpec{"W", "P", {}}, AxisSpec{"W", "Q", {}},
+            AxisSpec{"W", "R", {}}};
+  q.slicers = {SlicerSpec{"D", "B", {Value::Str("2")}},
+               SlicerSpec{"D", "K", {Value::Int(0)}},
+               SlicerSpec{"W", "Q", {Value::Str("0")}}};
+  q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                AggSpec{AggFn::kAvg, "DV", "avg"}};
+  PlanNode plan;
+  auto cube = CubeEngine(warehouse_).Execute(q, &plan);
+  const std::string* slots = ScanProp(plan, "slots");
+  ASSERT_NE(slots, nullptr);
+  EXPECT_EQ(*slots, "hashed");
+  const std::string text = GridsText(cube);
+  EXPECT_EQ(DigestOf(text), (GridDigest{1716, 0xbe079199})) << text;
+}
+
+// The kernel's edge cases, each checked against the baseline to the
+// bit. The scan works through the fact table in blocks of 256 rows, so
+// the fact tables below end one row before, at and one row after a
+// multiple of that.
+class CubeBlockTest : public CubeKernelTest {
+ protected:
+  // The kernel extract's first `rows` rows, and the warehouse over them.
+  struct Prefix {
+    Table extract;
+    Warehouse warehouse;
+  };
+
+  static Prefix Build(size_t rows) {
+    std::vector<size_t> take(rows);
+    for (size_t r = 0; r < rows; ++r) take[r] = r;
+    Table extract = TakeRows(*extract_, take);
+    auto wh = StarSchemaBuilder(Schema()).Build(extract);
+    EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+    return Prefix{std::move(extract), std::move(wh).value()};
+  }
+
+  static StarSchemaDef Schema() {
+    StarSchemaDef def;
+    def.fact_name = "F";
+    def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
+                    MeasureDef{"DV", "DV"}};
+    def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
+                      DimensionDef{"W", {"P", "Q", "R"}, {}}};
+    return def;
+  }
+
+  // Dense and hashed cubes with count(*) beside count(col), typed
+  // measures of both column types beside boxed ones, null members and a
+  // slicer.
+  static std::vector<CubeQuery> Queries() {
+    std::vector<CubeQuery> out;
+    CubeQuery q;
+    q.axes = {AxisSpec{"D", "N", {}}, AxisSpec{"D", "B", {}}};
+    q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                  AggSpec{AggFn::kCount, "DV", "n_dv"},
+                  AggSpec{AggFn::kCountValid, "DV", "valid_dv"},
+                  AggSpec{AggFn::kAvg, "DV", "avg_dv"},
+                  AggSpec{AggFn::kSum, "IV", "sum_iv"},
+                  AggSpec{AggFn::kMax, "V", "max_v"},
+                  AggSpec{AggFn::kStdDev, "IV", "sd_iv"}};
+    out.push_back(q);
+    q.slicers = {SlicerSpec{"D", "K", {Value::Int(0), Value::Null()}}};
+    out.push_back(q);
+    q = CubeQuery{};
+    q.axes = {AxisSpec{"W", "P", {}}, AxisSpec{"W", "Q", {}},
+              AxisSpec{"W", "R", {}}};  // 47 * 43 * 53: hashed
+    q.measures = {AggSpec{AggFn::kCount, "", "n"},
+                  AggSpec{AggFn::kVariance, "DV", "var_dv"},
+                  AggSpec{AggFn::kSum, "IV", "sum_iv"},
+                  AggSpec{AggFn::kMin, "IV", "min_iv"}};
+    out.push_back(q);
+    q = CubeQuery{};
+    q.axes = {AxisSpec{"D", "G", {}}};
+    q.measures = {AggSpec{AggFn::kCount, "", "n"}};
+    out.push_back(q);
+    return out;
+  }
+};
+
+TEST_F(CubeBlockTest, FactTablesAroundABlockBoundary) {
+  for (size_t rows : {255u, 256u, 257u, 511u, 512u, 513u}) {
+    const Prefix prefix = Build(rows);
+    for (const CubeQuery& q : Queries()) {
+      SCOPED_TRACE(std::to_string(rows) + " rows: " + q.ToString());
+      ExpectMatchesBaselineOn(prefix.warehouse, prefix.extract, q);
+    }
+  }
+}
+
+// A roll forward whose first appended row falls mid-block, and again
+// one that starts at a block's first row.
+TEST_F(CubeBlockTest, RollsForwardFromMidBlock) {
+  Prefix prefix = Build(300);
+  Warehouse& wh = prefix.warehouse;
+  CachingCubeEngine cache(&wh);
+  const std::vector<CubeQuery> queries = Queries();
+  for (const CubeQuery& q : queries) ASSERT_TRUE(cache.Execute(q).ok());
+  size_t at = 300;
+  for (size_t to : {812u, 1024u}) {
+    std::vector<size_t> batch;
+    for (; at < to; ++at) batch.push_back(at);
+    ASSERT_TRUE(wh.AppendRows(TakeRows(*extract_, batch)).ok());
+    const Prefix whole = Build(to);
+    for (const CubeQuery& q : queries) {
+      const std::string where = std::to_string(to) + " rows: " + q.ToString();
+      auto got = cache.Execute(q);
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+      auto want = CubeEngine(&wh).Execute(q);
+      ASSERT_TRUE(want.ok()) << where;
+      ExpectSameCube(**got, *want, where);
+      SCOPED_TRACE(where);
+      ExpectMatchesBaselineOn(whole.warehouse, whole.extract, q);
+    }
+  }
+  EXPECT_EQ(cache.rolls(), 2 * queries.size());
+}
+
+TEST_F(CubeBlockTest, SlicersThatAdmitNoRow) {
+  CubeQuery q = Queries().front();
+  // G = x holds on even rows and K = 10 only on odd ones.
+  q.slicers = {SlicerSpec{"D", "G", {Value::Str("x")}},
+               SlicerSpec{"D", "K", {Value::Int(10)}}};
+  Cube cube = ExpectMatchesBaseline(q);
+  EXPECT_EQ(cube.num_cells(), 0u);
+  EXPECT_EQ(cube.facts_aggregated(), 0u);
+  EXPECT_TRUE(cube.CellValue({Value::Str("a"), Value::Str("0")}).is_null());
+  // A value the dimension lacks, on a cube without axes.
+  CubeQuery total;
+  total.slicers = {SlicerSpec{"D", "G", {Value::Str("z")}}};
+  total.measures = {AggSpec{AggFn::kCount, "", "n"},
+                    AggSpec{AggFn::kAvg, "DV", "avg"}};
+  cube = ExpectMatchesBaseline(total);
+  EXPECT_EQ(cube.num_cells(), 0u);
+  EXPECT_TRUE(cube.CellValue({}).is_null());
+}
+
+TEST_F(CubeBlockTest, CountsBesideTypedAndBoxedMeasures) {
+  for (const CubeQuery& q : Queries()) {
+    SCOPED_TRACE(q.ToString());
+    Cube cube = ExpectMatchesBaseline(q);
+    if (q.slicers.empty()) {
+      EXPECT_EQ(cube.facts_aggregated(), 40000u);
+    }
+  }
+  // count(col) counts null rows too; count_valid does not. DV is null
+  // wherever B is "3".
+  Cube cube = ExpectMatchesBaseline(Queries().front());
+  const std::vector<Value> cell = {Value::Str("a"), Value::Str("3")};
+  EXPECT_EQ(cube.CellValue(cell, 0), cube.CellValue(cell, 1));
+  EXPECT_GT(cube.CellValue(cell, 1).int_value(), 0);
+  EXPECT_EQ(cube.CellValue(cell, 2), Value::Int(0));
+  EXPECT_TRUE(cube.CellValue(cell, 3).is_null());
 }
 
 }  // namespace
