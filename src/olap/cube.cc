@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -28,6 +29,18 @@ DataType MemberType(const std::vector<Value>& members) {
     if (!v.is_null()) return v.type();
   }
   return DataType::kString;
+}
+
+/// Column type of a measure's values.
+DataType ResultType(AggFn fn) {
+  switch (fn) {
+    case AggFn::kCount:
+    case AggFn::kCountValid:
+    case AggFn::kCountDistinct:
+      return DataType::kInt64;
+    default:
+      return DataType::kDouble;
+  }
 }
 
 uint64_t ValueApproxBytes(const Value& v) {
@@ -65,12 +78,88 @@ bool Admits(const std::vector<Value>& restriction, const Value& v) {
                      [&v](const Value& m) { return m.Equals(v); });
 }
 
-/// Above this many possible cells (the product of the axis member
-/// counts) the scan finds cell slots through a hash of the packed cell
-/// index instead of a dense int32 array: 64Ki slots is a 256 KiB array,
-/// and the [Telemetry] cube's Snapshot axis grows for as long as the
-/// server runs.
+/// Above this many cells (the product of the axis member counts) a
+/// cell is found through a hash of its packed index instead of a dense
+/// int32 array: 64Ki slots is a 256 KiB array, and the [Telemetry]
+/// cube's Snapshot axis grows for as long as the server runs.
 constexpr uint64_t kDenseSlotLimit = uint64_t{1} << 16;
+
+/// Fact rows the scan takes per block. A block's buffers (a cell index,
+/// a row and a slot per row: 5 KiB) stay in a 32 KiB L1 data cache
+/// beside the key columns and lookup arrays the passes read; at 2048
+/// rows they alone would be 40 KiB.
+constexpr size_t kBlockRows = 256;
+
+/// Count lanes: consecutive admitted rows count into different lanes,
+/// so rows of one cell do not each wait for the last one's increment.
+constexpr size_t kCountLanes = 4;
+
+/// Finds a cell by its packed index: through a dense int32 array while
+/// the index space holds at most kDenseSlotLimit cells, and through a
+/// hash above that.
+class CellIndex {
+ public:
+  explicit CellIndex(uint64_t space) : dense_(space <= kDenseSlotLimit) {
+    if (dense_) dense_cells_.assign(space, -1);
+  }
+
+  bool dense() const { return dense_; }
+
+  /// The cell at `key`, or -1.
+  int32_t Find(uint64_t key) const {
+    return dense_ ? dense_cells_[key] : FindHashed(key);
+  }
+
+  void Insert(uint64_t key, int32_t cell) {
+    if (dense_) {
+      dense_cells_[key] = cell;
+    } else {
+      hashed_.emplace(key, cell);
+    }
+  }
+
+  uint64_t ApproxBytes() const {
+    // A hash node holds the pair, its next pointer and a bucket.
+    return dense_cells_.capacity() * sizeof(int32_t) +
+           hashed_.size() * (sizeof(std::pair<uint64_t, int32_t>) +
+                             2 * sizeof(void*));
+  }
+
+ private:
+  __attribute__((noinline)) int32_t FindHashed(uint64_t key) const {
+    auto it = hashed_.find(key);
+    return it == hashed_.end() ? -1 : it->second;
+  }
+
+  bool dense_;
+  std::vector<int32_t> dense_cells_;
+  std::unordered_map<uint64_t, int32_t> hashed_;
+};
+
+/// What the scan sums for one typed measure over one cell's rows, in
+/// row order from +0.0 (so a sum never holds -0.0).
+struct TypedPartial {
+  size_t valid = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+};
+
+/// Where a cell keeps one measure's state: its row count alone (count),
+/// a typed partial, or a boxed accumulator.
+struct MeasureSource {
+  enum class Kind { kRows, kTyped, kBoxed };
+  Kind kind;
+  size_t index;  // into a cell's typed partials or boxed accumulators
+};
+
+/// The measure state of cells 0, 1, ...: each cell's row count, its
+/// typed partials (num_typed per cell) and its boxed accumulators
+/// (one per boxed measure).
+struct CellState {
+  std::vector<size_t> rows;
+  std::vector<TypedPartial> typed;
+  std::vector<Accumulator> boxed;
+};
 
 /// A resolved axis. Its members are a member restriction's Values
 /// (deduplicated under ValueEq, first spelling kept), or else the
@@ -97,16 +186,16 @@ struct ScanAxis {
 
 /// A slicer as the scan reads it.
 struct ScanSlicer {
-  std::span<const int64_t> keys;
-  std::vector<uint8_t> admit;  // by surrogate key
+  const int64_t* keys;
+  std::vector<uint8_t> admit;  // by surrogate key: 1 or 0
 };
 
 /// A measure the scan sums from typed arrays: an int64 or double column
 /// under count_valid, sum, avg, variance or stddev.
 struct TypedMeasure {
-  std::span<const uint8_t> valid;
-  std::span<const int64_t> ints;    // set for an int64 column
-  std::span<const double> doubles;  // set for a double column
+  const uint8_t* valid;
+  const int64_t* ints;    // set for an int64 column
+  const double* doubles;  // set for a double column
 };
 
 /// A measure fed boxed Values: min, max, count_distinct, or a column
@@ -114,15 +203,6 @@ struct TypedMeasure {
 struct BoxedMeasure {
   AggFn fn;
   const ColumnVector* column;
-};
-
-/// Where materialize finds a cell's accumulator state for one measure:
-/// the cell's row count alone (count), a typed partial, or a boxed
-/// accumulator.
-struct MeasureSource {
-  enum class Kind { kRows, kTyped, kBoxed };
-  Kind kind;
-  size_t index;  // into ScanInput::typed or ScanInput::boxed
 };
 
 struct ScanInput {
@@ -134,151 +214,184 @@ struct ScanInput {
   std::vector<BoxedMeasure> boxed;
 };
 
-/// What the scan sums for one typed measure over one cell's rows, in
-/// row order.
-struct TypedPartial {
-  size_t valid = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-};
-
-/// The partials of every cell the scan touches, in slots numbered in
-/// first-touch order: a slot holds its cell's row count, one
-/// TypedPartial per typed measure and one Accumulator per boxed
-/// measure. A cell finds its slot through a dense int32 array indexed
-/// by the packed cell index while the cell space is at most
-/// kDenseSlotLimit, and through a hash of the same index above it.
+/// The cells a scan touches, in slots numbered in first-touch order:
+/// each slot's packed cell index, its count lanes and its CellState.
 class CellSlots {
  public:
   CellSlots(uint64_t cell_space, const ScanInput& in)
-      : num_typed_(in.typed.size()),
-        boxed_(in.boxed),
-        dense_(cell_space <= kDenseSlotLimit) {
-    if (dense_) slot_of_cell_.assign(cell_space, -1);
-  }
+      : index_(cell_space), num_typed_(in.typed.size()), boxed_(in.boxed) {}
 
-  bool dense() const { return dense_; }
+  bool dense() const { return index_.dense(); }
   size_t size() const { return cell_of_slot_.size(); }
   uint64_t cell(size_t slot) const { return cell_of_slot_[slot]; }
-  size_t rows(size_t slot) const { return rows_[slot]; }
+  CellState& state() { return state_; }
   // Through data(): a query may have no typed or no boxed measure.
   TypedPartial* typed(size_t slot) {
-    return typed_.data() + slot * num_typed_;
+    return state_.typed.data() + slot * num_typed_;
   }
   Accumulator* boxed(size_t slot) {
-    return boxed_accs_.data() + slot * boxed_.size();
+    return state_.boxed.data() + slot * boxed_.size();
   }
+  uint64_t* lanes() { return lanes_.data(); }
+
+  /// The slot of `cell`, or -1 before its first touch.
+  int32_t Find(uint64_t cell) const { return index_.Find(cell); }
 
   /// Opens the slot of `cell` holding `rows` rows already, for a roll
   /// forward to fill with the rest of the cell's state before the scan
   /// continues it; returns the slot.
   size_t Seed(uint64_t cell, size_t rows) {
     const auto slot = static_cast<size_t>(Open(cell));
-    rows_[slot] = rows;
+    state_.rows[slot] = rows;
     return slot;
   }
 
-  /// Counts one row into `cell`, opening its slot on the first touch;
-  /// returns the slot. Small enough to inline into the scan.
-  size_t Touch(uint64_t cell) {
-    int32_t slot = dense_ ? slot_of_cell_[cell] : HashedSlot(cell);
-    if (slot < 0) slot = Open(cell);
-    ++rows_[static_cast<size_t>(slot)];
-    return static_cast<size_t>(slot);
+  /// Adds each slot's count lanes to its row count.
+  void FoldLanes() {
+    for (size_t slot = 0; slot < size(); ++slot) {
+      const uint64_t* lane = lanes_.data() + slot * kCountLanes;
+      state_.rows[slot] += lane[0] + lane[1] + lane[2] + lane[3];
+    }
+  }
+
+  /// Opens the slot of `cell`, which has none yet; returns it. Once per
+  /// cell, not per row.
+  __attribute__((noinline)) int32_t Open(uint64_t cell) {
+    const auto slot = static_cast<int32_t>(cell_of_slot_.size());
+    index_.Insert(cell, slot);
+    cell_of_slot_.push_back(cell);
+    lanes_.resize(lanes_.size() + kCountLanes);
+    state_.rows.push_back(0);
+    state_.typed.resize(state_.typed.size() + num_typed_);
+    for (const BoxedMeasure& m : boxed_) state_.boxed.emplace_back(m.fn);
+    return slot;
   }
 
  private:
-  __attribute__((noinline)) int32_t HashedSlot(uint64_t cell) const {
-    auto it = hashed_.find(cell);
-    return it == hashed_.end() ? -1 : it->second;
-  }
-
-  // Once per cell, not per row.
-  __attribute__((noinline)) int32_t Open(uint64_t cell) {
-    const auto slot = static_cast<int32_t>(cell_of_slot_.size());
-    if (dense_) {
-      slot_of_cell_[cell] = slot;
-    } else {
-      hashed_.emplace(cell, slot);
-    }
-    cell_of_slot_.push_back(cell);
-    rows_.push_back(0);
-    typed_.resize(typed_.size() + num_typed_);
-    for (const BoxedMeasure& m : boxed_) boxed_accs_.emplace_back(m.fn);
-    return slot;
-  }
-
+  CellIndex index_;
   const size_t num_typed_;
   const std::vector<BoxedMeasure>& boxed_;
-  const bool dense_;
-  std::vector<int32_t> slot_of_cell_;
-  std::unordered_map<uint64_t, int32_t> hashed_;
   std::vector<uint64_t> cell_of_slot_;
-  std::vector<size_t> rows_;
-  std::vector<TypedPartial> typed_;
-  std::vector<Accumulator> boxed_accs_;
+  std::vector<uint64_t> lanes_;  // kCountLanes per slot
+  CellState state_;
 };
 
-/// Feeds the boxed measures of one admitted row. Kept out of the hot
-/// scan because it boxes a Value per measure.
-void AddBoxed(const std::vector<BoxedMeasure>& boxed, size_t row,
-              Accumulator* accs) {
-  for (size_t b = 0; b < boxed.size(); ++b) {
-    accs[b].Add(boxed[b].column->GetValue(row));
-  }
-}
+/// One block's admitted rows: the passes below fill `cell` and `row`,
+/// then `slot`, for the first `size` of them.
+struct Block {
+  size_t size = 0;
+  uint64_t cell[kBlockRows];
+  size_t row[kBlockRows];
+  uint32_t slot[kBlockRows];
+};
 
-// The fact scan, once per fact row: rows a slicer rejects or that fall
-// outside an axis restriction are skipped; every other row is counted
-// into the cell at its mixed-radix index and added to that cell's typed
-// partials. A null adds +0.0, which leaves each sum's bits as they were,
-// so no branch depends on a measure or on which axis member a row has.
-// `axes` has a fixed extent for the common cube shapes (see Scan).
-// Returns the number of rows aggregated.
+// Pass one, once per fact row of [begin, end): writes each row's
+// mixed-radix cell index and row into the block, then keeps them only
+// when every slicer admits the row and every axis has a member for it.
+// No branch depends on a row. `axes` has a fixed extent for the common
+// cube shapes (see Scan).
 template <size_t kAxes>
-DDGMS_HOT size_t ScanFacts(const ScanInput& in,
-                           std::span<const ScanAxis, kAxes> axes,
-                           CellSlots* slots) {
-  const std::span<const ScanSlicer> slicers = in.slicers;
-  const std::span<const TypedMeasure> typed = in.typed;
-  const bool boxed = !in.boxed.empty();
-  size_t admitted = 0;
-  for (size_t row = in.first_row, rows = in.rows; row < rows; ++row) {
-    // A slicer usually admits few rows, so a rejected row leaves early.
-    bool keep = true;
+DDGMS_HOT void IndexRows(size_t begin, size_t end,
+                         std::span<const ScanAxis, kAxes> axes,
+                         std::span<const ScanSlicer> slicers, Block* block) {
+  size_t n = 0;
+  for (size_t row = begin; row < end; ++row) {
+    uint64_t keep = 1;
     for (const ScanSlicer& s : slicers) {
-      if (s.admit[static_cast<size_t>(s.keys[row])] == 0) {
-        keep = false;
-        break;
-      }
+      keep &= s.admit[static_cast<size_t>(s.keys[row])];
     }
-    if (!keep) continue;
     uint64_t cell = 0;
     for (const ScanAxis& axis : axes) {
       const int32_t member =
           axis.member_of_key[static_cast<size_t>(axis.keys[row])];
-      keep &= member >= 0;
+      keep &= static_cast<uint64_t>(member >= 0);
       // Wraps for an off-axis member, whose row is dropped anyway.
       cell += static_cast<uint64_t>(member) * axis.stride;
     }
-    if (!keep) continue;
-    const size_t slot = slots->Touch(cell);
-    TypedPartial* partials = slots->typed(slot);
-    for (size_t t = 0; t < typed.size(); ++t) {
-      const TypedMeasure& m = typed[t];
-      const uint64_t valid = m.valid[row] != 0 ? 1 : 0;
-      const double v = m.ints.empty() ? m.doubles[row]
-                                      : static_cast<double>(m.ints[row]);
-      const double x =
-          std::bit_cast<double>(std::bit_cast<uint64_t>(v) & (0 - valid));
-      TypedPartial& p = partials[t];
-      p.valid += valid;
-      p.sum += x;
-      p.sum_sq += x * x;
-    }
-    if (boxed) AddBoxed(in.boxed, row, slots->boxed(slot));
-    ++admitted;
+    block->cell[n] = cell;
+    block->row[n] = row;
+    n += keep;
   }
+  block->size = n;
+}
+
+// Pass two, once per admitted row: finds each row's slot, opening slots
+// in row order, and counts the row into one of the slot's lanes,
+// consecutive rows into different lanes.
+DDGMS_HOT void CountRows(Block* block, CellSlots* slots) {
+  uint64_t* lanes = slots->lanes();
+  for (size_t i = 0; i < block->size; ++i) {
+    const uint64_t cell = block->cell[i];
+    int32_t slot = slots->Find(cell);
+    if (slot < 0) {
+      slot = slots->Open(cell);
+      lanes = slots->lanes();
+    }
+    block->slot[i] = static_cast<uint32_t>(slot);
+    ++lanes[static_cast<size_t>(slot) * kCountLanes + i % kCountLanes];
+  }
+}
+
+// Once per admitted row and typed measure: continues the row's cell's
+// partial for measure `t` of `num_typed`. A null adds +0.0, which leaves
+// each sum's bits as they were, so no branch depends on a value.
+template <typename T>
+DDGMS_HOT void SumRows(const Block& block, const uint8_t* valid,
+                       const T* values, size_t t, size_t num_typed,
+                       TypedPartial* partials) {
+  for (size_t i = 0; i < block.size; ++i) {
+    const size_t row = block.row[i];
+    const uint64_t is_valid = valid[row] != 0 ? 1 : 0;
+    const auto v = static_cast<double>(values[row]);
+    const double x =
+        std::bit_cast<double>(std::bit_cast<uint64_t>(v) & (0 - is_valid));
+    TypedPartial& p = partials[block.slot[i] * num_typed + t];
+    p.valid += is_valid;
+    p.sum += x;
+    p.sum_sq += x * x;
+  }
+}
+
+/// Feeds the boxed measures of a block's admitted rows, in row order.
+/// Kept out of the hot passes because it boxes a Value per row and
+/// measure.
+void AddBoxed(const Block& block, const std::vector<BoxedMeasure>& boxed,
+              CellSlots* slots) {
+  for (size_t i = 0; i < block.size; ++i) {
+    Accumulator* accs = slots->boxed(block.slot[i]);
+    for (size_t b = 0; b < boxed.size(); ++b) {
+      accs[b].Add(boxed[b].column->GetValue(block.row[i]));
+    }
+  }
+}
+
+// The fact scan: rows a slicer rejects or that fall outside an axis
+// restriction are skipped; every other row is counted into the cell at
+// its mixed-radix index and added to that cell's measures. Each cell's
+// sums run over its rows in row order. Returns the number of rows
+// aggregated.
+template <size_t kAxes>
+size_t ScanFacts(const ScanInput& in, std::span<const ScanAxis, kAxes> axes,
+                 CellSlots* slots) {
+  const size_t num_typed = in.typed.size();
+  Block block;
+  size_t admitted = 0;
+  for (size_t begin = in.first_row; begin < in.rows; begin += kBlockRows) {
+    IndexRows<kAxes>(begin, std::min(in.rows, begin + kBlockRows), axes,
+                     in.slicers, &block);
+    CountRows(&block, slots);
+    for (size_t t = 0; t < num_typed; ++t) {
+      const TypedMeasure& m = in.typed[t];
+      if (m.ints != nullptr) {
+        SumRows(block, m.valid, m.ints, t, num_typed, slots->typed(0));
+      } else {
+        SumRows(block, m.valid, m.doubles, t, num_typed, slots->typed(0));
+      }
+    }
+    if (!in.boxed.empty()) AddBoxed(block, in.boxed, slots);
+    admitted += block.size;
+  }
+  slots->FoldLanes();
   return admitted;
 }
 
@@ -298,6 +411,29 @@ size_t Scan(const ScanInput& in, CellSlots* slots) {
     default:
       return ScanFacts<std::dynamic_extent>(in, axes, slots);
   }
+}
+
+/// Sets `strides` to the mixed-radix place values over the member
+/// counts of `axes`; returns their product, or nullopt past 64 bits.
+std::optional<uint64_t> PlaceValues(
+    const std::vector<std::vector<Value>>& axes,
+    std::vector<uint64_t>* strides) {
+  uint64_t space = 1;
+  strides->resize(axes.size());
+  for (size_t a = 0; a < axes.size(); ++a) {
+    (*strides)[a] = space;
+    if (__builtin_mul_overflow(space, axes[a].size(), &space)) {
+      return std::nullopt;
+    }
+  }
+  return space;
+}
+
+Status TooManyCells(const CubeQuery& query) {
+  std::string message =
+      "cube query has more cells than a 64-bit index can address: ";
+  message += query.ToString();
+  return Status::InvalidArgument(std::move(message));
 }
 
 }  // namespace
@@ -349,6 +485,106 @@ std::string CubeQuery::ToString() const {
   return out;
 }
 
+/// The cells in first-touch order, the order a scan first reaches
+/// them: each cell's index into AxisMembers on every axis, and its
+/// measure state. Navigation merges cells in this order and a roll
+/// forward keeps it, so a rolled cube navigates exactly as a fresh one.
+/// Every cell holds at least one fact.
+struct Cube::Data {
+  const Warehouse* warehouse = nullptr;
+  uint64_t generation = 0;
+  uint64_t lineage = 0;
+  /// For a cube the engine computed, the fact rows [0, fact_rows) its
+  /// cells sum: each sum runs over its cell's rows in row order, so
+  /// Extend can resume it. A derived cube merged its parent's sums,
+  /// which resuming would not reproduce, so it never rolls forward.
+  size_t fact_rows = 0;
+  bool derived = false;
+  CubeQuery query;
+  /// Where a cell keeps each measure's state.
+  std::vector<MeasureSource> sources;
+  size_t num_typed = 0;
+  size_t num_boxed = 0;
+  /// Each axis's members, boxed once (AxisMembers), and, for a cube the
+  /// engine computed, each member's id in the scan: the attribute's
+  /// code, or the index in the member restriction. Both ids hold along
+  /// an append chain, so Extend places a cell without hashing Values.
+  std::vector<std::vector<Value>> axis_members;
+  std::vector<std::vector<int32_t>> scan_ids;
+  /// Cell c's member on axis a is axis_members[a][members[c * axes + a]].
+  std::vector<int32_t> members;
+  CellState state;
+  /// Finds a cell by its members' mixed-radix index over the axes'
+  /// member counts (place values in `strides`).
+  std::vector<uint64_t> strides;
+  CellIndex index{1};
+  size_t facts_aggregated = 0;
+
+  size_t num_cells() const { return state.rows.size(); }
+
+  /// The index of `v` in axis_members[axis], or -1: a binary search on
+  /// an unrestricted (sorted) axis, a scan of a restriction.
+  int32_t FindMember(size_t axis, const Value& v) const {
+    const std::vector<Value>& members = axis_members[axis];
+    if (query.axes[axis].members.empty()) {
+      auto it = std::lower_bound(
+          members.begin(), members.end(), v,
+          [](const Value& m, const Value& x) { return m.Compare(x) < 0; });
+      return it != members.end() && it->Equals(v)
+                 ? static_cast<int32_t>(it - members.begin())
+                 : -1;
+    }
+    for (size_t m = 0; m < members.size(); ++m) {
+      if (members[m].Equals(v)) return static_cast<int32_t>(m);
+    }
+    return -1;
+  }
+
+  /// The cell at `coords` (one member per axis), or -1.
+  int32_t FindCell(const std::vector<Value>& coords) const {
+    if (coords.size() != axis_members.size()) return -1;
+    uint64_t key = 0;
+    for (size_t a = 0; a < coords.size(); ++a) {
+      const int32_t member = FindMember(a, coords[a]);
+      if (member < 0) return -1;
+      key += static_cast<uint64_t>(member) * strides[a];
+    }
+    return index.Find(key);
+  }
+
+  /// The cell's value of measure `m`.
+  Value Measure(size_t cell, size_t m) const {
+    const MeasureSource& source = sources[m];
+    switch (source.kind) {
+      case MeasureSource::Kind::kRows:
+        return Value::Int(static_cast<int64_t>(state.rows[cell]));
+      case MeasureSource::Kind::kTyped: {
+        const TypedPartial& p = state.typed[cell * num_typed + source.index];
+        return FinishSums(query.measures[m].fn, state.rows[cell], p.valid,
+                          p.sum, p.sum_sq);
+      }
+      case MeasureSource::Kind::kBoxed:
+        break;
+    }
+    return state.boxed[cell * num_boxed + source.index].Finish();
+  }
+
+  /// Appends the cell's value of measure `m` to `column`; a null for
+  /// cell -1.
+  Status AppendMeasure(int32_t cell, size_t m, ColumnVector* column) const {
+    if (cell < 0) {
+      column->AppendNull();
+      return Status::OK();
+    }
+    const auto c = static_cast<size_t>(cell);
+    if (sources[m].kind == MeasureSource::Kind::kRows) {
+      column->AppendInt(static_cast<int64_t>(state.rows[c]));
+      return Status::OK();
+    }
+    return column->Append(Measure(c, m));
+  }
+};
+
 Cube::Cube() {
   // Every empty cube shares one Data, which is never freed.
   static const auto* const kEmpty =
@@ -356,20 +592,26 @@ Cube::Cube() {
   data_ = *kEmpty;
 }
 
-// Pivot and share tables call this once per output cell.
-DDGMS_HOT Value Cube::CellValue(const std::vector<Value>& coords,
-                                size_t measure_index) const {
-  auto it = data_->cells.find(coords);
-  if (it == data_->cells.end() ||
-      measure_index >= it->second.accumulators.size()) {
-    return Value::Null();
-  }
-  return it->second.accumulators[measure_index].Finish();
+const CubeQuery& Cube::query() const { return data_->query; }
+size_t Cube::num_cells() const { return data_->num_cells(); }
+size_t Cube::facts_aggregated() const { return data_->facts_aggregated; }
+uint64_t Cube::generation() const { return data_->generation; }
+uint64_t Cube::lineage() const { return data_->lineage; }
+
+const std::vector<Value>& Cube::AxisMembers(size_t axis) const {
+  return data_->axis_members[axis];
+}
+
+Value Cube::CellValue(const std::vector<Value>& coords,
+                      size_t measure_index) const {
+  const int32_t cell = data_->FindCell(coords);
+  if (cell < 0 || measure_index >= num_measures()) return Value::Null();
+  return data_->Measure(static_cast<size_t>(cell), measure_index);
 }
 
 size_t Cube::CellCount(const std::vector<Value>& coords) const {
-  auto it = data_->cells.find(coords);
-  return it == data_->cells.end() ? 0 : it->second.fact_count();
+  const int32_t cell = data_->FindCell(coords);
+  return cell < 0 ? 0 : data_->state.rows[static_cast<size_t>(cell)];
 }
 
 std::optional<size_t> Cube::SoleAxis(const std::string& dimension,
@@ -391,62 +633,117 @@ bool Cube::CellsCurrent() const {
          !CountsDistinct(query());
 }
 
-Cube Cube::Derive(
-    CubeQuery query, size_t axis,
-    const std::function<const Value*(const Value&)>& member_of) const {
+Result<Cube> Cube::Derive(CubeQuery query, size_t axis,
+                          const std::vector<int32_t>& member_of) const {
   ScopedAccounting accounting("olap.cube");
+  const Data& in = *data_;
   const bool drop_axis = query.axes.size() < num_axes();
-  auto out = std::make_shared<Data>();
-  out->warehouse = data_->warehouse;
-  out->generation = data_->generation;
-  out->lineage = data_->lineage;
-  out->derived = true;
-  out->query = std::move(query);
-  for (const CellMap::value_type* entry : data_->order) {
-    const auto& [coord, cell] = *entry;
-    const Value* member = member_of(coord[axis]);
-    if (member == nullptr) continue;
-    std::vector<Value> key = coord;
-    if (drop_axis) {
-      key.erase(key.begin() + static_cast<ptrdiff_t>(axis));
-    } else {
-      key[axis] = *member;
-    }
-    auto [it, fresh] = out->cells.try_emplace(std::move(key), cell);
-    if (fresh) {
-      out->order.push_back(&*it);
-    } else {
-      for (size_t m = 0; m < cell.accumulators.size(); ++m) {
-        it->second.accumulators[m].Merge(cell.accumulators[m]);
-      }
-    }
-    out->facts_aggregated += cell.fact_count();
+  const size_t in_axes = num_axes();
+  const size_t out_axes = query.axes.size();
+  // The input axis each output axis comes from, and the members it may
+  // have: a diced axis's restriction, any other axis's own.
+  std::vector<size_t> from(out_axes);
+  std::vector<std::vector<Value>> candidates(out_axes);
+  for (size_t a = 0; a < out_axes; ++a) {
+    from[a] = drop_axis && a >= axis ? a + 1 : a;
+    candidates[a] = from[a] == axis
+                        ? DistinctMembers(query.axes[a].members)
+                        : in.axis_members[from[a]];
   }
+  // The candidate index of cell c's member on output axis a, or -1 for
+  // a cell left out.
+  auto candidate = [&](size_t c, size_t a) {
+    const int32_t m = in.members[c * in_axes + from[a]];
+    return from[a] == axis ? member_of[static_cast<size_t>(m)] : m;
+  };
+  auto kept = [&](size_t c) {
+    return member_of[static_cast<size_t>(in.members[c * in_axes + axis])] >=
+           0;
+  };
 
   // Axis members follow the engine's rule: a restricted axis lists its
   // restriction in order, hiding unseen members unless non_empty is
-  // off, and an unrestricted axis lists its seen members sorted. This
-  // cube's lists are in that order and a derived cube sees no member
-  // this one did not, so filtering them by what the derived cells see
-  // is enough; a diced axis starts from its new restriction.
-  const std::vector<AxisSpec>& axes = out->query.axes;
-  out->axis_members.resize(axes.size());
-  for (size_t a = 0; a < axes.size(); ++a) {
-    std::vector<Value> members;
-    if (a == axis && !drop_axis) {
-      members = DistinctMembers(axes[a].members);
+  // off, and an unrestricted axis lists its seen members sorted. The
+  // candidates are in that order and a derived cube sees no member
+  // this one did not, so keeping the seen ones is enough. `position`
+  // first marks with 0 the candidates a kept cell has, then holds each
+  // candidate's index in the derived axis's members (-1 if absent).
+  std::vector<std::vector<int32_t>> position(out_axes);
+  for (size_t a = 0; a < out_axes; ++a) {
+    position[a].assign(candidates[a].size(), -1);
+  }
+  const size_t in_cells = in.num_cells();
+  for (size_t c = 0; c < in_cells; ++c) {
+    if (!kept(c)) continue;
+    for (size_t a = 0; a < out_axes; ++a) {
+      position[a][static_cast<size_t>(candidate(c, a))] = 0;
+    }
+  }
+  auto out = std::make_shared<Data>();
+  out->axis_members.resize(out_axes);
+  for (size_t a = 0; a < out_axes; ++a) {
+    const bool all = !query.axes[a].members.empty() && !query.non_empty;
+    std::vector<Value>& members = out->axis_members[a];
+    for (size_t m = 0; m < candidates[a].size(); ++m) {
+      if (all || position[a][m] == 0) {
+        position[a][m] = static_cast<int32_t>(members.size());
+        members.push_back(std::move(candidates[a][m]));
+      }
+    }
+  }
+  const std::optional<uint64_t> space =
+      PlaceValues(out->axis_members, &out->strides);
+  if (!space) return TooManyCells(query);
+
+  out->warehouse = in.warehouse;
+  out->generation = in.generation;
+  out->lineage = in.lineage;
+  out->derived = true;
+  out->query = std::move(query);
+  out->sources = in.sources;
+  out->num_typed = in.num_typed;
+  out->num_boxed = in.num_boxed;
+  out->index = CellIndex(*space);
+  // Merge the kept cells in first-touch order: the first cell to land
+  // on an output cell opens it with its state, and later ones add
+  // theirs.
+  CellState& state = out->state;
+  const size_t num_typed = in.num_typed;
+  const size_t num_boxed = in.num_boxed;
+  for (size_t c = 0; c < in_cells; ++c) {
+    if (!kept(c)) continue;
+    uint64_t key = 0;
+    for (size_t a = 0; a < out_axes; ++a) {
+      key += static_cast<uint64_t>(
+                 position[a][static_cast<size_t>(candidate(c, a))]) *
+             out->strides[a];
+    }
+    const TypedPartial* typed = in.state.typed.data() + c * num_typed;
+    const Accumulator* boxed = in.state.boxed.data() + c * num_boxed;
+    const int32_t found = out->index.Find(key);
+    if (found < 0) {
+      out->index.Insert(key, static_cast<int32_t>(state.rows.size()));
+      for (size_t a = 0; a < out_axes; ++a) {
+        out->members.push_back(
+            position[a][static_cast<size_t>(candidate(c, a))]);
+      }
+      state.rows.push_back(in.state.rows[c]);
+      state.typed.insert(state.typed.end(), typed, typed + num_typed);
+      state.boxed.insert(state.boxed.end(), boxed, boxed + num_boxed);
     } else {
-      members = AxisMembers(drop_axis && a >= axis ? a + 1 : a);
+      const auto o = static_cast<size_t>(found);
+      state.rows[o] += in.state.rows[c];
+      for (size_t t = 0; t < num_typed; ++t) {
+        TypedPartial& p = state.typed[o * num_typed + t];
+        p.valid += typed[t].valid;
+        p.sum += typed[t].sum;
+        p.sum_sq += typed[t].sum_sq;
+      }
+      for (size_t b = 0; b < num_boxed; ++b) {
+        state.boxed[o * num_boxed + b].Merge(boxed[b]);
+      }
     }
-    if (!axes[a].members.empty() && !out->query.non_empty) {
-      out->axis_members[a] = std::move(members);
-      continue;
-    }
-    std::unordered_set<Value, ValueHash, ValueEq> seen;
-    for (const auto& [coord, cell] : out->cells) seen.insert(coord[a]);
-    for (Value& m : members) {
-      if (seen.count(m) != 0) out->axis_members[a].push_back(std::move(m));
-    }
+    out->facts_aggregated += in.state.rows[c];
   }
   Cube cube(std::move(out));
   DDGMS_RESOURCE_CHARGE(cube.ApproxBytes());
@@ -466,12 +763,12 @@ Result<Cube> Cube::RollUp(size_t axis) const {
   // cells of a restricted axis hold too few facts.
   if (CellsCurrent() && query().axes[axis].members.empty()) {
     span.SetAttribute("from", "cube");
-    return Derive(std::move(q), axis, [](const Value& v) { return &v; });
+    return Derive(std::move(q), axis,
+                  std::vector<int32_t>(AxisMembers(axis).size(), 0));
   }
   span.SetAttribute("from", "warehouse");
   return CubeEngine(data_->warehouse).Execute(q);
 }
-
 Result<Cube> Cube::RollUpToCoarser(size_t axis) const {
   if (axis >= query().axes.size()) {
     return Status::OutOfRange(StrFormat("axis %zu out of range", axis));
@@ -539,9 +836,11 @@ Result<Cube> Cube::Slice(const std::string& dimension,
   const std::optional<size_t> axis = SoleAxis(dimension, attribute);
   if (axis && CellsCurrent() && Admits(query().axes[*axis].members, value)) {
     span.SetAttribute("from", "cube");
-    return Derive(std::move(q), *axis, [&value](const Value& v) {
-      return v.Equals(value) ? &value : nullptr;
-    });
+    std::vector<int32_t> member_of(AxisMembers(*axis).size(), -1);
+    if (const int32_t m = data_->FindMember(*axis, value); m >= 0) {
+      member_of[static_cast<size_t>(m)] = 0;
+    }
+    return Derive(std::move(q), *axis, member_of);
   }
   span.SetAttribute("from", "warehouse");
   return CubeEngine(data_->warehouse).Execute(q);
@@ -579,63 +878,84 @@ Result<Cube> Cube::Dice(const std::string& dimension,
                     return Admits(query().axes[*axis].members, v);
                   })) {
     span.SetAttribute("from", "cube");
-    // A cell takes the first listed spelling of its member.
-    return Derive(std::move(q), *axis,
-                  [&values](const Value& v) -> const Value* {
-                    for (const Value& m : values) {
-                      if (m.Equals(v)) return &m;
-                    }
-                    return nullptr;
-                  });
+    // A cell takes the first listed spelling of its member: its index
+    // in the restriction without duplicates.
+    const std::vector<Value> listed = DistinctMembers(values);
+    const std::vector<Value>& members = AxisMembers(*axis);
+    std::vector<int32_t> member_of(members.size(), -1);
+    for (size_t m = 0; m < members.size(); ++m) {
+      for (size_t i = 0; i < listed.size(); ++i) {
+        if (listed[i].Equals(members[m])) {
+          member_of[m] = static_cast<int32_t>(i);
+          break;
+        }
+      }
+    }
+    return Derive(std::move(q), *axis, member_of);
   }
   span.SetAttribute("from", "warehouse");
   return CubeEngine(data_->warehouse).Execute(q);
 }
 
 Result<Table> Cube::ToTable() const {
+  const Data& data = *data_;
+  const size_t num_axes = this->num_axes();
   std::vector<Field> fields;
-  for (size_t ax = 0; ax < query().axes.size(); ++ax) {
+  for (size_t ax = 0; ax < num_axes; ++ax) {
     // Axis output column named after the attribute; type from members.
     fields.push_back(
         Field{query().axes[ax].attribute, MemberType(AxisMembers(ax))});
   }
   for (const AggSpec& m : query().measures) {
-    DataType t;
-    switch (m.fn) {
-      case AggFn::kCount:
-      case AggFn::kCountValid:
-      case AggFn::kCountDistinct:
-        t = DataType::kInt64;
-        break;
-      default:
-        t = DataType::kDouble;
-        break;
-    }
-    fields.push_back(Field{m.OutputName(), t});
+    fields.push_back(Field{m.OutputName(), ResultType(m.fn)});
   }
   DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
   Table out(std::move(schema));
 
-  // Enumerate cells in sorted coordinate order for deterministic output.
-  std::vector<const CellMap::value_type*> sorted = data_->order;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const CellMap::value_type* x, const CellMap::value_type* y) {
-              const std::vector<Value>& a = x->first;
-              const std::vector<Value>& b = y->first;
-              for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                int c = a[i].Compare(b[i]);
-                if (c != 0) return c < 0;
-              }
-              return a.size() < b.size();
-            });
-  for (const CellMap::value_type* entry : sorted) {
-    const auto& [coord, cell] = *entry;
-    if (query().non_empty && cell.fact_count() == 0) continue;
-    Row row = coord;
-    for (const Accumulator& acc : cell.accumulators) {
-      row.push_back(acc.Finish());
+  // Cells in sorted coordinate order for deterministic output: each
+  // member's rank in its axis's sorted order (a restricted axis lists
+  // its members in the restriction's order).
+  std::vector<std::vector<int32_t>> rank(num_axes);
+  for (size_t a = 0; a < num_axes; ++a) {
+    const std::vector<Value>& members = AxisMembers(a);
+    std::vector<int32_t> sorted(members.size());
+    std::iota(sorted.begin(), sorted.end(), 0);
+    if (!query().axes[a].members.empty()) {
+      std::sort(sorted.begin(), sorted.end(), [&](int32_t x, int32_t y) {
+        return members[static_cast<size_t>(x)].Compare(
+                   members[static_cast<size_t>(y)]) < 0;
+      });
     }
-    DDGMS_RETURN_IF_ERROR(out.AppendRow(row));
+    rank[a].resize(members.size());
+    for (size_t r = 0; r < sorted.size(); ++r) {
+      rank[a][static_cast<size_t>(sorted[r])] = static_cast<int32_t>(r);
+    }
+  }
+  auto member = [&](size_t cell, size_t a) {
+    return static_cast<size_t>(data.members[cell * num_axes + a]);
+  };
+  std::vector<size_t> cells(num_cells());
+  std::iota(cells.begin(), cells.end(), size_t{0});
+  std::sort(cells.begin(), cells.end(), [&](size_t x, size_t y) {
+    for (size_t a = 0; a < num_axes; ++a) {
+      const int32_t rx = rank[a][member(x, a)];
+      const int32_t ry = rank[a][member(y, a)];
+      if (rx != ry) return rx < ry;
+    }
+    return false;
+  });
+  for (size_t c = 0; c < num_axes + num_measures(); ++c) {
+    out.mutable_column(c)->Reserve(cells.size());
+  }
+  for (size_t cell : cells) {
+    for (size_t a = 0; a < num_axes; ++a) {
+      DDGMS_RETURN_IF_ERROR(
+          out.mutable_column(a)->Append(AxisMembers(a)[member(cell, a)]));
+    }
+    for (size_t m = 0; m < num_measures(); ++m) {
+      DDGMS_RETURN_IF_ERROR(data.AppendMeasure(
+          static_cast<int32_t>(cell), m, out.mutable_column(num_axes + m)));
+    }
   }
   return out;
 }
@@ -653,20 +973,10 @@ Result<Table> Cube::Pivot(size_t row_axis, size_t col_axis,
   if (measure_index >= query().measures.size()) {
     return Status::OutOfRange("measure index out of range");
   }
+  const Data& data = *data_;
   const std::vector<Value>& rows = AxisMembers(row_axis);
   const std::vector<Value>& cols = AxisMembers(col_axis);
-
-  DataType measure_type;
-  switch (query().measures[measure_index].fn) {
-    case AggFn::kCount:
-    case AggFn::kCountValid:
-    case AggFn::kCountDistinct:
-      measure_type = DataType::kInt64;
-      break;
-    default:
-      measure_type = DataType::kDouble;
-      break;
-  }
+  const DataType measure_type = ResultType(query().measures[measure_index].fn);
   std::vector<Field> fields;
   fields.push_back(
       Field{query().axes[row_axis].attribute, MemberType(rows)});
@@ -675,16 +985,24 @@ Result<Table> Cube::Pivot(size_t row_axis, size_t col_axis,
   }
   DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
   Table out(std::move(schema));
-  for (const Value& r : rows) {
-    Row row;
-    row.push_back(r);
-    for (const Value& c : cols) {
-      std::vector<Value> coord(2);
-      coord[row_axis] = r;
-      coord[col_axis] = c;
-      row.push_back(CellValue(coord, measure_index));
+
+  // The cell at each (row member, column member), -1 where none is.
+  std::vector<int32_t> grid(rows.size() * cols.size(), -1);
+  for (size_t cell = 0; cell < num_cells(); ++cell) {
+    const auto r = static_cast<size_t>(data.members[cell * 2 + row_axis]);
+    const auto c = static_cast<size_t>(data.members[cell * 2 + col_axis]);
+    grid[r * cols.size() + c] = static_cast<int32_t>(cell);
+  }
+  for (size_t c = 0; c <= cols.size(); ++c) {
+    out.mutable_column(c)->Reserve(rows.size());
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    DDGMS_RETURN_IF_ERROR(out.mutable_column(0)->Append(rows[r]));
+    for (size_t c = 0; c < cols.size(); ++c) {
+      DDGMS_RETURN_IF_ERROR(data.AppendMeasure(grid[r * cols.size() + c],
+                                               measure_index,
+                                               out.mutable_column(1 + c)));
     }
-    DDGMS_RETURN_IF_ERROR(out.AppendRow(row));
   }
   return out;
 }
@@ -763,13 +1081,21 @@ Result<std::vector<Cube::RankedCell>> Cube::TopCells(
   if (measure_index >= query().measures.size()) {
     return Status::OutOfRange("measure index out of range");
   }
+  const Data& data = *data_;
+  const size_t num_axes = this->num_axes();
   std::vector<RankedCell> ranked;
-  ranked.reserve(data_->cells.size());
-  for (const auto& [coord, cell] : data_->cells) {
-    if (measure_index >= cell.accumulators.size()) continue;
-    Result<double> v = cell.accumulators[measure_index].Finish().AsDouble();
+  ranked.reserve(num_cells());
+  for (size_t cell = 0; cell < num_cells(); ++cell) {
+    Result<double> v = data.Measure(cell, measure_index).AsDouble();
     if (!v.ok()) continue;
-    ranked.push_back(RankedCell{coord, *v, cell.fact_count()});
+    RankedCell& out = ranked.emplace_back();
+    out.coordinates.reserve(num_axes);
+    for (size_t a = 0; a < num_axes; ++a) {
+      out.coordinates.push_back(AxisMembers(a)[static_cast<size_t>(
+          data.members[cell * num_axes + a])]);
+    }
+    out.value = *v;
+    out.fact_count = data.state.rows[cell];
   }
   auto better = [largest](const RankedCell& a, const RankedCell& b) {
     if (a.value != b.value) {
@@ -788,21 +1114,18 @@ Result<std::vector<Cube::RankedCell>> Cube::TopCells(
 }
 
 uint64_t Cube::ApproxBytes() const {
-  uint64_t bytes = 0;
-  // Per cell: its hash-map node (bucket pointer, hash, vectors) and its
-  // entry in the first-touch order.
-  constexpr uint64_t kCellOverhead = sizeof(Cell) + 5 * sizeof(void*);
-  for (const auto& [coord, cell] : data_->cells) {
-    bytes += kCellOverhead;
-    for (const Value& v : coord) bytes += ValueApproxBytes(v);
-    for (const Accumulator& acc : cell.accumulators) {
-      bytes += acc.ApproxBytes();
-    }
-  }
-  for (const std::vector<Value>& members : data_->axis_members) {
+  const Data& data = *data_;
+  uint64_t bytes = data.members.size() * sizeof(int32_t) +
+                   data.state.rows.size() * sizeof(size_t) +
+                   data.state.typed.size() * sizeof(TypedPartial) +
+                   data.index.ApproxBytes();
+  for (const Accumulator& acc : data.state.boxed) bytes += acc.ApproxBytes();
+  for (const std::vector<Value>& members : data.axis_members) {
     for (const Value& v : members) bytes += ValueApproxBytes(v);
   }
-  bytes += data_->member_ids.size() * sizeof(int32_t);
+  for (const std::vector<int32_t>& ids : data.scan_ids) {
+    bytes += ids.size() * sizeof(int32_t);
+  }
   return bytes;
 }
 
@@ -908,9 +1231,7 @@ Result<Cube> CubeEngine::Compute(const CubeQuery& query,
     axis.stride = cell_space;
     if (__builtin_mul_overflow(cell_space, axis.num_members(),
                                &cell_space)) {
-      return Status::InvalidArgument(
-          "cube query has more cells than a 64-bit index can address: " +
-          query.ToString());
+      return TooManyCells(query);
     }
     scan.axes.push_back(
         ScanAxis{key_col->ints().data(), member_of_key, axis.stride});
@@ -940,7 +1261,7 @@ Result<Cube> CubeEngine::Compute(const CubeQuery& query,
       if (code >= 0) admit_code[static_cast<size_t>(code)] = 1;
     }
     ScanSlicer slicer;
-    slicer.keys = key_col->ints();
+    slicer.keys = key_col->ints().data();
     slicer.admit.reserve(codes->code_of_key().size());
     for (int32_t code : codes->code_of_key()) {
       slicer.admit.push_back(admit_code[static_cast<size_t>(code)]);
@@ -979,10 +1300,12 @@ Result<Cube> CubeEngine::Compute(const CubeQuery& query,
       sources.push_back({MeasureSource::Kind::kRows, 0});
     } else if (typed_fn && col->type() == DataType::kInt64) {
       sources.push_back({MeasureSource::Kind::kTyped, scan.typed.size()});
-      scan.typed.push_back(TypedMeasure{col->validity(), col->ints(), {}});
+      scan.typed.push_back(TypedMeasure{col->validity().data(),
+                                        col->ints().data(), nullptr});
     } else if (typed_fn && col->type() == DataType::kDouble) {
       sources.push_back({MeasureSource::Kind::kTyped, scan.typed.size()});
-      scan.typed.push_back(TypedMeasure{col->validity(), {}, col->doubles()});
+      scan.typed.push_back(TypedMeasure{col->validity().data(), nullptr,
+                                        col->doubles().data()});
     } else {
       sources.push_back({MeasureSource::Kind::kBoxed, scan.boxed.size()});
       scan.boxed.push_back(BoxedMeasure{spec.fn, col});
@@ -995,31 +1318,31 @@ Result<Cube> CubeEngine::Compute(const CubeQuery& query,
   data->lineage = warehouse_->lineage();
   data->fact_rows = scan.rows;
   data->query = query;
+  data->sources = std::move(sources);
+  data->num_typed = scan.typed.size();
+  data->num_boxed = scan.boxed.size();
   step.emplace(plan, "olap.cube.scan");
   CellSlots slots(cell_space, scan);
+  const size_t num_axes = axes.size();
   if (base != nullptr) {
     // Roll forward: open the base's cells first, in its first-touch
     // order and holding its state, so the scan of the appended rows
     // continues each running sum and numbers new cells as a scan of
     // every row would. Member ids hold along the append chain; only the
     // strides grow with the member counts.
-    const int32_t* ids = base->member_ids.data();
-    for (const Cube::CellMap::value_type* entry : base->order) {
-      const Cube::Cell& cell = entry->second;
+    for (size_t c = 0; c < base->num_cells(); ++c) {
       uint64_t index = 0;
-      for (const ResolvedAxis& axis : axes) {
-        index += static_cast<uint64_t>(*ids++) * axis.stride;
+      for (size_t a = 0; a < num_axes; ++a) {
+        const auto member =
+            static_cast<size_t>(base->members[c * num_axes + a]);
+        index += static_cast<uint64_t>(base->scan_ids[a][member]) *
+                 axes[a].stride;
       }
-      const size_t slot = slots.Seed(index, cell.fact_count());
-      for (size_t m = 0; m < sources.size(); ++m) {
-        const Accumulator& acc = cell.accumulators[m];
-        if (sources[m].kind == MeasureSource::Kind::kTyped) {
-          slots.typed(slot)[sources[m].index] =
-              TypedPartial{acc.valid(), acc.sum(), acc.sum_sq()};
-        } else if (sources[m].kind == MeasureSource::Kind::kBoxed) {
-          slots.boxed(slot)[sources[m].index] = acc;
-        }
-      }
+      const size_t slot = slots.Seed(index, base->state.rows[c]);
+      std::copy_n(base->state.typed.data() + c * base->num_typed,
+                  base->num_typed, slots.typed(slot));
+      std::copy_n(base->state.boxed.data() + c * base->num_boxed,
+                  base->num_boxed, slots.boxed(slot));
     }
     data->facts_aggregated = base->facts_aggregated;
   }
@@ -1035,93 +1358,78 @@ Result<Cube> CubeEngine::Compute(const CubeQuery& query,
   }
 
   step.emplace(plan, "olap.cube.materialize");
-  // Materialize: decode each touched cell's packed index into member
-  // ids, box its coordinates once and fold its partials into the
-  // accumulators the cube keeps, where navigation can merge them.
-  const size_t num_axes = axes.size();
-  auto member_id = [&](uint64_t cell, size_t a) {
-    return static_cast<size_t>(cell / axes[a].stride %
-                               axes[a].num_members());
-  };
+  // Materialize: decode each slot's packed index into its member id on
+  // each axis, box each seen member once, number the members in
+  // AxisMembers order, and move the slots' state into the cube.
+  const size_t num_cells = slots.size();
+  std::vector<int32_t>& cell_members = data->members;
+  cell_members.resize(num_cells * num_axes);
   std::vector<std::vector<uint8_t>> seen(num_axes);
   for (size_t a = 0; a < num_axes; ++a) {
-    seen[a].assign(axes[a].num_members(), 0);
-  }
-  for (size_t slot = 0; slot < slots.size(); ++slot) {
-    for (size_t a = 0; a < num_axes; ++a) {
-      seen[a][member_id(slots.cell(slot), a)] = 1;
+    const uint64_t stride = axes[a].stride;
+    const uint64_t count = axes[a].num_members();
+    seen[a].assign(count, 0);
+    for (size_t c = 0; c < num_cells; ++c) {
+      const auto id = static_cast<size_t>(slots.cell(c) / stride % count);
+      cell_members[c * num_axes + a] = static_cast<int32_t>(id);
+      seen[a][id] = 1;
     }
   }
-  // Member Values: a restriction's own spelling, else the attribute at
-  // the member's first surrogate key (boxed only for seen members).
-  std::vector<std::vector<Value>> members(num_axes);
-  for (size_t a = 0; a < num_axes; ++a) {
-    if (!axes[a].restriction.empty()) {
-      members[a] = axes[a].restriction;
-      continue;
-    }
-    members[a].resize(axes[a].num_members());
-    for (size_t m = 0; m < members[a].size(); ++m) {
-      if (seen[a][m] != 0) {
-        members[a][m] = axes[a].column->GetValue(axes[a].first_key[m]);
-      }
-    }
-  }
-
-  const size_t width = query.measures.size();
-  data->cells.reserve(slots.size());
-  data->order.reserve(slots.size());
-  data->member_ids.reserve(slots.size() * num_axes);
-  for (size_t slot = 0; slot < slots.size(); ++slot) {
-    Cube::Cell cell;
-    cell.accumulators.reserve(width);
-    for (size_t m = 0; m < width; ++m) {
-      const MeasureSource& source = sources[m];
-      if (source.kind == MeasureSource::Kind::kBoxed) {
-        Accumulator& acc = slots.boxed(slot)[source.index];
-        // A cached cube must not hold every distinct fact value.
-        acc.DropDistinctValues();
-        cell.accumulators.push_back(std::move(acc));
-        continue;
-      }
-      const TypedPartial partial = source.kind == MeasureSource::Kind::kTyped
-                                       ? slots.typed(slot)[source.index]
-                                       : TypedPartial{};
-      cell.accumulators.emplace_back(query.measures[m].fn)
-          .AddPartial(slots.rows(slot), partial.valid, partial.sum,
-                      partial.sum_sq);
-    }
-    std::vector<Value> coord;
-    coord.reserve(num_axes);
-    for (size_t a = 0; a < num_axes; ++a) {
-      const size_t member = member_id(slots.cell(slot), a);
-      data->member_ids.push_back(static_cast<int32_t>(member));
-      coord.push_back(members[a][member]);
-    }
-    data->order.push_back(
-        &*data->cells.emplace(std::move(coord), std::move(cell)).first);
-  }
-
   data->axis_members.resize(num_axes);
+  data->scan_ids.resize(num_axes);
+  std::vector<std::vector<int32_t>> position(num_axes);
   for (size_t a = 0; a < num_axes; ++a) {
-    std::vector<Value>& out = data->axis_members[a];
-    if (!axes[a].restriction.empty()) {
+    ResolvedAxis& axis = axes[a];
+    std::vector<Value>& members = data->axis_members[a];
+    std::vector<int32_t>& scan_ids = data->scan_ids[a];
+    if (!axis.restriction.empty()) {
       // An explicit member list fixes the axis order (clinical band
       // labels such as "<40" do not sort lexicographically).
-      for (size_t m = 0; m < members[a].size(); ++m) {
+      for (size_t m = 0; m < axis.restriction.size(); ++m) {
         if (seen[a][m] != 0 || !query.non_empty) {
-          out.push_back(members[a][m]);
+          members.push_back(std::move(axis.restriction[m]));
+          scan_ids.push_back(static_cast<int32_t>(m));
         }
       }
-      continue;
+    } else {
+      // The attribute at each seen code's first surrogate key, sorted.
+      std::vector<Value> by_code(seen[a].size());
+      for (size_t m = 0; m < seen[a].size(); ++m) {
+        if (seen[a][m] == 0) continue;
+        by_code[m] = axis.column->GetValue(axis.first_key[m]);
+        scan_ids.push_back(static_cast<int32_t>(m));
+      }
+      std::sort(scan_ids.begin(), scan_ids.end(),
+                [&by_code](int32_t x, int32_t y) {
+                  return by_code[static_cast<size_t>(x)].Compare(
+                             by_code[static_cast<size_t>(y)]) < 0;
+                });
+      members.reserve(scan_ids.size());
+      for (int32_t id : scan_ids) {
+        members.push_back(std::move(by_code[static_cast<size_t>(id)]));
+      }
     }
-    for (size_t m = 0; m < members[a].size(); ++m) {
-      if (seen[a][m] != 0) out.push_back(std::move(members[a][m]));
+    position[a].assign(axis.num_members(), -1);
+    for (size_t m = 0; m < scan_ids.size(); ++m) {
+      position[a][static_cast<size_t>(scan_ids[m])] =
+          static_cast<int32_t>(m);
     }
-    std::sort(out.begin(), out.end(), [](const Value& x, const Value& y) {
-      return x.Compare(y) < 0;
-    });
   }
+  // Every member index fits: the members are at most the scan's.
+  const uint64_t space = *PlaceValues(data->axis_members, &data->strides);
+  data->index = CellIndex(space);
+  for (size_t c = 0; c < num_cells; ++c) {
+    uint64_t key = 0;
+    for (size_t a = 0; a < num_axes; ++a) {
+      int32_t& member = cell_members[c * num_axes + a];
+      member = position[a][static_cast<size_t>(member)];
+      key += static_cast<uint64_t>(member) * data->strides[a];
+    }
+    data->index.Insert(key, static_cast<int32_t>(c));
+  }
+  data->state = std::move(slots.state());
+  // A cached cube must not hold every distinct fact value.
+  for (Accumulator& acc : data->state.boxed) acc.DropDistinctValues();
 
   Cube cube(std::move(data));
   // The cube's retained footprint is the engine's materialized output;

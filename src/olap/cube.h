@@ -2,11 +2,9 @@
 #define DDGMS_OLAP_CUBE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -51,9 +49,9 @@ struct CubeQuery {
   std::string ToString() const;
 };
 
-/// Materialized result of a CubeQuery: a sparse map from axis coordinates
-/// to each cell's measure accumulators, retaining enough context
-/// (warehouse + query) to support OLAP navigation:
+/// Materialized result of a CubeQuery: its non-empty cells, each with
+/// its member on every axis and its measures' state, retaining enough
+/// context (warehouse + query) to support OLAP navigation:
 ///
 ///  * RollUp(axis)            — drop an axis, re-aggregating.
 ///  * RollUpToCoarser(axis)   — move the axis up its hierarchy.
@@ -67,12 +65,12 @@ struct CubeQuery {
 /// at the generation this cube was computed under, no measure is
 /// count_distinct, the attribute is exactly one axis, and that axis's
 /// member restriction (if any) covers the answer. RollUp then merges
-/// the cells that share their other coordinates, Slice keeps one
-/// member's cells and drops the axis, and Dice keeps the listed
-/// members' cells. Every other navigation, and DrillDown and
-/// RollUpToCoarser always, re-executes against the warehouse (ROLAP
-/// style). Either way the result equals what CubeEngine returns for
-/// the navigated query, and a Cube must not outlive its Warehouse.
+/// the cells that share their other members, Slice keeps one member's
+/// cells and drops the axis, and Dice keeps the listed members' cells.
+/// Every other navigation, and DrillDown and RollUpToCoarser always,
+/// re-executes against the warehouse (ROLAP style). Either way the
+/// result equals what CubeEngine returns for the navigated query, and a
+/// Cube must not outlive its Warehouse.
 ///
 /// A Cube is a handle on immutable cells: a copy shares them and costs
 /// a reference count, and nothing changes them once they are built. So
@@ -87,23 +85,23 @@ class Cube {
   /// An empty cube: no axes, measures or cells.
   Cube();
 
-  const CubeQuery& query() const { return data_->query; }
-  size_t num_axes() const { return data_->query.axes.size(); }
-  size_t num_measures() const { return data_->query.measures.size(); }
-  size_t num_cells() const { return data_->cells.size(); }
+  const CubeQuery& query() const;
+  size_t num_axes() const { return query().axes.size(); }
+  size_t num_measures() const { return query().measures.size(); }
+  size_t num_cells() const;
   /// Total facts that passed the slicers.
-  size_t facts_aggregated() const { return data_->facts_aggregated; }
+  size_t facts_aggregated() const;
 
   /// Warehouse::generation() and Warehouse::lineage() the cells were
   /// computed under (0 for an empty cube); a derived cube inherits its
   /// parent's.
-  uint64_t generation() const { return data_->generation; }
-  uint64_t lineage() const { return data_->lineage; }
+  uint64_t generation() const;
+  uint64_t lineage() const;
 
-  /// Distinct coordinate values seen on axis `axis`, sorted.
-  const std::vector<Value>& AxisMembers(size_t axis) const {
-    return data_->axis_members[axis];
-  }
+  /// The members of axis `axis`: a member restriction's members in the
+  /// listed order, or else the members the cells have, sorted. Unless
+  /// non_empty is off, a restricted member no cell has is left out.
+  const std::vector<Value>& AxisMembers(size_t axis) const;
 
   /// Aggregated value for a full coordinate tuple; Null for empty cells.
   Value CellValue(const std::vector<Value>& coords,
@@ -158,9 +156,8 @@ class Cube {
                                            size_t measure_index = 0,
                                            bool largest = true) const;
 
-  /// Estimated heap footprint of the materialized cube (cells, their
-  /// coordinate Values, measure accumulators, order and member ids, and
-  /// the axis member lists).
+  /// Estimated heap footprint of the materialized cube: its cells'
+  /// members and measure state, its cell index and its axes' members.
   /// This is the amount Execute, and a navigation that derives its
   /// cube from this one, charge to the "olap.cube" resource pool.
   uint64_t ApproxBytes() const;
@@ -168,42 +165,9 @@ class Cube {
  private:
   friend class CubeEngine;
 
-  /// The scan's accumulators, one per measure. Values come from
-  /// Finish; navigation merges them. A count_distinct accumulator
-  /// keeps only its count (DropDistinctValues).
-  struct Cell {
-    std::vector<Accumulator> accumulators;
-
-    size_t fact_count() const { return accumulators.front().rows(); }
-  };
-  using CellMap = std::unordered_map<std::vector<Value>, Cell,
-                                     ValueVectorHash, ValueVectorEq>;
-
-  /// What a cube and its copies share. Built once, then only read.
-  struct Data {
-    const warehouse::Warehouse* warehouse = nullptr;
-    uint64_t generation = 0;
-    uint64_t lineage = 0;
-    /// For a cube the engine computed, the fact rows [0, fact_rows) its
-    /// cells sum: each sum runs over its cell's rows in row order, so
-    /// Extend can resume it. A derived cube merged its parent's sums,
-    /// which resuming would not reproduce, so it never rolls forward.
-    size_t fact_rows = 0;
-    bool derived = false;
-    CubeQuery query;
-    CellMap cells;
-    /// `cells` in first-touch order: the order a scan first reaches
-    /// them. Navigation merges cells in this order and a roll forward
-    /// keeps it, so a rolled cube navigates exactly as a fresh one.
-    std::vector<const CellMap::value_type*> order;
-    /// For a cube the engine computed, each cell's member id on each
-    /// axis, cell by cell in `order`: the attribute's code, or the
-    /// index in the axis's member restriction. Both hold along an
-    /// append chain, so Extend places a cell without hashing Values.
-    std::vector<int32_t> member_ids;
-    std::vector<std::vector<Value>> axis_members;
-    size_t facts_aggregated = 0;
-  };
+  /// What a cube and its copies share (see cube.cc). Built once, then
+  /// only read.
+  struct Data;
 
   explicit Cube(std::shared_ptr<const Data> data) : data_(std::move(data)) {}
 
@@ -220,12 +184,13 @@ class Cube {
   /// Builds the cube for `query` from this cube's cells. `query` is
   /// this cube's query navigated along `axis`: without that axis
   /// (roll-up, slice), or with its members restricted (dice).
-  /// `member_of` maps a cell's coordinate on `axis` to the coordinate
-  /// the cell keeps (unused when the axis goes), or to nullptr to
-  /// leave the cell out.
-  Cube Derive(CubeQuery query, size_t axis,
-              const std::function<const Value*(const Value&)>& member_of)
-      const;
+  /// `member_of` maps each index into AxisMembers(axis) to the index
+  /// of the member a cell there keeps in the diced axis's restriction
+  /// (any value >= 0 when the axis goes), or to -1 to leave the cell
+  /// out. InvalidArgument, as Execute, when the product of the member
+  /// counts does not fit in 64 bits.
+  Result<Cube> Derive(CubeQuery query, size_t axis,
+                      const std::vector<int32_t>& member_of) const;
 
   std::shared_ptr<const Data> data_;
 };
@@ -237,12 +202,14 @@ class Cube {
 /// One serial kernel answers every query. Resolve reads each axis and
 /// slicer attribute's dictionary codes at rest (Dimension::Codes) and
 /// looks up only the Values a restriction or slicer lists. The scan
-/// turns each admitted fact row into a mixed-radix cell index, counts
-/// the row into that cell and adds the typed measure arrays into the
-/// cell's flat partial sums; materialize folds each cell's partials into
-/// its accumulators. Cell slots sit in a dense array while the product
-/// of the axis member counts stays small, and in a hash of the packed
-/// index above that.
+/// takes the fact rows in blocks of 256. Per block, a first pass writes
+/// each admitted row's mixed-radix cell index, and a second finds each
+/// row's cell slot, opening slots in row order, and counts the rows in
+/// four interleaved lanes; then each typed measure's arrays are summed
+/// into its cells' partials, row by row. Materialize moves the slots'
+/// arrays into the cube and boxes each seen axis member once. Cell
+/// slots sit in a dense array while the product of the axis member
+/// counts stays small, and in a hash of the packed index above that.
 class CubeEngine {
  public:
   explicit CubeEngine(const warehouse::Warehouse* wh) : warehouse_(wh) {}

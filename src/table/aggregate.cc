@@ -1,5 +1,6 @@
 #include "table/aggregate.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "common/annotations.h"
@@ -124,35 +125,54 @@ uint64_t Accumulator::ApproxBytes() const {
   return bytes;
 }
 
+Value FinishSums(AggFn fn, size_t rows, size_t valid, double sum,
+                 double sum_sq) {
+  switch (fn) {
+    case AggFn::kCount:
+      return Value::Int(static_cast<int64_t>(rows));
+    case AggFn::kCountValid:
+      return Value::Int(static_cast<int64_t>(valid));
+    case AggFn::kSum:
+      return Value::Real(sum);
+    case AggFn::kAvg:
+      if (valid == 0) return Value::Null();
+      return Value::Real(sum / static_cast<double>(valid));
+    case AggFn::kVariance:
+    case AggFn::kStdDev: {
+      if (valid == 0) return Value::Null();
+      double n = static_cast<double>(valid);
+      double mean = sum / n;
+      double var = sum_sq / n - mean * mean;
+      if (var < 0.0) var = 0.0;  // numerical noise
+      return Value::Real(fn == AggFn::kVariance ? var : std::sqrt(var));
+    }
+    case AggFn::kCountDistinct:
+    case AggFn::kMin:
+    case AggFn::kMax:
+      break;
+  }
+  return Value::Null();
+}
+
 Value Accumulator::Finish() const {
   switch (fn_) {
-    case AggFn::kCount:
-      return Value::Int(static_cast<int64_t>(rows_));
-    case AggFn::kCountValid:
-      return Value::Int(static_cast<int64_t>(valid_));
     case AggFn::kCountDistinct:
       return Value::Int(
           static_cast<int64_t>(dropped_distinct_ + distinct_.size()));
-    case AggFn::kSum:
-      if (!numeric_ok_) return Value::Null();
-      return Value::Real(sum_);
-    case AggFn::kAvg:
-      if (!numeric_ok_ || valid_ == 0) return Value::Null();
-      return Value::Real(sum_ / static_cast<double>(valid_));
     case AggFn::kMin:
     case AggFn::kMax:
       return extreme_;
+    case AggFn::kSum:
+    case AggFn::kAvg:
     case AggFn::kVariance:
-    case AggFn::kStdDev: {
-      if (!numeric_ok_ || valid_ == 0) return Value::Null();
-      double n = static_cast<double>(valid_);
-      double mean = sum_ / n;
-      double var = sum_sq_ / n - mean * mean;
-      if (var < 0.0) var = 0.0;  // numerical noise
-      return Value::Real(fn_ == AggFn::kVariance ? var : std::sqrt(var));
-    }
+    case AggFn::kStdDev:
+      if (!numeric_ok_) return Value::Null();
+      break;
+    case AggFn::kCount:
+    case AggFn::kCountValid:
+      break;
   }
-  return Value::Null();
+  return FinishSums(fn_, rows_, valid_, sum_, sum_sq_);
 }
 
 }  // namespace ddgms

@@ -1,7 +1,6 @@
 #ifndef DDGMS_TABLE_AGGREGATE_H_
 #define DDGMS_TABLE_AGGREGATE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -44,6 +43,14 @@ struct AggSpec {
   std::string OutputName() const;
 };
 
+/// The value of `fn` over `rows` rows of which `valid` are numbers with
+/// sum `sum` and sum of squares `sum_sq`: what Accumulator::Finish
+/// reports for an accumulator fed those rows. It serves kCount,
+/// kCountValid, kSum, kAvg, kVariance and kStdDev, whose state is those
+/// four figures; kMin, kMax and kCountDistinct need an Accumulator.
+Value FinishSums(AggFn fn, size_t rows, size_t valid, double sum,
+                 double sum_sq);
+
 /// Streaming accumulator for one aggregate over one group/cell.
 /// Numeric aggregates (sum/avg/min/max/var/stddev) require numeric input
 /// values; min/max also accept any ordered type.
@@ -53,22 +60,6 @@ class Accumulator {
 
   /// Feeds one cell. Nulls count toward kCount only.
   void Add(const Value& v);
-
-  /// Folds in what a scan over typed column arrays summed for this
-  /// group: `rows` rows, `valid` of them non-null numbers (a bool as 0
-  /// or 1) whose sum and sum of squares, each added up in row order
-  /// from 0.0, are `sum` and `sum_sq`. On an accumulator fed nothing
-  /// yet this equals Add of those rows in that order, to the bit. It
-  /// serves kCount, kCountValid, kSum, kAvg, kVariance and kStdDev only;
-  /// kMin, kMax and kCountDistinct need the Values and use Add.
-  void AddPartial(size_t rows, size_t valid, double sum, double sum_sq) {
-    assert(fn_ != AggFn::kMin && fn_ != AggFn::kMax &&
-           fn_ != AggFn::kCountDistinct);
-    rows_ += rows;
-    valid_ += valid;
-    sum_ += sum;
-    sum_sq_ += sum_sq;
-  }
 
   /// Folds another accumulator of the same function into this one:
   /// merging the accumulators of the parts of a split stream equals
@@ -87,17 +78,6 @@ class Accumulator {
 
   /// Number of rows fed (including nulls).
   size_t rows() const { return rows_; }
-
-  /// What AddPartial folds in: the number of non-null values fed, and
-  /// their running sum and sum of squares in feed order. A scan that
-  /// starts its partials from these, continues them over later rows
-  /// and AddPartial's the totals into a fresh accumulator gets, to the
-  /// bit, this accumulator fed those rows too: the running sums start
-  /// from +0.0 and so never hold -0.0, which 0.0 + x would turn into
-  /// +0.0.
-  size_t valid() const { return valid_; }
-  double sum() const { return sum_; }
-  double sum_sq() const { return sum_sq_; }
 
   /// Final aggregate value; Value::Null() when undefined (e.g. avg of an
   /// empty group).

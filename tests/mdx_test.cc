@@ -414,8 +414,9 @@ TEST_P(MdxFuzzTest, SeededMutantsReturnAStatus) {
     const uint64_t seed = 20130408u + (uint64_t{input} << 32) +
                           static_cast<uint64_t>(i);
     const std::string text = MutateMdx(kFuzzQueries[input], seed);
-    SCOPED_TRACE("replay: input " + std::to_string(input) +
-                 ", MutateMdx seed " + std::to_string(seed) + ": " + text);
+    SCOPED_TRACE(testing::Message() << "replay: input " << input
+                                    << ", MutateMdx seed " << seed << ": "
+                                    << text);
     auto result = executor.Execute(text);
     if (!result.ok()) {
       EXPECT_FALSE(result.status().message().empty());

@@ -355,13 +355,7 @@ class CubeKernelTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     extract_ = new Table(MakeKernelExtract());
-    StarSchemaDef def;
-    def.fact_name = "F";
-    def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
-                    MeasureDef{"DV", "DV"}};
-    def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
-                      DimensionDef{"W", {"P", "Q", "R"}, {}}};
-    auto wh = StarSchemaBuilder(def).Build(*extract_);
+    auto wh = StarSchemaBuilder(KernelSchema()).Build(*extract_);
     ASSERT_TRUE(wh.ok()) << wh.status().ToString();
     warehouse_ = new Warehouse(std::move(wh).value());
   }
@@ -369,6 +363,17 @@ class CubeKernelTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete warehouse_;
     delete extract_;
+  }
+
+  // The kernel extract's star schema.
+  static StarSchemaDef KernelSchema() {
+    StarSchemaDef def;
+    def.fact_name = "F";
+    def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
+                    MeasureDef{"DV", "DV"}};
+    def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
+                      DimensionDef{"W", {"P", "Q", "R"}, {}}};
+    return def;
   }
 
   // Executes `q` and checks it against the baseline: the same cells,
@@ -829,13 +834,24 @@ INSTANTIATE_TEST_SUITE_P(
 // flat table, and for each measure the whole ranking and the three
 // smallest cells.
 std::string GridsText(const Result<Cube>& cube) {
-  if (!cube.ok()) return "error: " + cube.status().ToString();
   std::string out;
-  auto add = [&out](const char* what, const Result<Table>& table) {
+  auto error = [&out](const Status& status) {
+    out += "error: ";
+    out += status.ToString();
+    out += '\n';
+  };
+  if (!cube.ok()) {
+    error(cube.status());
+    return out;
+  }
+  auto add = [&](const char* what, const Result<Table>& table) {
     out += what;
     out += '\n';
-    out += table.ok() ? table->ToPrettyString(1000)
-                      : "error: " + table.status().ToString() + "\n";
+    if (table.ok()) {
+      out += table->ToPrettyString(1000);
+    } else {
+      error(table.status());
+    }
   };
   add("pivot", cube->Pivot(0, 1));
   add("pivot transposed", cube->Pivot(1, 0));
@@ -851,9 +867,7 @@ std::string GridsText(const Result<Cube>& cube) {
       out += std::to_string(m);
       out += largest ? ", largest first\n" : ", smallest three\n";
       if (!ranked.ok()) {
-        out += "error: ";
-        out += ranked.status().ToString();
-        out += '\n';
+        error(ranked.status());
         continue;
       }
       for (const Cube::RankedCell& c : *ranked) {
@@ -2198,14 +2212,8 @@ TEST_F(CubeKernelTest, RollsForwardOntoHashedSlots) {
     for (size_t r = from; r < to; ++r) rows.push_back(r);
     return rows;
   };
-  StarSchemaDef def;
-  def.fact_name = "F";
-  def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
-                  MeasureDef{"DV", "DV"}};
-  def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
-                    DimensionDef{"W", {"P", "Q", "R"}, {}}};
-  auto built =
-      StarSchemaBuilder(def).Build(TakeRows(*extract_, range(0, 1000)));
+  auto built = StarSchemaBuilder(KernelSchema())
+                   .Build(TakeRows(*extract_, range(0, 1000)));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   Warehouse wh = std::move(built).value();
   CachingCubeEngine cache(&wh);
@@ -2273,19 +2281,9 @@ class CubeBlockTest : public CubeKernelTest {
     std::vector<size_t> take(rows);
     for (size_t r = 0; r < rows; ++r) take[r] = r;
     Table extract = TakeRows(*extract_, take);
-    auto wh = StarSchemaBuilder(Schema()).Build(extract);
+    auto wh = StarSchemaBuilder(KernelSchema()).Build(extract);
     EXPECT_TRUE(wh.ok()) << wh.status().ToString();
     return Prefix{std::move(extract), std::move(wh).value()};
-  }
-
-  static StarSchemaDef Schema() {
-    StarSchemaDef def;
-    def.fact_name = "F";
-    def.measures = {MeasureDef{"V", "V"}, MeasureDef{"IV", "IV"},
-                    MeasureDef{"DV", "DV"}};
-    def.dimensions = {DimensionDef{"D", {"G", "B", "N", "K"}, {}},
-                      DimensionDef{"W", {"P", "Q", "R"}, {}}};
-    return def;
   }
 
   // Dense and hashed cubes with count(*) beside count(col), typed
@@ -2325,7 +2323,7 @@ TEST_F(CubeBlockTest, FactTablesAroundABlockBoundary) {
   for (size_t rows : {255u, 256u, 257u, 511u, 512u, 513u}) {
     const Prefix prefix = Build(rows);
     for (const CubeQuery& q : Queries()) {
-      SCOPED_TRACE(std::to_string(rows) + " rows: " + q.ToString());
+      SCOPED_TRACE(testing::Message() << rows << " rows: " << q.ToString());
       ExpectMatchesBaselineOn(prefix.warehouse, prefix.extract, q);
     }
   }
@@ -2346,7 +2344,9 @@ TEST_F(CubeBlockTest, RollsForwardFromMidBlock) {
     ASSERT_TRUE(wh.AppendRows(TakeRows(*extract_, batch)).ok());
     const Prefix whole = Build(to);
     for (const CubeQuery& q : queries) {
-      const std::string where = std::to_string(to) + " rows: " + q.ToString();
+      std::string where = std::to_string(to);
+      where += " rows: ";
+      where += q.ToString();
       auto got = cache.Execute(q);
       ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
       auto want = CubeEngine(&wh).Execute(q);

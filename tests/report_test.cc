@@ -106,6 +106,14 @@ Digest DigestOf(const std::string& text) {
   return Digest{text.size(), Crc32c(text)};
 }
 
+// "`what`: `status`", built in place.
+std::string Failed(const char* what, const Status& status) {
+  std::string out = what;
+  out += ": ";
+  out += status.ToString();
+  return out;
+}
+
 // The Fig 4-6 grids of a ward round, as a clinician sees them, on the
 // DiScRi-scale cohort: 900 patients, seed 20130408, loaded from CSV.
 class FigureGridTest : public ::testing::Test {
@@ -134,12 +142,12 @@ class FigureGridTest : public ::testing::Test {
   // a table of every cell.
   static std::string GridText(const char* mdx, bool pivot) {
     auto result = dgms_->QueryMdx(mdx);
-    if (!result.ok()) return "query: " + result.status().ToString();
+    if (!result.ok()) return Failed("query", result.status());
     auto grid = result->ToGrid();
-    if (!grid.ok()) return "grid: " + grid.status().ToString();
+    if (!grid.ok()) return Failed("grid", grid.status());
     if (!pivot) return grid->ToPrettyString(1000);
     auto text = RenderPivot(*grid);
-    return text.ok() ? *text : "render: " + text.status().ToString();
+    return text.ok() ? *text : Failed("render", text.status());
   }
 
   static core::DdDgms* dgms_;
