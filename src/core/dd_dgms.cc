@@ -1,6 +1,7 @@
 #include "core/dd_dgms.h"
 
 #include <cassert>
+#include <optional>
 
 #include "common/log.h"
 #include "common/query_registry.h"
@@ -148,8 +149,8 @@ Result<mdx::MdxResult> DdDgms::QueryMdx(const std::string& mdx_text) const {
         return telemetry_warehouse_.get();
       });
   // Clinical queries share the facade's cube cache. [Telemetry] queries
-  // bypass it: their warehouse is rebuilt per query, so the generation
-  // stamp would invalidate every entry anyway.
+  // bypass it: their warehouse is rebuilt per query, so its new lineage
+  // would invalidate every entry anyway.
   if (cube_cache_ == nullptr) {
     cube_cache_ = std::make_unique<olap::CachingCubeEngine>(warehouse_.get());
   }
@@ -207,18 +208,26 @@ Status DdDgms::AcquireDataDurable(const Table& new_raw_rows) {
   pipeline_options.error_mode = robustness_.error_mode;
   DDGMS_ASSIGN_OR_RETURN(etl::TransformReport batch_report,
                          pipeline_.Run(&batch, pipeline_options));
+  // A lenient rebuild would quarantine these rows; so does the append.
+  std::optional<Table> kept;
+  if (robustness_.error_mode == ErrorMode::kLenient) {
+    DDGMS_ASSIGN_OR_RETURN(
+        kept, warehouse::QuarantineUnreferencedRows(
+                  warehouse_->def(), batch, &batch_report.quarantine));
+  }
+  const Table& rows = kept ? *kept : batch;
   DDGMS_ASSIGN_OR_RETURN(warehouse::PreparedAppend prepared,
-                         warehouse_->PrepareAppend(batch));
+                         warehouse_->PrepareAppend(rows));
   // The facade's flat extracts follow the batch (QuerySql("extract")
   // and future non-durable rebuilds read them).
   DDGMS_RETURN_IF_ERROR(CheckExtend(raw_, new_raw_rows));
   DDGMS_RETURN_IF_ERROR(CheckExtend(transformed_, batch));
-  // Write-ahead: the batch is journaled (and fsynced, by default)
-  // before it is applied, so an OK from this call means the rows
+  // Write-ahead: the rows are journaled (and fsynced, by default)
+  // before they are applied, so an OK from this call means they
   // survive a crash even though no snapshot was taken. Nothing after
   // this point can fail.
-  DDGMS_RETURN_IF_ERROR(store_->AppendBatch(batch));
-  warehouse_->CommitAppend(prepared);
+  DDGMS_RETURN_IF_ERROR(store_->AppendBatch(rows));
+  warehouse_->CommitAppend(std::move(prepared));
   Extend(&raw_, new_raw_rows);
   Extend(&transformed_, std::move(batch));
   if (robustness_.quarantine_sink != nullptr) {

@@ -89,7 +89,6 @@ class DdDgms {
   const etl::TransformReport& transform_report() const { return report_; }
 
   const warehouse::Warehouse& warehouse() const { return *warehouse_; }
-  warehouse::Warehouse* mutable_warehouse() { return warehouse_.get(); }
 
   /// OLAP entry point.
   Result<olap::Cube> Query(const olap::CubeQuery& query) const;
@@ -145,6 +144,9 @@ class DdDgms {
   /// (keys and types of every row), and the schema match with the
   /// accumulated raw and transformed extracts. A rejected batch is
   /// neither journaled nor applied; nothing after the write can fail.
+  /// In lenient mode both paths quarantine the rows a rebuild would
+  /// (warehouse::QuarantineUnreferencedRows), and the journal holds
+  /// only the rows applied.
   Status AcquireData(const Table& new_raw_rows);
 
   /// -----------------------------------------------------------------
@@ -239,8 +241,8 @@ class DdDgms {
   mutable std::unique_ptr<warehouse::Warehouse> telemetry_warehouse_;
   /// Created by the first QueryMdx, for clinical-cube queries. Safe across
   /// AcquireData rebuilds because Rebuild assigns the warehouse in
-  /// place (pointer stable) and the cache invalidates itself on the
-  /// warehouse's generation stamp.
+  /// place (pointer stable) and the cache checks each entry against the
+  /// warehouse's lineage and fact-row count.
   mutable std::unique_ptr<olap::CachingCubeEngine> cube_cache_;
   /// Non-null once durable storage is attached/loaded.
   std::unique_ptr<warehouse::DurableWarehouseStore> store_;

@@ -114,7 +114,8 @@ Result<std::shared_ptr<const Cube>> CachingCubeEngine::Execute(
     lru_.splice(lru_.begin(), lru_, it->second);
     Entry& entry = *it->second;
     const Cube& cached = *entry.cube;
-    if (cached.generation() == warehouse_->generation()) {
+    if (cached.lineage() == warehouse_->lineage() &&
+        cached.fact_rows() == warehouse_->num_fact_rows()) {
       ++hits_;
       DDGMS_METRIC_INC("ddgms.olap.cache.hits");
       if (plan != nullptr) {

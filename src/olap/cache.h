@@ -20,8 +20,8 @@ namespace ddgms::olap {
 /// non_empty), so two queries share an entry only when they are equal.
 ///
 /// Each entry is checked against the warehouse when a query finds it:
-///  * hit — the warehouse is still at the generation the cube was
-///    computed under;
+///  * hit — the warehouse still has the lineage and fact-row count the
+///    cube was computed under;
 ///  * rolled — every change since was an append (the cube's lineage is
 ///    the warehouse's), so CubeEngine::Extend rolls the cube forward
 ///    over just the appended fact rows and the entry keeps the result;

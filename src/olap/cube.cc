@@ -492,10 +492,9 @@ std::string CubeQuery::ToString() const {
 /// Every cell holds at least one fact.
 struct Cube::Data {
   const Warehouse* warehouse = nullptr;
-  uint64_t generation = 0;
   uint64_t lineage = 0;
-  /// For a cube the engine computed, the fact rows [0, fact_rows) its
-  /// cells sum: each sum runs over its cell's rows in row order, so
+  /// The fact rows [0, fact_rows) the cells sum. For a cube the engine
+  /// computed, each sum runs over its cell's rows in row order, so
   /// Extend can resume it. A derived cube merged its parent's sums,
   /// which resuming would not reproduce, so it never rolls forward.
   size_t fact_rows = 0;
@@ -595,8 +594,8 @@ Cube::Cube() {
 const CubeQuery& Cube::query() const { return data_->query; }
 size_t Cube::num_cells() const { return data_->num_cells(); }
 size_t Cube::facts_aggregated() const { return data_->facts_aggregated; }
-uint64_t Cube::generation() const { return data_->generation; }
 uint64_t Cube::lineage() const { return data_->lineage; }
+size_t Cube::fact_rows() const { return data_->fact_rows; }
 
 const std::vector<Value>& Cube::AxisMembers(size_t axis) const {
   return data_->axis_members[axis];
@@ -629,7 +628,8 @@ std::optional<size_t> Cube::SoleAxis(const std::string& dimension,
 
 bool Cube::CellsCurrent() const {
   return data_->warehouse != nullptr &&
-         data_->warehouse->generation() == data_->generation &&
+         data_->warehouse->lineage() == data_->lineage &&
+         data_->warehouse->num_fact_rows() == data_->fact_rows &&
          !CountsDistinct(query());
 }
 
@@ -696,8 +696,8 @@ Result<Cube> Cube::Derive(CubeQuery query, size_t axis,
   if (!space) return TooManyCells(query);
 
   out->warehouse = in.warehouse;
-  out->generation = in.generation;
   out->lineage = in.lineage;
+  out->fact_rows = in.fact_rows;
   out->derived = true;
   out->query = std::move(query);
   out->sources = in.sources;
@@ -1314,7 +1314,6 @@ Result<Cube> CubeEngine::Compute(const CubeQuery& query,
 
   auto data = std::make_shared<Cube::Data>();
   data->warehouse = warehouse_;
-  data->generation = warehouse_->generation();
   data->lineage = warehouse_->lineage();
   data->fact_rows = scan.rows;
   data->query = query;

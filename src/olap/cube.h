@@ -61,12 +61,13 @@ struct CubeQuery {
 ///  * Dice(dim, attr, values) — restrict to a member subset.
 ///
 /// RollUp, Slice and Dice derive their cube from this one's cells when
-/// these cells hold every fact the answer needs: the warehouse is still
-/// at the generation this cube was computed under, no measure is
-/// count_distinct, the attribute is exactly one axis, and that axis's
-/// member restriction (if any) covers the answer. RollUp then merges
-/// the cells that share their other members, Slice keeps one member's
-/// cells and drops the axis, and Dice keeps the listed members' cells.
+/// these cells hold every fact the answer needs: the warehouse still has
+/// the lineage and fact-row count this cube was computed under, no
+/// measure is count_distinct, the attribute is exactly one axis, and
+/// that axis's member restriction (if any) covers the answer. RollUp
+/// then merges the cells that share their other members, Slice keeps
+/// one member's cells and drops the axis, and Dice keeps the listed
+/// members' cells.
 /// Every other navigation, and DrillDown and RollUpToCoarser always,
 /// re-executes against the warehouse (ROLAP style). Either way the
 /// result equals what CubeEngine returns for the navigated query, and a
@@ -92,11 +93,11 @@ class Cube {
   /// Total facts that passed the slicers.
   size_t facts_aggregated() const;
 
-  /// Warehouse::generation() and Warehouse::lineage() the cells were
+  /// Warehouse::lineage() and Warehouse::num_fact_rows() the cells were
   /// computed under (0 for an empty cube); a derived cube inherits its
-  /// parent's.
-  uint64_t generation() const;
+  /// parent's. The cells are current while the warehouse has both.
   uint64_t lineage() const;
+  size_t fact_rows() const;
 
   /// The members of axis `axis`: a member restriction's members in the
   /// listed order, or else the members the cells have, sorted. Unless

@@ -186,9 +186,9 @@ HttpResponse ObservabilityServer::HandleReadyz(
         "{\"status\":\"unavailable\",\"warehouse\":\"none\"}", 503);
   }
   std::string body = StrFormat(
-      "{\"status\":\"ok\",\"warehouse_generation\":%llu,"
+      "{\"status\":\"ok\",\"warehouse_lineage\":%llu,"
       "\"fact_rows\":%zu,\"durable\":%s",
-      static_cast<unsigned long long>(dgms_->warehouse().generation()),
+      static_cast<unsigned long long>(dgms_->warehouse().lineage()),
       dgms_->warehouse().fact().num_rows(),
       dgms_->durable() ? "true" : "false");
   if (dgms_->durable()) {
@@ -358,9 +358,8 @@ HttpResponse ObservabilityServer::HandleStatusz(
   std::string warehouse_line = "none";
   if (dgms_ != nullptr) {
     warehouse_line = StrFormat(
-        "generation %llu, %zu fact rows, %s",
-        static_cast<unsigned long long>(
-            dgms_->warehouse().generation()),
+        "lineage %llu, %zu fact rows, %s",
+        static_cast<unsigned long long>(dgms_->warehouse().lineage()),
         dgms_->warehouse().fact().num_rows(),
         dgms_->durable()
             ? StrFormat("durable (seq %llu)",

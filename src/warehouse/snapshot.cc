@@ -129,6 +129,13 @@ Result<ColumnVector> DecodeColumn(ByteReader* reader, size_t rows) {
                   std::string(name).c_str()));
   }
   const DataType type = static_cast<DataType>(type_tag);
+  // Every row takes at least one byte, and a row count past the bytes
+  // left would also wrap the bitmap's size below.
+  if (rows > reader->remaining()) {
+    return Status::DataLoss(
+        StrFormat("column '%s' claims %zu rows in %zu bytes",
+                  std::string(name).c_str(), rows, reader->remaining()));
+  }
   DDGMS_ASSIGN_OR_RETURN(std::string_view bitmap,
                          reader->ReadBytes((rows + 7) / 8));
   auto valid = [&bitmap](size_t i) {

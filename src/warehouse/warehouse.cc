@@ -34,7 +34,7 @@ Status CannotHold(DataType from, const ColumnVector& to) {
 
 }  // namespace
 
-uint64_t NextWarehouseGeneration() {
+uint64_t NextWarehouseLineage() {
   static std::atomic<uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
@@ -439,21 +439,21 @@ Status Warehouse::AddFeedbackDimension(
   DDGMS_RETURN_IF_ERROR(fact_.AddColumn(std::move(key_col)));
   dimensions_.emplace_back(std::move(dim_def), std::move(dim_table));
   def_.dimensions.push_back(dimensions_.back().def());
-  generation_ = NextWarehouseGeneration();
   lineage_.Renew();
   return Status::OK();
 }
 
 Status Warehouse::AppendRows(const Table& source) {
   DDGMS_ASSIGN_OR_RETURN(PreparedAppend batch, PrepareAppend(source));
-  CommitAppend(batch);
+  CommitAppend(std::move(batch));
   return Status::OK();
 }
 
 Result<PreparedAppend> Warehouse::PrepareAppend(const Table& source) {
   DDGMS_FAULT_POINT("warehouse.append_rows");
   PreparedAppend batch;
-  batch.generation_ = generation_;
+  batch.lineage_ = lineage();
+  batch.fact_rows_ = num_fact_rows();
   batch.fact_ = Table(fact_.schema());
   batch.members_.resize(dimensions_.size());
 
@@ -571,31 +571,43 @@ Result<PreparedAppend> Warehouse::PrepareAppend(const Table& source) {
   return batch;
 }
 
-void Warehouse::CommitAppend(const PreparedAppend& batch) {
-  assert(batch.generation_ == generation_);
+namespace {
+
+/// Appends `staged`, which has `to`'s schema, to `to`: an empty `to`
+/// takes it whole.
+void ConcatStaged(Table* to, Table staged) {
+  if (to->num_rows() == 0) {
+    *to = std::move(staged);
+    return;
+  }
+  Status st = to->Concat(staged);
+  assert(st.ok());
+  st.IgnoreError();
+}
+
+}  // namespace
+
+void Warehouse::CommitAppend(PreparedAppend batch) {
+  assert(batch.lineage_ == lineage() && batch.fact_rows_ == num_fact_rows());
   for (size_t d = 0; d < dimensions_.size(); ++d) {
-    const Table& minted = batch.members_[d];
+    Table& minted = batch.members_[d];
     if (minted.num_rows() == 0) continue;
     Dimension& dim = dimensions_[d];
-    // PrepareAppend resolved the attribute columns, built the index and
+    // PrepareAppend built the index, resolved the attribute columns and
     // staged the members with the member table's schema, so none of
     // this can fail.
+    MemberIndex& index = *dim.index_;
+    const size_t first = dim.num_members();
+    ConcatStaged(&dim.table_, std::move(minted));
+    // Read after the concatenation, which may replace the columns.
     const std::vector<const ColumnVector*> members =
         dim.AttributeColumns().value();
-    MemberIndex& index = dim.EnsureIndex(members);
-    const size_t first = dim.num_members();
-    Status st = dim.table_.Concat(minted);
-    assert(st.ok());
-    st.IgnoreError();
     for (size_t key = first; key < dim.num_members(); ++key) {
       index.Insert(members, key, MemberIndex::HashRow(members, key));
     }
     dim.codes_.Extend(dim.table_);
   }
-  Status st = fact_.Concat(batch.fact_);
-  assert(st.ok());
-  st.IgnoreError();
-  generation_ = NextWarehouseGeneration();
+  ConcatStaged(&fact_, std::move(batch.fact_));
 }
 
 IntegrityReport Warehouse::CheckIntegrity() const {
@@ -609,6 +621,13 @@ IntegrityReport Warehouse::CheckIntegrity() const {
       report.ok = false;
       report.violations.push_back("fact table missing key column for '" +
                                   dim.name() + "'");
+      continue;
+    }
+    if ((*col)->type() != DataType::kInt64) {
+      report.ok = false;
+      report.violations.push_back(
+          StrFormat("key column for dimension '%s' holds %s, not int64",
+                    dim.name().c_str(), DataTypeName((*col)->type())));
       continue;
     }
     for (size_t i = 0; i < (*col)->size(); ++i) {
@@ -664,6 +683,45 @@ IntegrityReport Warehouse::CheckIntegrity() const {
   return report;
 }
 
+Result<std::optional<Table>> QuarantineUnreferencedRows(
+    const StarSchemaDef& def, const Table& source,
+    QuarantineReport* quarantine) {
+  std::vector<std::vector<const ColumnVector*>> tuples;
+  for (const DimensionDef& dim : def.dimensions) {
+    std::vector<const ColumnVector*>& cols = tuples.emplace_back();
+    for (const std::string& attr : dim.attributes) {
+      DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
+                             source.ColumnByName(attr));
+      cols.push_back(col);
+    }
+  }
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < source.num_rows(); ++i) {
+    size_t d = 0;
+    while (d < tuples.size() &&
+           !std::all_of(tuples[d].begin(), tuples[d].end(),
+                        [i](const ColumnVector* col) { return col->IsNull(i); })) {
+      ++d;
+    }
+    if (d == tuples.size()) {
+      kept.push_back(i);
+      continue;
+    }
+    const std::string& name = def.dimensions[d].name;
+    std::vector<std::string> cells;
+    for (const Value& v : source.GetRow(i)) cells.push_back(v.ToString());
+    DDGMS_METRIC_INC("ddgms.warehouse.ri_rejects");
+    quarantine->Add(
+        "star-schema", i + 1, name,
+        Status::FailedPrecondition(StrFormat(
+            "all-null tuple references no member of dimension '%s'",
+            name.c_str())),
+        TruncateForQuarantine(FormatCsvLine(cells)));
+  }
+  if (kept.size() == source.num_rows()) return std::optional<Table>();
+  return std::optional<Table>(source.Take(kept));
+}
+
 Result<Warehouse> StarSchemaBuilder::Build(
     const Table& source, const BuildOptions& options) const {
   DDGMS_FAULT_POINT("warehouse.build");
@@ -673,27 +731,32 @@ Result<Warehouse> StarSchemaBuilder::Build(
   build_span.SetAttribute("dimensions", def_.dimensions.size());
   build_span.SetAttribute("measures", def_.measures.size());
   ScopedAccounting accounting("warehouse");
-  const bool lenient = options.error_mode == ErrorMode::kLenient;
   QuarantineReport local_sink;
   QuarantineReport* quarantine =
       options.quarantine != nullptr ? options.quarantine : &local_sink;
 
-  // Resolve all source columns up front.
-  struct DimSource {
-    std::vector<const ColumnVector*> attr_cols;
-  };
-  std::vector<DimSource> dim_sources;
-  dim_sources.reserve(def_.dimensions.size());
-  for (const DimensionDef& dim : def_.dimensions) {
-    DimSource src;
-    for (const std::string& attr : dim.attributes) {
+  // An empty warehouse typed like the source: member tables like their
+  // attributes, the fact table with a key per dimension, the degenerate
+  // key, and the measures (a bool measure stored as int64).
+  std::vector<Dimension> dimensions;
+  std::vector<Field> fact_fields;
+  for (const DimensionDef& dim_def : def_.dimensions) {
+    std::vector<Field> fields;
+    for (const std::string& attr : dim_def.attributes) {
       DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
                              source.ColumnByName(attr));
-      src.attr_cols.push_back(col);
+      fields.push_back(Field{attr, col->type()});
     }
-    dim_sources.push_back(std::move(src));
+    DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+    dimensions.emplace_back(dim_def, Table(std::move(schema)));
+    fact_fields.push_back(
+        Field{Warehouse::KeyColumnName(dim_def.name), DataType::kInt64});
   }
-  std::vector<const ColumnVector*> measure_cols;
+  if (!def_.degenerate_key.empty()) {
+    DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
+                           source.ColumnByName(def_.degenerate_key));
+    fact_fields.push_back(Field{def_.degenerate_key, col->type()});
+  }
   for (const MeasureDef& m : def_.measures) {
     DDGMS_ASSIGN_OR_RETURN(const ColumnVector* col,
                            source.ColumnByName(m.source_column));
@@ -702,118 +765,27 @@ Result<Warehouse> StarSchemaBuilder::Build(
           StrFormat("measure '%s' source column '%s' is not numeric",
                     m.name.c_str(), m.source_column.c_str()));
     }
-    measure_cols.push_back(col);
-  }
-  const ColumnVector* degenerate_col = nullptr;
-  if (!def_.degenerate_key.empty()) {
-    DDGMS_ASSIGN_OR_RETURN(degenerate_col,
-                           source.ColumnByName(def_.degenerate_key));
-  }
-
-  // Dimension tables, typed like their source columns: a tuple becomes
-  // a member where it first appears, and is indexed as it is minted.
-  std::vector<Dimension> dimensions;
-  dimensions.reserve(def_.dimensions.size());
-  for (size_t d = 0; d < def_.dimensions.size(); ++d) {
-    const DimensionDef& dim_def = def_.dimensions[d];
-    std::vector<Field> fields;
-    for (size_t a = 0; a < dim_def.attributes.size(); ++a) {
-      fields.push_back(Field{dim_def.attributes[a],
-                             dim_sources[d].attr_cols[a]->type()});
-    }
-    DDGMS_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-    dimensions.emplace_back(dim_def, Table(std::move(schema)));
-  }
-  std::vector<std::vector<const ColumnVector*>> member_cols;
-  std::vector<MemberIndex*> indexes;
-  for (Dimension& dim : dimensions) {
-    DDGMS_ASSIGN_OR_RETURN(std::vector<const ColumnVector*> cols,
-                           dim.AttributeColumns());
-    indexes.push_back(&dim.EnsureIndex(cols));
-    member_cols.push_back(std::move(cols));
-  }
-
-  // Fact schema: keys, degenerate key, measures.
-  std::vector<Field> fact_fields;
-  for (const DimensionDef& dim : def_.dimensions) {
-    fact_fields.push_back(
-        Field{Warehouse::KeyColumnName(dim.name), DataType::kInt64});
-  }
-  if (degenerate_col != nullptr) {
-    fact_fields.push_back(
-        Field{def_.degenerate_key, degenerate_col->type()});
-  }
-  for (size_t m = 0; m < def_.measures.size(); ++m) {
-    DataType t = measure_cols[m]->type();
-    if (t == DataType::kBool) t = DataType::kInt64;
-    fact_fields.push_back(Field{def_.measures[m].name, t});
+    fact_fields.push_back(Field{
+        m.name,
+        col->type() == DataType::kBool ? DataType::kInt64 : col->type()});
   }
   DDGMS_ASSIGN_OR_RETURN(Schema fact_schema,
                          Schema::Make(std::move(fact_fields)));
-  Table fact(std::move(fact_schema));
+  Warehouse wh(def_, Table(std::move(fact_schema)), std::move(dimensions));
 
-  const size_t n = source.num_rows();
-  for (size_t c = 0; c < fact.num_columns(); ++c) {
-    fact.mutable_column(c)->Reserve(n);
+  std::optional<Table> kept;
+  if (options.error_mode == ErrorMode::kLenient) {
+    DDGMS_ASSIGN_OR_RETURN(kept,
+                           QuarantineUnreferencedRows(def_, source, quarantine));
   }
-  std::vector<int64_t> keys(def_.dimensions.size());
-  for (size_t i = 0; i < n; ++i) {
-    Status bad;
-    std::string bad_field;
-    for (size_t d = 0; d < def_.dimensions.size(); ++d) {
-      const std::vector<const ColumnVector*>& from = dim_sources[d].attr_cols;
-      if (lenient) {
-        // Referential integrity: a tuple that is null in EVERY
-        // attribute identifies no dimension member at all; quarantine
-        // instead of minting an all-null member. (Partially-null
-        // tuples are legitimate — nulls are valid attribute values,
-        // e.g. a diagnosis band for an undiagnosed patient.)
-        bool all_null = true;
-        for (const ColumnVector* col : from) all_null &= col->IsNull(i);
-        if (all_null) {
-          bad_field = def_.dimensions[d].name;
-          bad = Status::FailedPrecondition(StrFormat(
-              "all-null tuple references no member of dimension '%s'",
-              def_.dimensions[d].name.c_str()));
-          break;
-        }
-      }
-      Dimension& dim = dimensions[d];
-      const size_t hash = MemberIndex::HashRow(from, i);
-      int64_t key = indexes[d]->Find(member_cols[d], from, i, hash);
-      if (key < 0) {
-        key = static_cast<int64_t>(dim.num_members());
-        for (size_t a = 0; a < from.size(); ++a) {
-          dim.table_.mutable_column(a)->AppendFrom(*from[a], i);
-        }
-        indexes[d]->Insert(member_cols[d], static_cast<size_t>(key), hash);
-      }
-      keys[d] = key;
-    }
-    if (bad.ok()) {
-      size_t c = 0;
-      for (int64_t key : keys) fact.mutable_column(c++)->AppendInt(key);
-      if (degenerate_col != nullptr) {
-        fact.mutable_column(c++)->AppendFrom(*degenerate_col, i);
-      }
-      for (const ColumnVector* col : measure_cols) {
-        fact.mutable_column(c++)->AppendFrom(*col, i);
-      }
-      continue;
-    }
-    DDGMS_METRIC_INC("ddgms.warehouse.ri_rejects");
-    std::vector<std::string> cells;
-    for (const Value& v : source.GetRow(i)) {
-      cells.push_back(v.ToString());
-    }
-    quarantine->Add("star-schema", i + 1, std::move(bad_field),
-                    std::move(bad),
-                    TruncateForQuarantine(FormatCsvLine(cells)));
-  }
+  DDGMS_ASSIGN_OR_RETURN(PreparedAppend rows,
+                         wh.PrepareAppend(kept ? *kept : source));
+  wh.CommitAppend(std::move(rows));
   size_t surrogate_keys = 0;
-  for (const Dimension& dim : dimensions) surrogate_keys += dim.num_members();
+  for (const Dimension& dim : wh.dimensions()) {
+    surrogate_keys += dim.num_members();
+  }
 
-  Warehouse wh(def_, std::move(fact), std::move(dimensions));
   IntegrityReport report;
   {
     TraceSpan check_span("warehouse.integrity_check");

@@ -19,9 +19,9 @@
 
 namespace ddgms::warehouse {
 
-/// Process-wide monotonic stamp source for Warehouse::generation().
+/// Process-wide monotonic stamp source for Warehouse::lineage().
 /// Starts at 1, so 0 is a safe "never seen" sentinel for caches.
-uint64_t NextWarehouseGeneration();
+uint64_t NextWarehouseLineage();
 
 /// Surrogate keys of a dimension's members, found by attribute tuple.
 /// Open addressing over the keys alone: the tuples stay in the member
@@ -121,9 +121,8 @@ class Dimension {
       const std::string& attribute, DataType type,
       const std::function<Value(const Dimension&, int64_t key)>& fn);
 
-  /// The member index, or null until this dimension's first append when
-  /// StarSchemaBuilder did not fill it (loaded from disk, or given a
-  /// derived attribute since).
+  /// The member index, or null while the dimension has had no append
+  /// since it was loaded from disk or given a derived attribute.
   const MemberIndex* member_index() const {
     return index_ ? &*index_ : nullptr;
   }
@@ -136,8 +135,7 @@ class Dimension {
   Result<const AttributeCodes*> Codes(const std::string& attribute) const;
 
  private:
-  friend class StarSchemaBuilder;
-  friend class Warehouse;  // incremental appends extend members
+  friend class Warehouse;  // appends extend members
 
   /// The member table's columns for def().attributes, in that order.
   Result<std::vector<const ColumnVector*>> AttributeColumns() const;
@@ -198,8 +196,11 @@ class PreparedAppend {
  private:
   friend class Warehouse;
 
-  uint64_t generation_ = 0;  // the warehouse state it was checked against
-  Table fact_;               // typed like the fact table
+  // The warehouse state it was checked against: lineage() and
+  // num_fact_rows().
+  uint64_t lineage_ = 0;
+  size_t fact_rows_ = 0;
+  Table fact_;  // typed like the fact table
   /// Per dimension, the minted members typed like its member table; a
   /// table without columns when the batch mints none there.
   std::vector<Table> members_;
@@ -222,14 +223,6 @@ class Warehouse {
   size_t num_fact_rows() const { return fact_.num_rows(); }
   const std::vector<Dimension>& dimensions() const { return dimensions_; }
 
-  /// Monotonic change stamp: a fresh value is assigned at construction
-  /// and after every mutating operation (AppendRows,
-  /// AddFeedbackDimension), and travels with move-assignment, so a
-  /// rebuilt/reloaded/recovered warehouse never repeats a stamp.
-  /// Caches key on this instead of the fact-row count — it catches a
-  /// reload that happens to restore the same number of rows.
-  uint64_t generation() const { return generation_; }
-
   /// Stamp of the current append chain: fresh at construction, on copy
   /// (construction or assignment) and at AddFeedbackDimension, kept by
   /// CommitAppend, and carried by a move, which leaves the source a
@@ -237,8 +230,11 @@ class Warehouse {
   /// (and the members they mint) at its end: the rows, member keys and
   /// attribute codes it had are unchanged. So a cube computed under
   /// this stamp rolls forward by scanning just the rows appended since.
-  /// Stamps come from NextWarehouseGeneration, so none repeats; like
-  /// generation(), it does not see changes made through
+  /// CommitAppend is the only code that adds fact rows, so the pair
+  /// (lineage(), num_fact_rows()) names a warehouse state exactly: a
+  /// rebuild, reload or recovery that restores the same row count
+  /// still has another lineage. Stamps come from NextWarehouseLineage,
+  /// so none repeats; the stamp does not see changes made through
   /// mutable_dimension().
   uint64_t lineage() const { return lineage_.value(); }
 
@@ -273,16 +269,17 @@ class Warehouse {
       const std::function<Value(const Warehouse&, size_t fact_row)>&
           labeler);
 
-  /// Incremental load, all or nothing: appends transformed source rows
-  /// to the fact table, reusing existing dimension members and minting
-  /// new ones with the keys a full rebuild over the same rows would
-  /// give them. Costs O(source rows): each dimension's member index
-  /// (built by StarSchemaBuilder, or on the first append to a warehouse
-  /// loaded from disk) finds existing members. The source must carry
-  /// every column the schema references; a missing column is NotFound,
-  /// and a value the fact or member table cannot hold is
-  /// InvalidArgument. On error nothing changes: fact rows, members and
-  /// generation() stay as they were. PrepareAppend + CommitAppend.
+  /// The one way rows enter the star schema (StarSchemaBuilder appends
+  /// onto an empty warehouse), all or nothing: appends transformed
+  /// source rows to the fact table, reusing existing dimension members
+  /// and minting new ones with the keys a full rebuild over the same
+  /// rows would give them. Costs O(source rows): each dimension's member
+  /// index (kept by the last append, or built on the first append to a
+  /// warehouse loaded from disk) finds existing members. The source
+  /// must carry every column the schema references; a missing column
+  /// is NotFound, and a value the fact or member table cannot hold is
+  /// InvalidArgument. On error nothing changes: fact rows and members
+  /// stay as they were. PrepareAppend + CommitAppend.
   Status AppendRows(const Table& source);
 
   /// The checking half of AppendRows: resolves every row's surrogate
@@ -292,7 +289,9 @@ class Warehouse {
 
   /// The applying half of AppendRows; cannot fail. `batch` must come
   /// from PrepareAppend on this warehouse with no mutation in between.
-  void CommitAppend(const PreparedAppend& batch);
+  /// A table still empty (the fact table, or a dimension without
+  /// members) takes the staged one whole, without a copy.
+  void CommitAppend(PreparedAppend batch);
 
   /// Verifies foreign keys are in range and hierarchies are functional
   /// (each fine member maps to exactly one coarse member).
@@ -306,49 +305,59 @@ class Warehouse {
     LineageStamp() = default;
     LineageStamp(const LineageStamp&) {}
     LineageStamp(LineageStamp&& other) noexcept
-        : value_(std::exchange(other.value_, NextWarehouseGeneration())) {}
+        : value_(std::exchange(other.value_, NextWarehouseLineage())) {}
     LineageStamp& operator=(const LineageStamp&) {
       Renew();
       return *this;
     }
     LineageStamp& operator=(LineageStamp&& other) noexcept {
-      value_ = std::exchange(other.value_, NextWarehouseGeneration());
+      value_ = std::exchange(other.value_, NextWarehouseLineage());
       return *this;
     }
 
     uint64_t value() const { return value_; }
-    void Renew() { value_ = NextWarehouseGeneration(); }
+    void Renew() { value_ = NextWarehouseLineage(); }
 
    private:
-    uint64_t value_ = NextWarehouseGeneration();
+    uint64_t value_ = NextWarehouseLineage();
   };
 
   StarSchemaDef def_;
   Table fact_;
   std::vector<Dimension> dimensions_;
-  uint64_t generation_ = NextWarehouseGeneration();
   LineageStamp lineage_;
 };
+
+/// The lenient rule of referential integrity: a source row whose tuple
+/// in some dimension of `def` is null in every attribute references no
+/// member (a partly null tuple, e.g. a diagnosis band for an
+/// undiagnosed patient, is a member like any other). Quarantines each
+/// such row of `source` under stage "star-schema", by its 1-based row
+/// number with the first such dimension as the field, and returns the
+/// rows left in order, or nullopt when it quarantines none (the caller
+/// keeps `source`). NotFound when `source` lacks an attribute column.
+Result<std::optional<Table>> QuarantineUnreferencedRows(
+    const StarSchemaDef& def, const Table& source,
+    QuarantineReport* quarantine);
 
 /// How StarSchemaBuilder reacts to source rows that cannot be wired
 /// into the star schema.
 struct BuildOptions {
   /// kStrict (default): historical behaviour — any failure aborts the
-  /// build. kLenient: source rows that would violate referential
-  /// integrity (a dimension tuple that is null in every attribute
-  /// references no member; partially-null tuples remain valid members)
-  /// or whose fact row cannot be appended are quarantined under stage
-  /// "star-schema" (1-based source row numbers) and the build
-  /// continues with the rest.
+  /// build. kLenient: the rows QuarantineUnreferencedRows finds are
+  /// quarantined before any member is minted, and the build continues
+  /// with the rest.
   ErrorMode error_mode = ErrorMode::kStrict;
   /// Sink for lenient-mode quarantined rows; may be null (rows are
   /// still skipped, not itemised).
   QuarantineReport* quarantine = nullptr;
 };
 
-/// Populates a Warehouse from a transformed source extract. Each source
-/// row becomes one fact row; each dimension's attribute tuple is
-/// deduplicated into the dimension table.
+/// Populates a Warehouse from a transformed source extract: an append
+/// of every source row onto an empty warehouse whose member tables are
+/// typed like their source attributes. Each source row becomes one fact
+/// row; each dimension's attribute tuple is deduplicated into the
+/// dimension table, keyed in order of first appearance.
 class StarSchemaBuilder {
  public:
   explicit StarSchemaBuilder(StarSchemaDef def) : def_(std::move(def)) {}

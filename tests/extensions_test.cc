@@ -567,7 +567,7 @@ TEST(AppendRowsTest, RejectedBatchChangesNothing) {
   auto wh = builder.Build(t1);
   ASSERT_TRUE(wh.ok());
   const std::string before = warehouse::EncodeSnapshot(*wh);
-  const uint64_t generation = wh->generation();
+  const uint64_t lineage = wh->lineage();
 
   // A string FBG column, null but for row 20: no double fact column can
   // hold that value. The rows before it mint new members.
@@ -590,7 +590,7 @@ TEST(AppendRowsTest, RejectedBatchChangesNothing) {
   Status st = wh->AppendRows(ReplaceColumn(t2, fbg));
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_EQ(warehouse::EncodeSnapshot(*wh), before);
-  EXPECT_EQ(wh->generation(), generation);
+  EXPECT_EQ(wh->lineage(), lineage);
 
   // The next good batch still lands where a full rebuild puts it.
   ASSERT_TRUE(wh->AppendRows(t3).ok());

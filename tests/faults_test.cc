@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -498,6 +500,41 @@ TEST_F(FaultsTest, StarSchemaLenientModeQuarantinesNullDimensionRefs) {
   EXPECT_TRUE(lenient_wh->CheckIntegrity().ok);
 }
 
+TEST_F(FaultsTest, StarSchemaQuarantinedRowMintsNoMember) {
+  // Row 2's Patient tuple is all null, and it is the only row of its
+  // visit date: the quarantine runs before any member is minted, so
+  // that date is no member of Visit, which precedes Patient.
+  const char* csv =
+      "PatientId,VisitDate,Gender,FBG\n"
+      "P1,2003-01-01,F,5.0\n"
+      ",2003-02-01,,6.5\n"
+      "P3,2003-03-01,M,7.2\n";
+  auto table = Table::FromCsv(csv);
+  ASSERT_TRUE(table.ok());
+  warehouse::StarSchemaDef def = MakeSchemaDef();
+  warehouse::DimensionDef visit;
+  visit.name = "Visit";
+  visit.attributes = {"VisitDate"};
+  def.dimensions.insert(def.dimensions.begin(), visit);
+
+  warehouse::BuildOptions options;
+  options.error_mode = ErrorMode::kLenient;
+  QuarantineReport quarantine;
+  options.quarantine = &quarantine;
+  auto wh = warehouse::StarSchemaBuilder(def).Build(*table, options);
+  ASSERT_TRUE(wh.ok()) << wh.status();
+  EXPECT_EQ(wh->num_fact_rows(), 2u);
+  ASSERT_EQ(quarantine.size(), 1u);
+  EXPECT_EQ(quarantine.rows()[0].row_number, 2u);
+  EXPECT_EQ(quarantine.rows()[0].field, "Patient");
+  for (const char* name : {"Visit", "Patient"}) {
+    auto dim = wh->dimension(name);
+    ASSERT_TRUE(dim.ok());
+    EXPECT_EQ((*dim)->num_members(), 2u) << name;
+  }
+  EXPECT_TRUE(wh->CheckIntegrity().ok);
+}
+
 // -------------------------------------------------- DdDgms end-to-end
 
 TEST_F(FaultsTest, BuildFromStoreAbsorbsTransientFaultAndQuarantines) {
@@ -582,6 +619,80 @@ TEST_F(FaultsTest, AcquireDataKeepsRobustnessAndAccumulatesSink) {
       dgms->transform_report().quarantine.CountForStage("star-schema"),
       1u);
   EXPECT_EQ(sink.CountForStage("star-schema"), 1u);
+}
+
+// What a lenient facade holds after an acquisition: fact rows, members
+// per dimension, and rows quarantined at the star-schema stage.
+struct Acquired {
+  size_t facts = 0;
+  std::vector<size_t> members;
+  size_t quarantined = 0;
+
+  bool operator==(const Acquired&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Acquired& a) {
+  os << a.facts << " facts, members";
+  for (size_t m : a.members) os << " " << m;
+  return os << ", " << a.quarantined << " quarantined";
+}
+
+Acquired AcquiredBy(const core::DdDgms& dgms) {
+  Acquired a;
+  a.facts = dgms.warehouse().num_fact_rows();
+  for (const warehouse::Dimension& dim : dgms.warehouse().dimensions()) {
+    a.members.push_back(dim.num_members());
+  }
+  a.quarantined =
+      dgms.transform_report().quarantine.CountForStage("star-schema");
+  return a;
+}
+
+TEST_F(FaultsTest, LenientAcquisitionQuarantinesAsARebuildDoes) {
+  // A batch whose only row has an all-null Patient tuple: the rebuild
+  // without storage quarantines it, and so must the journaled append,
+  // both on the facade that attached the store and on one loaded from
+  // it.
+  auto base = Table::FromCsv(
+      "PatientId,VisitDate,Gender,FBG\n"
+      "P1,2003-01-01,F,5.0\n"
+      "P2,2003-02-01,M,6.5\n");
+  auto batch = Table::FromCsv(
+      "PatientId,VisitDate,Gender,FBG\n"
+      ",2004-01-01,,6.0\n");
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(batch.ok());
+  core::RobustnessOptions lenient;
+  lenient.error_mode = ErrorMode::kLenient;
+  auto build = [&] {
+    return core::DdDgms::Build(*base, MakePipeline(), MakeSchemaDef(),
+                               lenient);
+  };
+
+  auto rebuilt = build();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  ASSERT_TRUE(rebuilt->AcquireData(*batch).ok());
+  const Acquired want = AcquiredBy(*rebuilt);
+  EXPECT_EQ(want, (Acquired{2, {2}, 1}));
+
+  const std::string dir = testing::TempDir() + "/ddgms_lenient_acquire";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  warehouse::DurabilityOptions fast;
+  fast.sync = false;
+  auto durable = build();
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  ASSERT_TRUE(durable->AttachDurableStorage(dir, fast).ok());
+  ASSERT_TRUE(durable->AcquireData(*batch).ok());
+  EXPECT_EQ(AcquiredBy(*durable), want);
+
+  // The journal holds no row the warehouse did not take, and the
+  // loaded facade quarantines the batch again.
+  auto loaded = core::DdDgms::LoadDurable(dir, MakePipeline(), lenient, fast);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(AcquiredBy(*loaded), (Acquired{2, {2}, 0}));
+  ASSERT_TRUE(loaded->AcquireData(*batch).ok());
+  EXPECT_EQ(AcquiredBy(*loaded), want);
 }
 
 // ------------------------------------- Every registered fault point

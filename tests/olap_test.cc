@@ -1798,8 +1798,8 @@ Table TakeRows(const Table& t, const std::vector<size_t>& rows) {
 void ExpectSameCube(const Cube& got, const Cube& want,
                     const std::string& where) {
   EXPECT_EQ(CubeText(got), CubeText(want)) << where;
-  EXPECT_EQ(got.generation(), want.generation()) << where;
   EXPECT_EQ(got.lineage(), want.lineage()) << where;
+  EXPECT_EQ(got.fact_rows(), want.fact_rows()) << where;
   for (size_t a = 0; a < want.num_axes(); ++a) {
     EXPECT_EQ(CubeText(got.RollUp(a)), CubeText(want.RollUp(a)))
         << where << " rollup " << a;

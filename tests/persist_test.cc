@@ -4,13 +4,19 @@
 // after a failure at ANY write step, recovery yields either the full
 // acknowledged state or a loud error, never silently wrong data.
 
+#include <exception>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/checksum.h"
 #include "common/faults.h"
 #include "common/io.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "core/dd_dgms.h"
 #include "discri/cohort.h"
 #include "discri/model.h"
@@ -209,6 +215,35 @@ TEST(SnapshotCodecTest, FileRoundTripAndShortRead) {
   EXPECT_FALSE(warehouse::ReadSnapshotFile(path).ok());
 }
 
+/// `wh` with its fact table's first key column rewritten as strings of
+/// the same keys.
+warehouse::Warehouse WithStringKeys(const warehouse::Warehouse& wh) {
+  Table fact;
+  for (size_t c = 0; c < wh.fact().num_columns(); ++c) {
+    const ColumnVector& col = wh.fact().column(c);
+    if (c > 0) {
+      EXPECT_TRUE(fact.AddColumn(col).ok());
+      continue;
+    }
+    ColumnVector keys(col.name(), DataType::kString);
+    for (size_t i = 0; i < col.size(); ++i) {
+      keys.AppendString(std::to_string(col.IntAt(i)));
+    }
+    EXPECT_TRUE(fact.AddColumn(std::move(keys)).ok());
+  }
+  return warehouse::Warehouse(wh.def(), std::move(fact), wh.dimensions());
+}
+
+TEST(SnapshotCodecTest, StringKeyColumnIsDataLoss) {
+  // The checksums verify, so only the integrity check stands between
+  // the string keys and a reader that takes them for int64.
+  auto wh = MakeFixedWarehouse();
+  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+  auto decoded =
+      warehouse::DecodeSnapshot(warehouse::EncodeSnapshot(WithStringKeys(*wh)));
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
+}
+
 // ------------------------------------------------- CSV empty strings
 
 TEST(CsvEmptyStringTest, QuotedEmptyRoundTripsBareEmptyStaysNull) {
@@ -258,6 +293,25 @@ TEST(CsvEmptyStringTest, SaveLoadWarehousePreservesEmptyStrings) {
   auto loaded = warehouse::LoadWarehouse(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_fact_rows(), wh->num_fact_rows());
+}
+
+TEST(CsvEmptyStringTest, HandEditedStringKeyColumnIsDataLoss) {
+  // A directory's .meta files are text a user can edit: a key column
+  // retyped as string loads as strings and must fail the integrity
+  // check.
+  std::string dir = FreshDir("ddgms_csv_string_key");
+  auto wh = MakeFixedWarehouse();
+  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+  ASSERT_TRUE(warehouse::SaveWarehouse(*wh, dir).ok());
+  auto meta = ReadFileBinary(dir + "/fact.meta");
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  const std::string typed = "Person_key:int64";
+  const size_t at = meta->find(typed);
+  ASSERT_NE(at, std::string::npos) << *meta;
+  meta->replace(at, typed.size(), "Person_key:string");
+  ASSERT_TRUE(WriteFileDurable(dir + "/fact.meta", *meta, false).ok());
+  auto loaded = warehouse::LoadWarehouse(dir);
+  EXPECT_TRUE(loaded.status().IsDataLoss()) << loaded.status().ToString();
 }
 
 // ------------------------------------------------------------ journal
@@ -725,14 +779,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CacheRecoveryTest, GenerationStampInvalidatesOnReloadSameRowCount) {
   // A recovered warehouse can have the same fact-row count as the
-  // cached one (here: an identical reload); the generation stamp
-  // (not a row-count heuristic) must still invalidate the cache.
+  // cached one (here: an identical reload); its lineage stamp must
+  // still invalidate the cache.
   auto wh1 = MakeWarehouse(40, 151);
   auto wh2 = MakeWarehouse(40, 151);
   ASSERT_TRUE(wh1.ok());
   ASSERT_TRUE(wh2.ok());
   ASSERT_EQ(wh1->num_fact_rows(), wh2->num_fact_rows());
-  ASSERT_NE(wh1->generation(), wh2->generation());
+  ASSERT_NE(wh1->lineage(), wh2->lineage());
 
   warehouse::Warehouse wh = std::move(wh1).value();
   olap::CachingCubeEngine engine(&wh);
@@ -840,7 +894,7 @@ TEST(DurableFacadeTest, RejectedBatchLeavesNoTraceAndTheNextSurvives) {
   ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
   const warehouse::Warehouse& wh = dgms->warehouse();
   const size_t facts = wh.num_fact_rows();
-  const uint64_t generation = wh.generation();
+  const uint64_t lineage = wh.lineage();
   const std::vector<size_t> members = MemberCounts(wh);
 
   // Education as int64, null in the first row: ETL lets the batch
@@ -861,7 +915,7 @@ TEST(DurableFacadeTest, RejectedBatchLeavesNoTraceAndTheNextSurvives) {
   Status st = dgms->AcquireData(bad);
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_EQ(wh.num_fact_rows(), facts);
-  EXPECT_EQ(wh.generation(), generation);
+  EXPECT_EQ(wh.lineage(), lineage);
   EXPECT_EQ(MemberCounts(wh), members);
   EXPECT_EQ(JournalBytes(*dgms), 0u);
 
@@ -1001,6 +1055,219 @@ TEST(CacheRollForwardTest, ANonDurableRebuildRecomputes) {
                                    discri::MakeDiscriSchemaDef());
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   EXPECT_EQ(GridText(*dgms, kFig5Mdx), GridText(*whole, kFig5Mdx));
+}
+
+// ----------------------------------------------------- decoder fuzzing
+//
+// Seeded mutants of the fixed warehouse's durable forms, each handed to
+// its decoder, which must return a Status: no throw, no crash. Snapshot
+// and journal mutants have their checksums re-sealed, so they reach the
+// decoders behind them.
+
+/// What an insertion splices in: schema-text keywords and names, and
+/// bytes a parser must not trip over.
+const std::string_view kFuzzTokens[] = {
+    "fact ", "dimension ", "attr ", "hierarchy ", "measure ", "degenerate ",
+    "Person", "Sex", "Visits", "FBG", " ", "\n", "\t", "\r",
+    std::string_view("\0", 1), "\xff", "\x80"};
+
+/// One seeded mutant of `input`: one to four edits, each a flipped bit,
+/// a boundary value written over 1, 2, 4 or 8 bytes (little-endian, at
+/// an offset aligned to its width, 4 at most, as the formats' counts
+/// and lengths often are), a deleted span, an inserted kFuzzTokens
+/// entry, a truncation or a duplicated span.
+std::string MutateBytes(const std::string& input, uint64_t seed) {
+  static constexpr uint64_t kBoundaries[] = {
+      0, 1, 2, 7, 8, 0x7f, 0x80, 0xff, 0xffff, 0x7fffffff, 0xffffffff,
+      uint64_t{1} << 32, uint64_t{1} << 62, ~uint64_t{0}};
+  Rng rng(seed);
+  std::string out = input;
+  auto pos = [&] {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(out.size())));
+  };
+  const int64_t edits = rng.UniformInt(1, 4);
+  for (int64_t e = 0; e < edits; ++e) {
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        if (!out.empty()) {
+          out[std::min(pos(), out.size() - 1)] ^=
+              static_cast<char>(1u << rng.UniformInt(0, 7));
+        }
+        break;
+      case 1: {
+        const uint64_t v =
+            kBoundaries[rng.UniformInt(0, std::size(kBoundaries) - 1)];
+        const size_t width = size_t{1} << rng.UniformInt(0, 3);
+        const size_t at = pos() & ~(std::min<size_t>(width, 4) - 1);
+        for (size_t b = 0; b < width && at + b < out.size(); ++b) {
+          out[at + b] = static_cast<char>((v >> (8 * b)) & 0xff);
+        }
+        break;
+      }
+      case 2: {
+        const size_t begin = pos();
+        out.erase(begin, static_cast<size_t>(rng.UniformInt(1, 16)));
+        break;
+      }
+      case 3:
+        out.insert(pos(), kFuzzTokens[rng.UniformInt(
+                              0, std::size(kFuzzTokens) - 1)]);
+        break;
+      case 4:
+        out.resize(pos());
+        break;
+      default: {
+        const size_t begin = pos();
+        out.insert(begin, out.substr(begin, static_cast<size_t>(
+                                                rng.UniformInt(1, 40))));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// Overwrites the 4 bytes at `at` with `v`, little-endian.
+void PutU32At(std::string* bytes, size_t at, uint32_t v) {
+  for (size_t b = 0; b < 4; ++b) {
+    (*bytes)[at + b] = static_cast<char>((v >> (8 * b)) & 0xff);
+  }
+}
+
+/// Re-seals a snapshot image's header CRC and each section's CRC, as
+/// far as the lengths in it still frame sections.
+void ResealSnapshot(std::string* image) {
+  constexpr size_t kHeaderBytes = 16;  // magic, version, section count
+  ByteReader reader(*image);
+  if (!reader.Skip(kHeaderBytes + 4).ok()) return;
+  PutU32At(image, kHeaderBytes,
+           MaskCrc32c(Crc32c(std::string_view(*image).substr(
+               0, kHeaderBytes))));
+  while (reader.remaining() > 0) {
+    // kind, name, payload length, CRC, payload
+    if (!reader.Skip(1).ok() || !reader.ReadLengthPrefixed().ok()) return;
+    auto length = reader.ReadU64();
+    const size_t crc_at = reader.offset();
+    if (!length.ok() || !reader.Skip(4).ok()) return;
+    auto payload = reader.ReadBytes(*length);
+    if (!payload.ok()) return;
+    PutU32At(image, crc_at, MaskCrc32c(Crc32c(*payload)));
+  }
+}
+
+/// Re-seals each journal record's CRC, as far as the lengths in the
+/// records still frame them.
+void ResealJournal(std::string* journal) {
+  ByteReader reader(*journal);
+  while (reader.remaining() > 0) {
+    // magic, payload length, CRC, payload
+    if (!reader.Skip(4).ok()) return;
+    auto length = reader.ReadU32();
+    const size_t crc_at = reader.offset();
+    if (!length.ok() || !reader.Skip(4).ok()) return;
+    auto payload = reader.ReadBytes(*length);
+    if (!payload.ok()) return;
+    PutU32At(journal, crc_at, MaskCrc32c(Crc32c(*payload)));
+  }
+}
+
+/// Feeds `draws` seeded mutants of input number `input` (named `name`),
+/// each re-sealed by `reseal` when it is given, to `decode`, which must
+/// return a Status. A failure names the input, the seed and the draw,
+/// and dumps the mutant: MutateBytes(<the input>, seed) replays it.
+void FuzzDecoder(uint64_t input, const char* name, const std::string& bytes,
+                 int draws, void (*reseal)(std::string*),
+                 const std::function<Status(const std::string&)>& decode) {
+  for (int i = 0; i < draws; ++i) {
+    const uint64_t seed =
+        20130408u + (input << 32) + static_cast<uint64_t>(i);
+    std::string mutant = MutateBytes(bytes, seed);
+    if (reseal != nullptr) reseal(&mutant);
+    std::string failure;
+    try {
+      Status st = decode(mutant);
+      if (!st.ok() && st.message().empty()) failure = "an empty error";
+    } catch (const std::exception& e) {
+      failure = std::string("a throw: ") + e.what();
+    }
+    if (!failure.empty()) {
+      std::string hex;
+      for (unsigned char c : mutant) hex += StrFormat("%02x", c);
+      ADD_FAILURE() << name << " mutant gave " << failure
+                    << "; replay: MutateBytes(" << name << " input, seed "
+                    << seed << "), draw " << i << " of " << draws
+                    << "; bytes " << hex;
+      return;
+    }
+  }
+}
+
+class DecoderFuzzTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    auto wh = MakeFixedWarehouse();
+    ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+    wh_.emplace(std::move(wh).value());
+    // The fixed warehouse's rows as an AppendRows batch.
+    auto rows = wh_->JoinedView({"Sex", "Visits", "Smoker", "Bmi", "Seen"});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    rows_ = std::move(rows).value();
+    ASSERT_TRUE(warehouse::Warehouse(*wh_).AppendRows(rows_).ok());
+  }
+
+  std::optional<warehouse::Warehouse> wh_;
+  Table rows_;
+};
+
+// About a second in Release over the four inputs.
+TEST_F(DecoderFuzzTest, TablePayloadMutantsReturnAStatus) {
+  std::string payload;
+  warehouse::EncodeTable(rows_, &payload);
+  FuzzDecoder(0, "table", payload, 40000, nullptr,
+              [&](const std::string& m) -> Status {
+                auto table = warehouse::DecodeTable(m);
+                if (!table.ok()) return table.status();
+                return warehouse::Warehouse(*wh_).AppendRows(*table);
+              });
+}
+
+TEST_F(DecoderFuzzTest, SchemaTextMutantsReturnAStatus) {
+  FuzzDecoder(1, "schema", warehouse::SerializeSchemaDef(wh_->def()), 40000,
+              nullptr, [](const std::string& m) -> Status {
+                return warehouse::ParseSchemaDef(m).status();
+              });
+}
+
+TEST_F(DecoderFuzzTest, SnapshotMutantsReturnAStatus) {
+  FuzzDecoder(2, "snapshot", warehouse::EncodeSnapshot(*wh_), 40000,
+              ResealSnapshot, [&](const std::string& m) -> Status {
+                auto decoded = warehouse::DecodeSnapshot(m);
+                if (!decoded.ok()) return decoded.status();
+                return decoded->AppendRows(rows_);
+              });
+}
+
+TEST_F(DecoderFuzzTest, JournalMutantsReturnAStatus) {
+  const std::string path = FreshDir("ddgms_journal_fuzz") + "/j.wal";
+  {
+    auto writer = warehouse::JournalWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->AppendBatch(rows_, /*sync=*/false).ok());
+    ASSERT_TRUE(writer->AppendBatch(rows_.Take({1, 3}), false).ok());
+  }
+  auto journal = ReadFileBinary(path);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  FuzzDecoder(3, "journal", *journal, 4000, ResealJournal,
+              [&](const std::string& m) -> Status {
+                DDGMS_RETURN_IF_ERROR(WriteFileDurable(path, m, false));
+                warehouse::Warehouse wh = *wh_;
+                return warehouse::ReplayJournal(
+                           path, [&wh](Table batch, size_t) {
+                             return wh.AppendRows(batch);
+                           })
+                    .status();
+              });
 }
 
 }  // namespace

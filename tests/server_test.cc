@@ -559,7 +559,7 @@ TEST_F(ObservabilityServerTest, StalledMdxQueryTripsTheWatchdog) {
   // Readiness now reports the warehouse.
   auto ready = HttpGet("127.0.0.1", obs.port(), "/readyz");
   ASSERT_TRUE(ready.ok());
-  EXPECT_NE(ready->find("\"warehouse_generation\""), std::string::npos);
+  EXPECT_NE(ready->find("\"warehouse_lineage\""), std::string::npos);
 
   // Deliberately slow every MDX execute stage well past the deadline,
   // and run a query on a second thread while scraping /queryz.
