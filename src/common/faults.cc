@@ -1,9 +1,5 @@
 #include "common/faults.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "common/log.h"
 #include "common/metrics.h"
 
@@ -98,74 +94,5 @@ ScopedFault::ScopedFault(std::string point, FaultPlan plan)
 }
 
 ScopedFault::~ScopedFault() { FaultRegistry::Global().Disarm(point_); }
-
-bool RetryPolicy::IsRetryable(const Status& status) const {
-  if (status.ok()) return false;
-  return std::find(retryable_codes.begin(), retryable_codes.end(),
-                   status.code()) != retryable_codes.end();
-}
-
-double RetryPolicy::DelayMsForRetry(int retry) const {
-  double delay = base_delay_ms;
-  for (int i = 1; i < retry; ++i) {
-    delay *= backoff_factor;
-    if (delay >= max_delay_ms) break;
-  }
-  return std::min(delay, max_delay_ms);
-}
-
-double RetryPolicy::JitteredDelayMsForRetry(int retry, Rng& rng) const {
-  double delay = DelayMsForRetry(retry);
-  if (jitter_fraction <= 0.0) return delay;
-  delay = rng.Uniform(delay * (1.0 - jitter_fraction),
-                      delay * (1.0 + jitter_fraction));
-  return std::min(std::max(delay, 0.0), max_delay_ms);
-}
-
-namespace internal {
-
-void RetrySleepMs(double ms) {
-  if (ms <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-void RecordRetryMetrics(std::string_view label, int attempts,
-                        int transient_retries, double backoff_ms,
-                        bool succeeded) {
-  if (!succeeded) {
-    DDGMS_LOG_ERROR("retry.exhausted")
-        .With("label", std::string(label))
-        .With("attempts", attempts);
-  } else if (transient_retries > 0) {
-    DDGMS_LOG_WARN("retry.recovered")
-        .With("label", std::string(label))
-        .With("attempts", attempts)
-        .With("backoff_ms", backoff_ms);
-  }
-  if (!MetricsRegistry::Enabled()) return;
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("ddgms.retry.runs").Increment();
-  registry.GetCounter("ddgms.retry.attempts")
-      .Increment(static_cast<uint64_t>(attempts));
-  if (transient_retries > 0) {
-    registry.GetCounter("ddgms.retry.transient_retries")
-        .Increment(static_cast<uint64_t>(transient_retries));
-    registry.GetGauge("ddgms.retry.backoff_ms_total").Add(backoff_ms);
-  }
-  if (!succeeded) {
-    registry.GetCounter("ddgms.retry.exhausted").Increment();
-  }
-  if (!label.empty()) {
-    const std::string suffix(label);
-    registry.GetCounter("ddgms.retry.attempts:" + suffix)
-        .Increment(static_cast<uint64_t>(attempts));
-    if (transient_retries > 0) {
-      registry.GetCounter("ddgms.retry.transient_retries:" + suffix)
-          .Increment(static_cast<uint64_t>(transient_retries));
-    }
-  }
-}
-
-}  // namespace internal
 
 }  // namespace ddgms

@@ -2,15 +2,11 @@
 #define DDGMS_COMMON_FAULTS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -130,125 +126,6 @@ class ScopedFault {
       if (!_ddgms_fault.ok()) return _ddgms_fault;                 \
     }                                                              \
   } while (false)
-
-/// -------------------------------------------------------------------
-/// Retry
-/// -------------------------------------------------------------------
-
-/// Bounded-retry policy with capped exponential backoff. Only the
-/// codes in `retryable_codes` are retried — by default the transient
-/// shapes (kDataLoss, kInternal); permanent errors (parse errors,
-/// missing files) surface immediately.
-struct RetryPolicy {
-  /// Total attempts, including the first (1 = no retry).
-  int max_attempts = 3;
-  /// Delay before the first retry, in milliseconds.
-  double base_delay_ms = 1.0;
-  /// Upper bound on any single delay.
-  double max_delay_ms = 1000.0;
-  /// Multiplier applied per retry (attempt k waits
-  /// base * factor^(k-1), capped).
-  double backoff_factor = 2.0;
-  /// Cap on the total time one Retry() call may spend across all
-  /// attempts and backoffs, in milliseconds. 0 (default) = unlimited.
-  /// When the deadline has passed — or the next backoff would overrun
-  /// it — Retry() stops retrying and returns the last transient error
-  /// instead of sleeping into a blown budget.
-  double total_deadline_ms = 0.0;
-  /// Symmetric jitter applied to every backoff: each delay is drawn
-  /// uniformly from [delay*(1-j), delay*(1+j)], clamped to
-  /// [0, max_delay_ms]. 0 (default) = deterministic delays. Jitter
-  /// decorrelates retry storms when many loaders hit the same flaky
-  /// connector; draws are deterministic per `jitter_seed`.
-  double jitter_fraction = 0.0;
-  uint64_t jitter_seed = 42;
-  std::vector<StatusCode> retryable_codes = {StatusCode::kDataLoss,
-                                             StatusCode::kInternal};
-
-  bool IsRetryable(const Status& status) const;
-
-  /// Delay before retry number `retry` (1-based), capped. Pure — no
-  /// jitter, so schedules stay predictable for tests and docs.
-  double DelayMsForRetry(int retry) const;
-
-  /// DelayMsForRetry with this policy's jitter applied via `rng`.
-  double JitteredDelayMsForRetry(int retry, Rng& rng) const;
-};
-
-/// Accounting for one Retry() run (how many attempts, what transient
-/// errors were absorbed).
-struct RetryStats {
-  int attempts = 0;
-  std::vector<Status> transient_failures;
-};
-
-namespace internal {
-inline const Status& StatusOf(const Status& status) { return status; }
-template <typename T>
-const Status& StatusOf(const Result<T>& result) {
-  return result.status();
-}
-/// Sleeps for `ms` milliseconds (no-op for ms <= 0).
-void RetrySleepMs(double ms);
-/// Publishes one finished Retry() run to the metrics registry
-/// (ddgms.retry.* counters, per-label when `label` is non-empty).
-/// No-op while metrics are disabled.
-void RecordRetryMetrics(std::string_view label, int attempts,
-                        int transient_retries, double backoff_ms,
-                        bool succeeded);
-}  // namespace internal
-
-/// Invokes `fn` (returning Status or Result<T>) up to
-/// `policy.max_attempts` times, sleeping with capped exponential
-/// backoff between attempts, until it succeeds or fails with a
-/// non-retryable code. Returns the last attempt's result.
-///
-/// Every run reports to the metrics registry (attempt counts, absorbed
-/// transients, total backoff); pass a `label` such as "store.fetch" to
-/// additionally break those counters out per call site in `stats`
-/// output.
-template <typename Fn>
-auto Retry(const RetryPolicy& policy, Fn&& fn,
-           RetryStats* stats = nullptr, std::string_view label = {})
-    -> std::invoke_result_t<Fn&> {
-  const int max_attempts = policy.max_attempts < 1 ? 1
-                                                   : policy.max_attempts;
-  const auto start = std::chrono::steady_clock::now();
-  auto elapsed_ms = [&start] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  Rng jitter_rng(policy.jitter_seed);
-  int attempt = 0;
-  double backoff_ms = 0.0;
-  for (;;) {
-    ++attempt;
-    auto result = fn();
-    if (stats != nullptr) stats->attempts = attempt;
-    const Status& status = internal::StatusOf(result);
-    if (status.ok() || attempt >= max_attempts ||
-        !policy.IsRetryable(status)) {
-      internal::RecordRetryMetrics(label, attempt, attempt - 1,
-                                   backoff_ms, status.ok());
-      return result;
-    }
-    const double delay_ms =
-        policy.JitteredDelayMsForRetry(attempt, jitter_rng);
-    // A deadline both stops late retries and refuses to start a sleep
-    // that would overrun it — the caller gets the transient error
-    // while there is still budget to act on it.
-    if (policy.total_deadline_ms > 0.0 &&
-        elapsed_ms() + delay_ms > policy.total_deadline_ms) {
-      internal::RecordRetryMetrics(label, attempt, attempt - 1,
-                                   backoff_ms, status.ok());
-      return result;
-    }
-    if (stats != nullptr) stats->transient_failures.push_back(status);
-    backoff_ms += delay_ms;
-    internal::RetrySleepMs(delay_ms);
-  }
-}
 
 }  // namespace ddgms
 

@@ -29,7 +29,7 @@ namespace ddgms {
 /// invalidating those references.
 ///
 /// Naming convention: dot-separated "ddgms.<layer>.<what>[:<detail>]"
-/// (e.g. "ddgms.etl.rows_in", "ddgms.retry.attempts:store.fetch").
+/// (e.g. "ddgms.etl.rows_in", "ddgms.quarantine.rows:csv-ingest").
 /// Exporters sanitize names for their target format.
 /// -------------------------------------------------------------------
 

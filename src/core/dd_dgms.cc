@@ -2,7 +2,9 @@
 
 #include <cassert>
 #include <optional>
+#include <unordered_set>
 
+#include "common/faults.h"
 #include "common/log.h"
 #include "common/query_registry.h"
 #include "common/strings.h"
@@ -31,6 +33,27 @@ void Extend(Table* extract, Table rows) {
   st.IgnoreError();
 }
 
+/// The rows of `after` that `before` does not hold: each row of
+/// `before` cancels one equal row (same stage, number, field, status
+/// and content) of `after`.
+QuarantineReport RowsGained(const QuarantineReport& before,
+                            const QuarantineReport& after) {
+  std::unordered_multiset<std::string> held;
+  for (const QuarantinedRow& row : before.rows()) {
+    held.insert(row.ToString());
+  }
+  QuarantineReport gained;
+  for (const QuarantinedRow& row : after.rows()) {
+    auto it = held.find(row.ToString());
+    if (it == held.end()) {
+      gained.Add(row);
+    } else {
+      held.erase(it);
+    }
+  }
+  return gained;
+}
+
 }  // namespace
 
 Result<DdDgms> DdDgms::Build(Table raw,
@@ -40,58 +63,40 @@ Result<DdDgms> DdDgms::Build(Table raw,
                              QuarantineReport ingest_quarantine) {
   DdDgms dgms(std::move(raw), pipeline, std::move(schema_def),
               std::move(robustness), std::move(ingest_quarantine));
-  DDGMS_RETURN_IF_ERROR(dgms.Rebuild());
+  DDGMS_RETURN_IF_ERROR(dgms.Rebuild(nullptr));
   return dgms;
 }
 
-Result<DdDgms> DdDgms::BuildFromStore(
-    DataStore* store, const std::string& resource,
-    CsvReadOptions csv_options, const etl::TransformPipeline& pipeline,
-    warehouse::StarSchemaDef schema_def, RobustnessOptions robustness) {
-  if (store == nullptr) {
-    return Status::InvalidArgument("null data store");
-  }
-  TraceSpan span("core.build_from_store");
-  span.SetAttribute("resource", resource);
-  QuarantineReport ingest;
-  csv_options.error_mode = robustness.error_mode;
-  csv_options.quarantine = &ingest;
-  DDGMS_ASSIGN_OR_RETURN(
-      std::string text,
-      Retry(
-          robustness.retry, [&] { return store->Fetch(resource); },
-          /*stats=*/nullptr, "store.fetch"));
-  DDGMS_ASSIGN_OR_RETURN(Table raw, Table::FromCsv(text, csv_options));
-  if (robustness.quarantine_sink != nullptr) {
-    robustness.quarantine_sink->Merge(ingest);
-  }
-  return Build(std::move(raw), pipeline, std::move(schema_def),
-               std::move(robustness), std::move(ingest));
-}
-
-Status DdDgms::Rebuild() {
+Status DdDgms::Rebuild(const Table* batch) {
   DDGMS_FAULT_POINT("core.rebuild");
   TraceSpan rebuild_span("core.rebuild", "ddgms.core.rebuild_latency_us");
-  rebuild_span.SetAttribute("raw_rows", raw_.num_rows());
+  // Everything up to the warehouse build runs on copies, so a rejected
+  // batch leaves the facade as it was.
   Table working = raw_;
+  if (batch != nullptr) DDGMS_RETURN_IF_ERROR(working.Concat(*batch));
+  rebuild_span.SetAttribute("raw_rows", working.num_rows());
   etl::PipelineRunOptions pipeline_options;
   pipeline_options.error_mode = robustness_.error_mode;
   DDGMS_ASSIGN_OR_RETURN(etl::TransformReport report,
                          pipeline_.Run(&working, pipeline_options));
-  transformed_ = std::move(working);
   warehouse::StarSchemaBuilder builder(schema_def_);
   warehouse::BuildOptions build_options;
   build_options.error_mode = robustness_.error_mode;
   build_options.quarantine = &report.quarantine;
   DDGMS_ASSIGN_OR_RETURN(warehouse::Warehouse wh,
-                         builder.Build(transformed_, build_options));
-  if (robustness_.quarantine_sink != nullptr) {
-    robustness_.quarantine_sink->Merge(report.quarantine);
-  }
+                         builder.Build(working, build_options));
+  if (batch != nullptr) Extend(&raw_, *batch);
+  transformed_ = std::move(working);
   // Surface the merged view: ingestion-stage rows first, then this
   // run's pipeline and star-schema rows.
   QuarantineReport merged = ingest_quarantine_;
   merged.Merge(report.quarantine);
+  // A rebuild quarantines every earlier row again; the sink takes each
+  // row once.
+  if (robustness_.quarantine_sink != nullptr) {
+    robustness_.quarantine_sink->Merge(
+        RowsGained(report_.quarantine, merged));
+  }
   report.quarantine = std::move(merged);
   report_ = std::move(report);
   if (warehouse_ == nullptr) {
@@ -188,8 +193,7 @@ Status DdDgms::AddFeedbackDimension(
 
 Status DdDgms::AcquireData(const Table& new_raw_rows) {
   if (store_ != nullptr) return AcquireDataDurable(new_raw_rows);
-  DDGMS_RETURN_IF_ERROR(raw_.Concat(new_raw_rows));
-  return Rebuild();
+  return Rebuild(&new_raw_rows);
 }
 
 Status DdDgms::AcquireDataDurable(const Table& new_raw_rows) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/faults.h"
 #include "common/metrics.h"
 #include "common/quarantine.h"
 #include "common/result.h"
@@ -13,7 +12,6 @@
 #include "kb/knowledge_base.h"
 #include "mdx/executor.h"
 #include "olap/cube.h"
-#include "table/store.h"
 #include "table/table.h"
 #include "warehouse/persist.h"
 #include "warehouse/telemetry.h"
@@ -30,14 +28,10 @@ struct RobustnessOptions {
   /// stage and keep loading; the merged QuarantineReport is surfaced
   /// in transform_report().quarantine (and its ToString()).
   ErrorMode error_mode = ErrorMode::kStrict;
-  /// Retry policy for flaky connector operations (BuildFromStore's
-  /// fetch). Defaults to 3 attempts with exponential backoff on
-  /// kDataLoss/kInternal.
-  RetryPolicy retry;
-  /// Optional external accumulator: every quarantined row from every
-  /// build/rebuild (including AcquireData reloads) is also appended
-  /// here, so monitoring can watch quality across loads. Must outlive
-  /// the DdDgms.
+  /// Optional external accumulator, so monitoring can watch quality
+  /// across loads: the build appends every row it quarantined (the
+  /// ingest quarantine handed to Build included), and each AcquireData
+  /// appends the rows it quarantined, once. Must outlive the DdDgms.
   QuarantineReport* quarantine_sink = nullptr;
 };
 
@@ -59,25 +53,16 @@ class DdDgms {
                  RobustnessOptions{});
   }
 
-  /// Build with explicit robustness semantics. `ingest_quarantine`
-  /// lets callers that loaded `raw` themselves in lenient mode hand
-  /// over the ingestion-stage quarantine so the surfaced report covers
-  /// the whole load.
+  /// Build with explicit robustness semantics. A caller that loaded
+  /// `raw` in lenient mode (Table::FromCsv or FromCsvFile with
+  /// CsvReadOptions::quarantine set) hands over that ingestion-stage
+  /// quarantine as `ingest_quarantine`, so the surfaced report and the
+  /// sink cover the whole load.
   static Result<DdDgms> Build(Table raw,
                               const etl::TransformPipeline& pipeline,
                               warehouse::StarSchemaDef schema_def,
                               RobustnessOptions robustness,
                               QuarantineReport ingest_quarantine = {});
-
-  /// The fully fault-tolerant ingestion path: fetches `resource` from
-  /// `store` (retrying transient connector failures per
-  /// `robustness.retry`), parses it per `csv_options` (error mode and
-  /// quarantine sink are overridden from `robustness`), and builds.
-  static Result<DdDgms> BuildFromStore(
-      DataStore* store, const std::string& resource,
-      CsvReadOptions csv_options, const etl::TransformPipeline& pipeline,
-      warehouse::StarSchemaDef schema_def,
-      RobustnessOptions robustness = {});
 
   DdDgms(DdDgms&&) = default;
   DdDgms& operator=(DdDgms&&) = default;
@@ -134,19 +119,21 @@ class DdDgms {
   /// Closed-loop data acquisition: appends newly collected raw rows.
   /// Without durable storage this re-runs the pipeline over the full
   /// extract and rebuilds the warehouse (the knowledge base is
-  /// preserved). With durable storage attached it switches to the
-  /// incremental path, in O(batch): the batch alone is transformed,
-  /// checked, written to the write-ahead journal (durable before it is
-  /// acknowledged), then appended to the warehouse in place — so
-  /// acknowledged acquisitions survive a crash without waiting for the
-  /// next Checkpoint(). Everything that can reject the batch runs
-  /// before the journal write: the pipeline, Warehouse::PrepareAppend
-  /// (keys and types of every row), and the schema match with the
-  /// accumulated raw and transformed extracts. A rejected batch is
-  /// neither journaled nor applied; nothing after the write can fail.
-  /// In lenient mode both paths quarantine the rows a rebuild would
-  /// (warehouse::QuarantineUnreferencedRows), and the journal holds
-  /// only the rows applied.
+  /// preserved); a batch the rebuild rejects is not kept, so no later
+  /// acquisition builds it in. With durable storage attached it
+  /// switches to the incremental path, in O(batch): the batch alone is
+  /// transformed, checked, written to the write-ahead journal (durable
+  /// before it is acknowledged), then appended to the warehouse in
+  /// place — so acknowledged acquisitions survive a crash without
+  /// waiting for the next Checkpoint(). Everything that can reject the
+  /// batch runs before the journal write: the pipeline,
+  /// Warehouse::PrepareAppend (keys and types of every row), and the
+  /// schema match with the accumulated raw and transformed extracts. A
+  /// rejected batch is neither journaled nor applied; nothing after the
+  /// write can fail. In lenient mode both paths quarantine the rows a
+  /// rebuild would (warehouse::QuarantineUnreferencedRows), the journal
+  /// holds only the rows applied, and the quarantine sink gets each
+  /// quarantined row once.
   Status AcquireData(const Table& new_raw_rows);
 
   /// -----------------------------------------------------------------
@@ -211,7 +198,12 @@ class DdDgms {
         robustness_(std::move(robustness)),
         ingest_quarantine_(std::move(ingest_quarantine)) {}
 
-  Status Rebuild();
+  /// Runs the pipeline and the star-schema build over the raw extract
+  /// plus `batch` (when not null), on copies: only a run that succeeds
+  /// takes the batch into the extract and replaces the transformed
+  /// extract, the report and the warehouse. The sink gets the rows the
+  /// surfaced report gained.
+  Status Rebuild(const Table* batch);
 
   /// Builds a facade around an already-materialized warehouse (the
   /// durable load/recover paths, which have no raw extract).

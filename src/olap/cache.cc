@@ -170,10 +170,4 @@ void CachingCubeEngine::EvictOne() {
   lru_.pop_back();
 }
 
-void CachingCubeEngine::Invalidate() {
-  for (const Entry& e : lru_) ReleaseCache(e.charged_bytes);
-  lru_.clear();
-  entries_.clear();
-}
-
 }  // namespace ddgms::olap

@@ -29,8 +29,9 @@ namespace ddgms::olap {
 ///    dimension or an assignment ended the cube's append chain (an
 ///    invalidation), or a count_distinct measure, whose cells keep only
 ///    their counts, cannot roll. The cube is computed afresh.
-/// Invalidate() remains for callers that mutate the warehouse through a
-/// side channel the stamps cannot see.
+/// The stamps see every change: a warehouse changes in place only
+/// through CommitAppend and AddFeedbackDimension, so the rule has no
+/// exception and the cache needs no manual invalidation.
 ///
 /// Observability: hits, rolls, misses, evictions and invalidations are
 /// exported as "ddgms.olap.cache.*" counters, and retained cube bytes
@@ -57,9 +58,6 @@ class CachingCubeEngine {
   /// plan as its child (EXPLAIN ANALYZE).
   Result<std::shared_ptr<const Cube>> Execute(const CubeQuery& query,
                                               Stage* stage);
-
-  /// Drops all cached cubes.
-  void Invalidate();
 
   const warehouse::Warehouse* warehouse() const { return warehouse_; }
 

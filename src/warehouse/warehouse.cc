@@ -264,25 +264,6 @@ Result<std::string> Dimension::CoarserLevel(
                           h->name + "'");
 }
 
-Status Dimension::AddDerivedAttribute(
-    const std::string& attribute, DataType type,
-    const std::function<Value(const Dimension&, int64_t key)>& fn) {
-  if (HasAttribute(attribute)) {
-    return Status::AlreadyExists("dimension '" + name() +
-                                 "' already has attribute '" + attribute +
-                                 "'");
-  }
-  ColumnVector col(attribute, type);
-  for (size_t key = 0; key < table_.num_rows(); ++key) {
-    DDGMS_RETURN_IF_ERROR(
-        col.Append(fn(*this, static_cast<int64_t>(key))));
-  }
-  DDGMS_RETURN_IF_ERROR(table_.AddColumn(std::move(col)));
-  def_.attributes.push_back(attribute);
-  index_.reset();  // its tuples lack the new attribute
-  return Status::OK();
-}
-
 Result<std::vector<const ColumnVector*>> Dimension::AttributeColumns()
     const {
   std::vector<const ColumnVector*> cols;
@@ -326,13 +307,6 @@ std::string IntegrityReport::ToString() const {
 Result<const Dimension*> Warehouse::dimension(
     const std::string& name) const {
   for (const Dimension& d : dimensions_) {
-    if (d.name() == name) return &d;
-  }
-  return Status::NotFound("no dimension named '" + name + "'");
-}
-
-Result<Dimension*> Warehouse::mutable_dimension(const std::string& name) {
-  for (Dimension& d : dimensions_) {
     if (d.name() == name) return &d;
   }
   return Status::NotFound("no dimension named '" + name + "'");

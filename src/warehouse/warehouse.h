@@ -114,15 +114,8 @@ class Dimension {
   Result<std::string> FinerLevel(const std::string& attribute) const;
   Result<std::string> CoarserLevel(const std::string& attribute) const;
 
-  /// Appends a derived attribute computed from existing member
-  /// attributes (used for knowledge-base feedback attributes). Drops
-  /// the member index; the next append rebuilds it.
-  Status AddDerivedAttribute(
-      const std::string& attribute, DataType type,
-      const std::function<Value(const Dimension&, int64_t key)>& fn);
-
   /// The member index, or null while the dimension has had no append
-  /// since it was loaded from disk or given a derived attribute.
+  /// since it was loaded from disk.
   const MemberIndex* member_index() const {
     return index_ ? &*index_ : nullptr;
   }
@@ -234,13 +227,13 @@ class Warehouse {
   /// (lineage(), num_fact_rows()) names a warehouse state exactly: a
   /// rebuild, reload or recovery that restores the same row count
   /// still has another lineage. Stamps come from NextWarehouseLineage,
-  /// so none repeats; the stamp does not see changes made through
-  /// mutable_dimension().
+  /// so none repeats. CommitAppend and AddFeedbackDimension are the
+  /// only ways a warehouse changes in place, so the stamp sees every
+  /// change.
   uint64_t lineage() const { return lineage_.value(); }
 
   /// Dimension lookup by name.
   Result<const Dimension*> dimension(const std::string& name) const;
-  Result<Dimension*> mutable_dimension(const std::string& name);
 
   /// Name of the fact foreign-key column for a dimension.
   static std::string KeyColumnName(const std::string& dimension_name) {

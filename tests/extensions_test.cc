@@ -682,40 +682,6 @@ TEST(AppendRowsTest, MembersMatchUnderValueEquality) {
   EXPECT_EQ(wh->num_fact_rows(), facts);
 }
 
-TEST(AppendRowsTest, DerivedAttributeRebuildsTheIndex) {
-  auto wh = MakeLabWarehouse();
-  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
-  warehouse::Dimension* lab = *wh->mutable_dimension("Lab");
-  ASSERT_NE(lab->member_index(), nullptr);
-  ASSERT_TRUE(lab->AddDerivedAttribute(
-                     "High", DataType::kBool,
-                     [](const warehouse::Dimension& d, int64_t key) {
-                       Value level = *d.AttributeValue(key, "Level");
-                       return Value::Bool(level.double_value() > 4.0);
-                     })
-                  .ok());
-  EXPECT_EQ(lab->member_index(), nullptr);
-
-  // The next append indexes the members by (Level, High).
-  Table batch = LabBatch([] {
-    ColumnVector level("Level", DataType::kDouble);
-    level.AppendDouble(2.5);
-    level.AppendDouble(5.0);
-    level.AppendDouble(5.0);
-    return level;
-  }());
-  ColumnVector high("High", DataType::kBool);
-  high.AppendBool(false);
-  high.AppendBool(true);
-  high.AppendBool(false);
-  ASSERT_TRUE(batch.AddColumn(std::move(high)).ok());
-  ASSERT_TRUE(wh->AppendRows(batch).ok());
-  ASSERT_NE(lab->member_index(), nullptr);
-  EXPECT_EQ(lab->num_members(), 3u);
-  EXPECT_EQ(lab->member_index()->size(), 3u);
-  EXPECT_EQ(LastLabKeys(*wh, 3), std::vector<int64_t>({1, 0, 2}));
-}
-
 TEST(AppendRowsTest, MissingColumnFails) {
   discri::CohortOptions opt;
   opt.num_patients = 20;

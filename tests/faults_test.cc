@@ -1,12 +1,13 @@
-// Fault-tolerance tests: the fault-injection registry, Retry with
-// exponential backoff, flaky/retrying store connectors, and lenient
+// Fault-tolerance tests: the fault-injection registry, and lenient
 // (row-quarantine) loading through ingestion, ETL, the star-schema
-// build and the DdDgms facade.
+// build and the DdDgms facade, including what a rejected acquisition
+// leaves behind.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -15,8 +16,9 @@
 #include "common/faults.h"
 #include "common/quarantine.h"
 #include "core/dd_dgms.h"
+#include "discri/cohort.h"
+#include "discri/model.h"
 #include "etl/pipeline.h"
-#include "table/store.h"
 #include "table/table.h"
 #include "warehouse/warehouse.h"
 
@@ -75,175 +77,6 @@ warehouse::StarSchemaDef MakeSchemaDef() {
   patient.attributes = {"PatientId", "Gender"};
   def.dimensions = {patient};
   return def;
-}
-
-// ------------------------------------------------------------- Retry
-
-TEST_F(FaultsTest, RetryPolicyClassifiesCodes) {
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.IsRetryable(Status::DataLoss("x")));
-  EXPECT_TRUE(policy.IsRetryable(Status::Internal("x")));
-  EXPECT_FALSE(policy.IsRetryable(Status::NotFound("x")));
-  EXPECT_FALSE(policy.IsRetryable(Status::ParseError("x")));
-  EXPECT_FALSE(policy.IsRetryable(Status::OK()));
-}
-
-TEST_F(FaultsTest, RetryPolicyBackoffIsExponentialAndCapped) {
-  RetryPolicy policy;
-  policy.base_delay_ms = 10.0;
-  policy.backoff_factor = 2.0;
-  policy.max_delay_ms = 50.0;
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(1), 10.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(2), 20.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(3), 40.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(4), 50.0);  // capped
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(10), 50.0);
-  // Retry 0 and negative are degenerate but must stay within bounds.
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(0), 10.0);
-  EXPECT_GE(policy.DelayMsForRetry(1), 0.0);
-  // A base above the cap is clamped from the first retry.
-  policy.base_delay_ms = 500.0;
-  EXPECT_DOUBLE_EQ(policy.DelayMsForRetry(1), 50.0);
-}
-
-TEST_F(FaultsTest, JitteredDelayStaysWithinBoundsAndIsDeterministic) {
-  RetryPolicy policy;
-  policy.base_delay_ms = 10.0;
-  policy.backoff_factor = 2.0;
-  policy.max_delay_ms = 50.0;
-  policy.jitter_fraction = 0.5;
-
-  // No jitter configured -> identical to the pure schedule.
-  RetryPolicy plain = policy;
-  plain.jitter_fraction = 0.0;
-  Rng rng0(7);
-  EXPECT_DOUBLE_EQ(plain.JitteredDelayMsForRetry(2, rng0), 20.0);
-
-  // Every draw lands in [delay*(1-j), delay*(1+j)], clamped to the
-  // policy's max.
-  Rng rng1(7);
-  for (int retry = 1; retry <= 6; ++retry) {
-    const double pure = policy.DelayMsForRetry(retry);
-    const double jittered = policy.JitteredDelayMsForRetry(retry, rng1);
-    EXPECT_GE(jittered, pure * 0.5) << "retry " << retry;
-    EXPECT_LE(jittered, std::min(pure * 1.5, policy.max_delay_ms))
-        << "retry " << retry;
-  }
-
-  // Same seed, same sequence: retry storms are reproducible in tests.
-  Rng a(11);
-  Rng b(11);
-  for (int retry = 1; retry <= 4; ++retry) {
-    EXPECT_DOUBLE_EQ(policy.JitteredDelayMsForRetry(retry, a),
-                     policy.JitteredDelayMsForRetry(retry, b));
-  }
-}
-
-TEST_F(FaultsTest, RetryRespectsTotalDeadline) {
-  // A deadline of 0 (default) means unlimited: all attempts run.
-  int calls = 0;
-  RetryPolicy unlimited;
-  unlimited.max_attempts = 4;
-  unlimited.base_delay_ms = 0.0;
-  unlimited.max_delay_ms = 0.0;
-  Status st = Retry(unlimited, [&] {
-    ++calls;
-    return Status::DataLoss("flaky");
-  });
-  EXPECT_TRUE(st.IsDataLoss());
-  EXPECT_EQ(calls, 4);
-
-  // A deadline smaller than the first backoff stops after one attempt:
-  // Retry refuses to sleep into a blown budget and hands back the
-  // transient error while the caller can still act on it.
-  calls = 0;
-  RetryPolicy tight;
-  tight.max_attempts = 10;
-  tight.base_delay_ms = 50.0;
-  tight.total_deadline_ms = 1.0;
-  RetryStats stats;
-  st = Retry(tight, [&] {
-    ++calls;
-    return Status::DataLoss("flaky");
-  }, &stats);
-  EXPECT_TRUE(st.IsDataLoss());
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(stats.attempts, 1);
-  EXPECT_TRUE(stats.transient_failures.empty());
-
-  // A roomy deadline changes nothing for a fast success.
-  calls = 0;
-  RetryPolicy roomy;
-  roomy.max_attempts = 3;
-  roomy.base_delay_ms = 0.0;
-  roomy.total_deadline_ms = 60000.0;
-  st = Retry(roomy, [&] {
-    ++calls;
-    return calls < 2 ? Status::DataLoss("flaky") : Status::OK();
-  });
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(calls, 2);
-}
-
-TEST_F(FaultsTest, RetryAbsorbsTransientFailuresWithinBudget) {
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_delay_ms = 0.0;  // no sleeping in tests
-  int calls = 0;
-  RetryStats stats;
-  Status st = Retry(
-      policy,
-      [&]() -> Status {
-        ++calls;
-        if (calls < 3) return Status::DataLoss("transient");
-        return Status::OK();
-      },
-      &stats);
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(stats.attempts, 3);
-  ASSERT_EQ(stats.transient_failures.size(), 2u);
-  EXPECT_TRUE(stats.transient_failures[0].IsDataLoss());
-}
-
-TEST_F(FaultsTest, RetryGivesUpAfterMaxAttempts) {
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.base_delay_ms = 0.0;
-  int calls = 0;
-  Status st = Retry(policy, [&]() -> Status {
-    ++calls;
-    return Status::Internal("always broken");
-  });
-  EXPECT_TRUE(st.IsInternal());
-  EXPECT_EQ(calls, 2);
-}
-
-TEST_F(FaultsTest, RetryDoesNotRetryPermanentErrors) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.base_delay_ms = 0.0;
-  int calls = 0;
-  Result<int> r = Retry(policy, [&]() -> Result<int> {
-    ++calls;
-    return Status::NotFound("permanent");
-  });
-  EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_EQ(calls, 1);
-}
-
-TEST_F(FaultsTest, RetryWorksWithResultReturningFunctions) {
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.base_delay_ms = 0.0;
-  int calls = 0;
-  Result<int> r = Retry(policy, [&]() -> Result<int> {
-    ++calls;
-    if (calls == 1) return Status::DataLoss("blip");
-    return 42;
-  });
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42);
 }
 
 // --------------------------------------------------- FaultRegistry
@@ -305,68 +138,6 @@ TEST_F(FaultsTest, ScopedFaultDisarmsOnDestruction) {
   }
   // Disarmed: hitting the point injects nothing.
   EXPECT_TRUE(FaultRegistry::Global().OnHit("csv.read_file").ok());
-}
-
-// ------------------------------------------------- Store connectors
-
-TEST_F(FaultsTest, FlakyStoreFailsDeterministicallyThenHeals) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
-  FlakyStoreOptions options;
-  options.fail_first_fetches = 2;
-  FlakyStore flaky(&memory, options);
-  EXPECT_TRUE(flaky.Fetch("extract.csv").status().IsDataLoss());
-  EXPECT_TRUE(flaky.Fetch("extract.csv").status().IsDataLoss());
-  auto third = flaky.Fetch("extract.csv");
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(*third, kCleanCsv);
-  EXPECT_EQ(flaky.fetches_attempted(), 3u);
-  EXPECT_EQ(flaky.fetches_failed(), 2u);
-}
-
-TEST_F(FaultsTest, RetryingStoreAbsorbsFlakyFetches) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
-  FlakyStoreOptions options;
-  options.fail_first_fetches = 2;
-  FlakyStore flaky(&memory, options);
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_delay_ms = 0.0;
-  RetryingStore store(&flaky, policy);
-  auto fetched = store.Fetch("extract.csv");
-  ASSERT_TRUE(fetched.ok()) << fetched.status();
-  EXPECT_EQ(store.last_stats().attempts, 3);
-  EXPECT_EQ(store.last_stats().transient_failures.size(), 2u);
-}
-
-TEST_F(FaultsTest, RetryingStoreExhaustsBudgetOnPersistentFault) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
-  FlakyStoreOptions options;
-  options.fail_first_fetches = 10;  // outlasts the budget
-  FlakyStore flaky(&memory, options);
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_delay_ms = 0.0;
-  RetryingStore store(&flaky, policy);
-  EXPECT_TRUE(store.Fetch("extract.csv").status().IsDataLoss());
-  EXPECT_EQ(store.last_stats().attempts, 3);
-}
-
-TEST_F(FaultsTest, LoadTableFromStoreRetriesInjectedDataLoss) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
-  ScopedFault fault("store.fetch", TransientDataLoss(1));
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_delay_ms = 0.0;
-  RetryStats stats;
-  auto table =
-      LoadTableFromStore(&memory, "extract.csv", {}, policy, &stats);
-  ASSERT_TRUE(table.ok()) << table.status();
-  EXPECT_EQ(table->num_rows(), 4u);
-  EXPECT_EQ(stats.attempts, 2);
 }
 
 // ----------------------------------------------- Lenient ingestion
@@ -537,26 +308,25 @@ TEST_F(FaultsTest, StarSchemaQuarantinedRowMintsNoMember) {
 
 // -------------------------------------------------- DdDgms end-to-end
 
-TEST_F(FaultsTest, BuildFromStoreAbsorbsTransientFaultAndQuarantines) {
-  // (a) + (b) together: the connector loses the first fetch to an
-  // injected kDataLoss fault AND the payload is corrupted; a lenient
-  // build with a retry budget completes and itemises the bad rows.
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCorruptCsv).ok());
-  ScopedFault fault("store.fetch", TransientDataLoss(1));
+TEST_F(FaultsTest, LenientBuildItemisesEveryStageAndFeedsTheSink) {
+  // A corrupted extract loaded leniently, as the shell's --lenient
+  // does: the build completes, and its report and the sink itemise the
+  // ingestion-stage rows the caller handed over.
+  QuarantineReport ingest;
+  CsvReadOptions csv_options;
+  csv_options.error_mode = ErrorMode::kLenient;
+  csv_options.quarantine = &ingest;
+  auto raw = Table::FromCsv(kCorruptCsv, csv_options);
+  ASSERT_TRUE(raw.ok()) << raw.status();
 
   core::RobustnessOptions robustness;
   robustness.error_mode = ErrorMode::kLenient;
-  robustness.retry.max_attempts = 3;
-  robustness.retry.base_delay_ms = 0.0;
   QuarantineReport sink;
   robustness.quarantine_sink = &sink;
-
-  auto dgms = core::DdDgms::BuildFromStore(&memory, "extract.csv", {},
-                                           MakePipeline(), MakeSchemaDef(),
-                                           robustness);
+  auto dgms = core::DdDgms::Build(std::move(raw).value(), MakePipeline(),
+                                  MakeSchemaDef(), robustness,
+                                  std::move(ingest));
   ASSERT_TRUE(dgms.ok()) << dgms.status();
-  EXPECT_EQ(FaultRegistry::Global().injected("store.fetch"), 1u);
   EXPECT_EQ(dgms->warehouse().num_fact_rows(), 3u);
 
   const QuarantineReport& report = dgms->transform_report().quarantine;
@@ -569,56 +339,45 @@ TEST_F(FaultsTest, BuildFromStoreAbsorbsTransientFaultAndQuarantines) {
   EXPECT_NE(text.find("csv-ingest"), std::string::npos);
 }
 
-TEST_F(FaultsTest, BuildFromStoreStrictModeFailsFastOnCorruptPayload) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCorruptCsv).ok());
-  auto dgms = core::DdDgms::BuildFromStore(
-      &memory, "extract.csv", {}, MakePipeline(), MakeSchemaDef(), {});
-  EXPECT_FALSE(dgms.ok());
-  EXPECT_TRUE(dgms.status().IsParseError());
-}
-
-TEST_F(FaultsTest, BuildFromStorePersistentFaultExhaustsRetryBudget) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
-  ScopedFault fault("store.fetch", TransientDataLoss(99));
-  core::RobustnessOptions robustness;
-  robustness.retry.max_attempts = 3;
-  robustness.retry.base_delay_ms = 0.0;
-  auto dgms = core::DdDgms::BuildFromStore(&memory, "extract.csv", {},
-                                           MakePipeline(), MakeSchemaDef(),
-                                           robustness);
-  EXPECT_TRUE(dgms.status().IsDataLoss());
-  EXPECT_EQ(FaultRegistry::Global().hits("store.fetch"), 3u);
-}
-
 TEST_F(FaultsTest, AcquireDataKeepsRobustnessAndAccumulatesSink) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
-  core::RobustnessOptions robustness;
-  robustness.error_mode = ErrorMode::kLenient;
-  robustness.retry.base_delay_ms = 0.0;
-  QuarantineReport sink;
-  robustness.quarantine_sink = &sink;
-  auto dgms = core::DdDgms::BuildFromStore(&memory, "extract.csv", {},
-                                           MakePipeline(), MakeSchemaDef(),
-                                           robustness);
-  ASSERT_TRUE(dgms.ok()) << dgms.status();
-  EXPECT_TRUE(sink.empty());
-
-  // A new season arrives with an anonymous row (Patient tuple all
-  // null); the lenient rebuild quarantines it at the star-schema
-  // stage instead of aborting.
+  // A new season arrives twice with an anonymous row (Patient tuple all
+  // null); each lenient acquisition quarantines it at the star-schema
+  // stage instead of aborting, and the sink counts each such row once,
+  // with durable storage or without.
+  auto base = Table::FromCsv(kCleanCsv);
   auto batch = Table::FromCsv(
       "PatientId,VisitDate,Age,Gender,FBG\n"
       ",2004-01-01,70,,6.0\n");
+  ASSERT_TRUE(base.ok());
   ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(dgms->AcquireData(*batch).ok());
-  EXPECT_EQ(dgms->warehouse().num_fact_rows(), 4u);
-  EXPECT_EQ(
-      dgms->transform_report().quarantine.CountForStage("star-schema"),
-      1u);
-  EXPECT_EQ(sink.CountForStage("star-schema"), 1u);
+  const std::string dir = testing::TempDir() + "/ddgms_acquire_sink";
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "rebuilt");
+    core::RobustnessOptions robustness;
+    robustness.error_mode = ErrorMode::kLenient;
+    QuarantineReport sink;
+    robustness.quarantine_sink = &sink;
+    auto dgms = core::DdDgms::Build(*base, MakePipeline(), MakeSchemaDef(),
+                                    robustness);
+    ASSERT_TRUE(dgms.ok()) << dgms.status();
+    EXPECT_TRUE(sink.empty());
+    if (durable) {
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      warehouse::DurabilityOptions fast;
+      fast.sync = false;
+      ASSERT_TRUE(dgms->AttachDurableStorage(dir, fast).ok());
+    }
+    for (size_t acquired = 1; acquired <= 2; ++acquired) {
+      ASSERT_TRUE(dgms->AcquireData(*batch).ok());
+      EXPECT_EQ(dgms->warehouse().num_fact_rows(), 4u);
+      EXPECT_EQ(
+          dgms->transform_report().quarantine.CountForStage("star-schema"),
+          acquired);
+      EXPECT_EQ(sink.CountForStage("star-schema"), acquired);
+      EXPECT_EQ(sink.size(), acquired);
+    }
+  }
 }
 
 // What a lenient facade holds after an acquisition: fact rows, members
@@ -695,24 +454,72 @@ TEST_F(FaultsTest, LenientAcquisitionQuarantinesAsARebuildDoes) {
   EXPECT_EQ(AcquiredBy(*loaded), want);
 }
 
+TEST_F(FaultsTest, RejectedAcquisitionIsNotAppliedLater) {
+  // A batch a rebuild rejects, at its first fault point or at the
+  // star-schema build after the pipeline ran, leaves the facade like
+  // one that never saw it, and the next acquisition adds only its own
+  // rows: 142 facts and 17 more, not 17 twice.
+  discri::CohortOptions options;
+  options.num_patients = 50;
+  options.seed = 7;
+  auto base = discri::GenerateCohort(options);
+  options.seed = 8;
+  auto more = discri::GenerateCohort(options);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(more.ok());
+  std::vector<size_t> first(17);
+  std::vector<size_t> second(17);
+  std::iota(first.begin(), first.end(), 0);
+  std::iota(second.begin(), second.end(), 17);
+  const Table rejected_batch = more->Take(first);
+  const Table next_batch = more->Take(second);
+  auto build = [&] {
+    return core::DdDgms::Build(*base, discri::MakeDiscriPipeline(),
+                               discri::MakeDiscriSchemaDef());
+  };
+  for (const char* point : {"core.rebuild", "warehouse.build"}) {
+    SCOPED_TRACE(point);
+    FaultRegistry::Global().Reset();  // fail_first counts from here
+    auto never = build();
+    auto rejected = build();
+    ASSERT_TRUE(never.ok()) << never.status();
+    ASSERT_TRUE(rejected.ok()) << rejected.status();
+    EXPECT_EQ(AcquiredBy(*never).facts, 142u);
+    {
+      ScopedFault fault(point, TransientDataLoss(1));
+      EXPECT_TRUE(rejected->AcquireData(rejected_batch).IsDataLoss());
+    }
+    EXPECT_EQ(AcquiredBy(*rejected), AcquiredBy(*never));
+    EXPECT_EQ(rejected->transformed().num_rows(),
+              never->transformed().num_rows());
+
+    ASSERT_TRUE(never->AcquireData(next_batch).ok());
+    ASSERT_TRUE(rejected->AcquireData(next_batch).ok());
+    EXPECT_EQ(AcquiredBy(*never).facts, 159u);
+    EXPECT_EQ(AcquiredBy(*rejected), AcquiredBy(*never));
+    EXPECT_EQ(rejected->transformed().num_rows(),
+              never->transformed().num_rows());
+  }
+}
+
 // ------------------------------------- Every registered fault point
 
-// Discovers every injection point the end-to-end ingestion flow passes
+// Discovers every injection point a lenient load and build passes
 // through (observe mode), then arms each one with a one-shot transient
-// fault and asserts the system as a whole survives: the fault is
-// either absorbed by a retry or the load completes with quarantine.
+// fault: the attempt either fails with the injected Status or completes
+// with quarantine, and the caller's next attempt builds every row.
 TEST_F(FaultsTest, EveryRegisteredPointEitherRetriesOrQuarantines) {
-  MemoryStore memory;
-  ASSERT_TRUE(memory.Store("extract.csv", kCleanCsv).ok());
   core::RobustnessOptions robustness;
   robustness.error_mode = ErrorMode::kLenient;
-  robustness.retry.max_attempts = 3;
-  robustness.retry.base_delay_ms = 0.0;
-
-  auto build = [&] {
-    return core::DdDgms::BuildFromStore(&memory, "extract.csv", {},
-                                        MakePipeline(), MakeSchemaDef(),
-                                        robustness);
+  auto build = [&]() -> Result<core::DdDgms> {
+    QuarantineReport ingest;
+    CsvReadOptions csv_options;
+    csv_options.error_mode = robustness.error_mode;
+    csv_options.quarantine = &ingest;
+    DDGMS_ASSIGN_OR_RETURN(Table raw, Table::FromCsv(kCleanCsv, csv_options));
+    return core::DdDgms::Build(std::move(raw), MakePipeline(),
+                               MakeSchemaDef(), robustness,
+                               std::move(ingest));
   };
 
   // Pass 1: observe which points the flow exercises.
@@ -724,28 +531,26 @@ TEST_F(FaultsTest, EveryRegisteredPointEitherRetriesOrQuarantines) {
   }
   FaultRegistry::Global().Reset();
   // The flow must cross all architectural layers.
-  ASSERT_GE(points.size(), 5u) << "expected points in store, table, etl, "
+  ASSERT_GE(points.size(), 5u) << "expected points in the table, etl, "
                                   "warehouse and core layers";
 
-  // Pass 2: one transient fault per point; an outer retry (standing in
-  // for the orchestration layer's policy) must always recover.
-  RetryPolicy outer;
-  outer.max_attempts = 2;
-  outer.base_delay_ms = 0.0;
+  // Pass 2: one transient fault per point.
   for (const std::string& point : points) {
+    SCOPED_TRACE(point);
     FaultRegistry::Global().Reset();
-    FaultPlan plan;
-    plan.code = StatusCode::kDataLoss;
-    plan.fail_first = 1;
-    FaultRegistry::Global().Arm(point, plan);
-    auto dgms = Retry(outer, build);
-    EXPECT_TRUE(dgms.ok()) << "point '" << point
-                           << "' not survivable: " << dgms.status();
-    EXPECT_EQ(FaultRegistry::Global().injected(point), 1u)
-        << "point '" << point << "' never fired";
-    if (dgms.ok()) {
-      EXPECT_EQ(dgms->warehouse().num_fact_rows(), 4u);
+    FaultRegistry::Global().Arm(point, TransientDataLoss(1));
+    auto attempt = build();
+    EXPECT_EQ(FaultRegistry::Global().injected(point), 1u) << "never fired";
+    if (attempt.ok()) {
+      EXPECT_FALSE(attempt->transform_report().quarantine.empty());
+    } else {
+      EXPECT_TRUE(attempt.status().IsDataLoss()) << attempt.status();
+      EXPECT_NE(attempt.status().message().find(point), std::string::npos)
+          << attempt.status();
     }
+    auto next = build();
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->warehouse().num_fact_rows(), 4u);
   }
   FaultRegistry::Global().Reset();
 }

@@ -1,7 +1,7 @@
 // End-to-end observability: building a DD-DGMS with metrics + tracing
 // enabled must produce the expected counters, latency histograms and
 // span tree across ETL -> warehouse -> OLAP/MDX, including the
-// fault/retry and quarantine paths.
+// fault-injection and quarantine paths.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "core/dd_dgms.h"
 #include "discri/cohort.h"
 #include "discri/model.h"
-#include "table/store.h"
 #include "table/table.h"
 
 namespace ddgms {
@@ -340,57 +339,25 @@ TEST_F(ObservabilityTest, QuarantineCountersPerStage) {
   EXPECT_EQ(CounterValue(snap, "ddgms.quarantine.rows:csv-ingest"), 2u);
 }
 
-TEST_F(ObservabilityTest, RetryAndFaultCountersFromInjectedFailures) {
-  MemoryStore inner;
-  ASSERT_TRUE(inner
-                  .Store("extract.csv",
-                         "PatientId,VisitDate,Age,Gender,FBG\n"
-                         "P1,2003-01-01,50,F,5.0\n")
-                  .ok());
-  ScopedFault fault("store.fetch", [] {
+TEST_F(ObservabilityTest, FaultCountersFromInjectedFailures) {
+  // Two builds lose their rebuild to an injected fault; the third
+  // completes. Each injection is counted, in total and per point.
+  ScopedFault fault("core.rebuild", [] {
     FaultPlan plan;
     plan.code = StatusCode::kDataLoss;
     plan.fail_first = 2;
     return plan;
   }());
-
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.base_delay_ms = 0.0;
-  RetryStats stats;
-  auto loaded = LoadTableFromStore(&inner, "extract.csv",
-                                   CsvReadOptions{}, policy, &stats);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(stats.attempts, 3);
+  EXPECT_TRUE(BuildSample().status().IsDataLoss());
+  EXPECT_TRUE(BuildSample().status().IsDataLoss());
+  auto dgms = BuildSample();
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
 
   MetricsSnapshot snap = core::DdDgms::MetricsSnapshot();
   EXPECT_EQ(CounterValue(snap, "ddgms.faults.injected"), 2u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.faults.injected:store.fetch"), 2u);
+  EXPECT_EQ(CounterValue(snap, "ddgms.faults.injected:core.rebuild"), 2u);
   EXPECT_GE(CounterValue(snap, "ddgms.faults.hits"), 3u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.runs"), 1u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.attempts"), 3u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.transient_retries"), 2u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.attempts:store.fetch"), 3u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.exhausted"), 0u);
-}
-
-TEST_F(ObservabilityTest, ExhaustedRetryCounts) {
-  MemoryStore inner;  // resource never stored -> NotFound
-  ScopedFault fault("store.fetch", [] {
-    FaultPlan plan;
-    plan.code = StatusCode::kDataLoss;
-    plan.fail_first = 100;  // never recovers
-    return plan;
-  }());
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_delay_ms = 0.0;
-  auto loaded = LoadTableFromStore(&inner, "extract.csv",
-                                   CsvReadOptions{}, policy, nullptr);
-  EXPECT_FALSE(loaded.ok());
-  MetricsSnapshot snap = core::DdDgms::MetricsSnapshot();
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.exhausted"), 1u);
-  EXPECT_EQ(CounterValue(snap, "ddgms.retry.attempts"), 3u);
+  EXPECT_EQ(CounterValue(snap, "ddgms.core.rebuilds"), 1u);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -19,11 +21,13 @@
 #include "common/query_registry.h"
 #include "common/slo.h"
 #include "common/trace.h"
+#include "common/strings.h"
 #include "common/window.h"
 #include "core/dd_dgms.h"
 #include "discri/cohort.h"
 #include "discri/model.h"
 #include "mdx/executor.h"
+#include "mutate_text.h"
 #include "server/observability.h"
 
 namespace ddgms {
@@ -93,6 +97,62 @@ TEST(HttpParseTest, ReasonPhrases) {
   EXPECT_STREQ(HttpReasonPhrase(405), "Method Not Allowed");
   EXPECT_STREQ(HttpReasonPhrase(777), "Unknown");
 }
+
+// Requests as the observability routes receive them: the inputs the
+// request fuzzer mutates.
+const char* const kFuzzRequests[] = {
+    "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "GET /profilez?seconds=2&format=json HTTP/1.1\r\n"
+    "Host: localhost\r\nX-Custom: hello world\r\n\r\n",
+    "GET /logz?level=warn&q=a%20b%2Bc+d HTTP/1.1\r\nAccept: */*\r\n\r\n",
+    "POST /queryz HTTP/1.1\r\nContent-Length: 5\r\n"
+    "Content-Type: text/plain\r\n\r\nhello",
+    "GET /metrics HTTP/1.0\r\nUser-Agent: curl/8.0\r\n"
+    "Connection: close\r\n\r\n",
+};
+
+// What an insertion splices in: methods, versions, separators, escapes
+// and bytes a parser must not trip over.
+const std::string_view kHttpTokens[] = {
+    "GET", "POST", "HTTP/1.1", "HTTP/", " ", "  ", "\r\n", "\r\n\r\n",
+    "\n", "\r", "\t", ":", ": ", "?", "&", "=", "?&=", "%", "%2", "%zz",
+    "%00", "%%", "+", "/", "Host:", "Content-Length: 99", "X-A: b",
+    "\xff", std::string_view("\0", 1)};
+
+// Every mutant of a request either parses or fails with a Status; a
+// parsed one keeps the parser's promises: a method, lower-cased header
+// names, and the bytes after the head as its body. About a second in
+// Release over all inputs. A failure names the input and the mutant's
+// seed: MutateText(kFuzzRequests[input], seed, kHttpTokens) replays it.
+class HttpFuzzTest : public testing::TestWithParam<size_t> {};
+
+TEST_P(HttpFuzzTest, SeededMutantsReturnAStatus) {
+  const size_t input = GetParam();
+  ASSERT_TRUE(ParseHttpRequest(kFuzzRequests[input]).ok());
+  for (int i = 0; i < 60000; ++i) {
+    const uint64_t seed = 20130408u + (uint64_t{input} << 32) +
+                          static_cast<uint64_t>(i);
+    const std::string raw =
+        MutateText(kFuzzRequests[input], seed, kHttpTokens);
+    SCOPED_TRACE(testing::Message() << "replay: input " << input
+                                    << ", MutateText seed " << seed << ": "
+                                    << testing::PrintToString(raw));
+    auto request = ParseHttpRequest(raw);
+    if (!request.ok()) {
+      EXPECT_FALSE(request.status().message().empty());
+    } else {
+      EXPECT_FALSE(request->method.empty());
+      for (const auto& [name, value] : request->headers) {
+        EXPECT_EQ(name, ToLower(name));
+      }
+      EXPECT_EQ(request->body, raw.substr(raw.find("\r\n\r\n") + 4));
+    }
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Requests, HttpFuzzTest,
+                         testing::Range<size_t>(0, std::size(kFuzzRequests)));
 
 // ---------------------------------------------------------------- //
 // HttpServer: loopback round trips, routing, faults

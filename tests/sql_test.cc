@@ -1,7 +1,13 @@
-// Tests for the SQL SELECT dialect over the OLTP table engine.
+// Tests for the SQL SELECT dialect over the OLTP table engine, and a
+// seeded mutation fuzzer over its parser.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <string_view>
+
+#include "mutate_text.h"
 #include "table/sql.h"
 
 namespace ddgms {
@@ -260,6 +266,70 @@ TEST_F(SqlTest, GroupByOverZeroRowsAnswersNoRow) {
   ASSERT_EQ(some->num_rows(), 1u);
   EXPECT_EQ(*some->GetCell(0, "n"), Value::Int(3));
 }
+
+// ------------------------------------------------------------- fuzzing
+
+// Statements over every clause, aggregate and literal kind: the inputs
+// the fuzzer mutates.
+const char* const kFuzzStatements[] = {
+    "SELECT * FROM patients",
+    "SELECT Id, Age FROM patients WHERE Gender = 'F' AND Age >= 50 "
+    "ORDER BY Age DESC LIMIT 3",
+    "SELECT Gender, count(*) AS n, avg(FBG) AS a, stddev(Age) "
+    "FROM patients GROUP BY Gender ORDER BY n",
+    "SELECT Id FROM patients WHERE (Age BETWEEN 40 AND 65 OR FBG IS NULL) "
+    "AND NOT Gender IN ('M', 'X') AND Visit >= DATE '2010-06-01'",
+    "SELECT count_distinct(Gender) AS g, sum(Age), min(Visit), max(FBG) "
+    "FROM \"patients\" WHERE Active = TRUE AND FBG IS NOT NULL",
+};
+
+// What an insertion splices in: keywords, operators, punctuation, the
+// table's names, literals at the edges of their types, and bytes the
+// tokenizer must not trip over.
+const std::string_view kSqlTokens[] = {
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AS",
+    "AND", "OR", "NOT", "BETWEEN", "IN", "IS", "NULL", "TRUE", "FALSE",
+    "DATE", "ASC", "DESC", " ", "*", "(", ")", ",", "'", "''", "\"", "=",
+    "<>", "!=", "!", "<=", ">=", "<", ">", "Id", "Age", "Gender", "FBG",
+    "Visit", "Active", "count(", "sum(", "count_distinct(", "variance(",
+    "patients", "'2010-13-45'", "0", "-1", "1.5.2", "-",
+    "9223372036854775807", "99999999999999999999", "1e309", "\\", "\t\n",
+    "\xff", std::string_view("\0", 1)};
+
+// Every mutant either runs or fails with a Status, and a result it
+// runs has columns and at most one row per patient. About a second in
+// Release over all inputs. A failure names the input and the mutant's
+// seed: MutateText(kFuzzStatements[input], seed, kSqlTokens) replays it.
+class SqlFuzzTest : public testing::TestWithParam<size_t> {};
+
+TEST_P(SqlFuzzTest, SeededMutantsReturnAStatus) {
+  const size_t input = GetParam();
+  const Table patients = MakePatients();
+  SqlEngine engine;
+  engine.RegisterTable("patients", &patients);
+  ASSERT_TRUE(engine.Execute(kFuzzStatements[input]).ok());
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t seed = 20130408u + (uint64_t{input} << 32) +
+                          static_cast<uint64_t>(i);
+    const std::string sql =
+        MutateText(kFuzzStatements[input], seed, kSqlTokens);
+    SCOPED_TRACE(testing::Message() << "replay: input " << input
+                                    << ", MutateText seed " << seed << ": "
+                                    << testing::PrintToString(sql));
+    auto result = engine.Execute(sql);
+    if (!result.ok()) {
+      EXPECT_FALSE(result.status().message().empty());
+    } else {
+      EXPECT_GT(result->num_columns(), 0u);
+      EXPECT_LE(result->num_rows(), patients.num_rows());
+    }
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Statements, SqlFuzzTest,
+    testing::Range<size_t>(0, std::size(kFuzzStatements)));
 
 }  // namespace
 }  // namespace ddgms

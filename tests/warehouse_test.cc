@@ -174,32 +174,6 @@ TEST(DimensionTest, AttributeValueRangeChecks) {
   EXPECT_TRUE(person->AttributeValue(0, "Nope").status().IsNotFound());
 }
 
-TEST(DimensionTest, AddDerivedAttribute) {
-  Table extract = MakeExtract();
-  auto wh = StarSchemaBuilder(MakeDef()).Build(extract);
-  ASSERT_TRUE(wh.ok());
-  Dimension* person = *wh->mutable_dimension("Person");
-  ASSERT_TRUE(
-      person
-          ->AddDerivedAttribute(
-              "IsElderly", DataType::kString,
-              [](const Dimension& d, int64_t key) {
-                Value band = *d.AttributeValue(key, "AgeBand10");
-                return Value::Str(band.string_value() == "70-80" ? "Yes"
-                                                                 : "No");
-              })
-          .ok());
-  EXPECT_TRUE(person->HasAttribute("IsElderly"));
-  // Duplicate rejected.
-  EXPECT_TRUE(person
-                  ->AddDerivedAttribute(
-                      "IsElderly", DataType::kString,
-                      [](const Dimension&, int64_t) {
-                        return Value::Str("x");
-                      })
-                  .IsAlreadyExists());
-}
-
 TEST(WarehouseTest, IntegrityOkOnBuild) {
   Table extract = MakeExtract();
   auto wh = StarSchemaBuilder(MakeDef()).Build(extract);
