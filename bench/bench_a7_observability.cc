@@ -7,8 +7,7 @@
 // BM_WarehouseBuildInstrumentationOff vs ...On measures it directly.
 // The microbenchmarks price the individual primitives on both the
 // disabled path (one relaxed atomic load) and the enabled path
-// (registry lookup + atomic update / span record / log record), plus
-// one full TelemetrySampler snapshot.
+// (registry lookup + atomic update / span record / log record).
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +27,6 @@
 #include "server/observability.h"
 #include "discri/cohort.h"
 #include "discri/model.h"
-#include "warehouse/telemetry.h"
 #include "warehouse/warehouse.h"
 
 namespace {
@@ -326,31 +324,6 @@ void BM_WarehouseBuildServedScrape(benchmark::State& state) {
 }
 DDGMS_BENCHMARK(BM_WarehouseBuildServedScrape)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TelemetrySample(benchmark::State& state) {
-  // One full sampler snapshot over a populated registry + rings.
-  MetricsRegistry::Enable();
-  TraceCollector::Enable();
-  EventLog::Enable();
-  warehouse::TelemetrySampler sampler;
-  for (auto _ : state) {
-    for (int i = 0; i < 16; ++i) {
-      DDGMS_METRIC_INC("ddgms.bench.counter");
-      TraceSpan span("bench.span");
-      DDGMS_LOG_INFO("bench.event").With("i", i);
-    }
-    auto stats = sampler.Sample();
-    if (!stats.ok()) state.SkipWithError("sample failed");
-    benchmark::DoNotOptimize(stats);
-  }
-  MetricsRegistry::Disable();
-  TraceCollector::Disable();
-  EventLog::Disable();
-  MetricsRegistry::Global().ResetValues();
-  TraceCollector::Global().Clear();
-  EventLog::Global().Clear();
-}
-DDGMS_BENCHMARK(BM_TelemetrySample)->Unit(benchmark::kMicrosecond);
 
 void BM_WindowTickDisabled(benchmark::State& state) {
   // The shipping default: a disabled registry's Tick() is one relaxed

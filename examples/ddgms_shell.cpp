@@ -21,7 +21,6 @@
 //                        resource-pool accounting snapshot
 //   trace [json|clear|capacity N]  recorded span tree
 //   log [json|tail N|clear|level L]  flight-recorder event log
-//   telemetry [sample]   self-observation sampler / staged row counts
 //   kb                   knowledge-base contents
 //   save <dir>           persist the warehouse as CSV
 //   snapshot <dir>       durable binary snapshot (first call attaches
@@ -37,7 +36,7 @@
 //                        'slo eval' forces one evaluation
 //   alerts [json]        firing/warning SLOs + recent anomaly findings
 //   anomaly [scan|json]  anomaly scanner status; 'anomaly scan' forces
-//                        one synchronous telemetry sample + MDX scan
+//                        one synchronous scan of the metrics registry
 //   slow <micros>        test hook: delay every MDX execute stage (to
 //                        watch /queryz catch a stalled query)
 //   help / quit
@@ -47,8 +46,7 @@
 // event log are enabled before the build, so `stats`, `trace` and
 // `log` cover the load itself as well as interactive queries. Pass
 // --log-jsonl <path> to additionally append every event to a JSONL
-// file. After `telemetry sample`, `mdx SELECT ... FROM [Telemetry]`
-// queries the system's own history.
+// file.
 //
 // --crash-after-bytes N kills the process (exit 137, no flushes — a
 // simulated power cut) once the durable io layer has written N more
@@ -70,6 +68,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/io.h"
 #include "common/log.h"
@@ -118,9 +117,6 @@ void PrintHelp() {
       "                     resource-pool accounting\n"
       "  trace [json|clear|capacity N]  recorded span tree\n"
       "  log [json|tail N|clear|level L]  flight-recorder events\n"
-      "  telemetry [sample] sample metrics/spans/events into the\n"
-      "                     [Telemetry] cube (then: mdx ... FROM\n"
-      "                     [Telemetry])\n"
       "  describe           per-column profile of the extract\n"
       "  kb                 knowledge base contents\n"
       "  save <dir>         persist warehouse to a directory (CSV)\n"
@@ -136,7 +132,7 @@ void PrintHelp() {
       "                     'slo eval' forces one evaluation\n"
       "  alerts [json]      firing/warning SLOs + anomaly findings\n"
       "  anomaly [scan|json]  anomaly scanner status; 'anomaly scan'\n"
-      "                     forces one telemetry sample + MDX scan\n"
+      "                     forces one scan of the metrics registry\n"
       "  slow <micros>      delay every MDX execute stage (test hook\n"
       "                     for watching /queryz flag a stalled query)\n"
       "  help | quit\n");
@@ -249,10 +245,9 @@ int main(int argc, char** argv) {
 
   // The shell owns the anomaly scanner (and hands it to the server via
   // options) so the `alerts` / `anomaly` commands and /alertz agree.
-  // It watches the facade's telemetry sampler, so load/recover must
-  // tear it down and rebuild it around the facade swap.
-  auto scanner = std::make_unique<server::AnomalyScanner>(
-      &dgms->telemetry());
+  // It reads only the metrics registry, so it and its history outlive
+  // load/recover.
+  server::AnomalyScanner scanner;
 
   // The facade pointer handed to the server stays valid across
   // `load`/`recover`: those move-assign into the same Result storage.
@@ -266,7 +261,7 @@ int main(int argc, char** argv) {
     server::ObservabilityOptions options;
     options.http.port = port;
     options.watchdog.deadline_ms = watchdog_deadline_ms;
-    options.anomaly_scanner = scanner.get();
+    options.anomaly_scanner = &scanner;
     obs_server = std::make_unique<server::ObservabilityServer>(
         std::move(options), &*dgms);
     Status st = obs_server->Start();
@@ -279,9 +274,8 @@ int main(int argc, char** argv) {
     }
     std::fflush(stdout);
   };
-  // load/recover replace the facade — and with it the telemetry
-  // sampler the scanner watches. Quiesce the server + scanner before
-  // the swap and rebuild them after.
+  // load/recover replace the facade the server's handlers read.
+  // Quiesce the server before the swap and restart it after.
   const auto before_facade_swap = [&]() -> int {
     int restart_port = -1;
     if (obs_server != nullptr && obs_server->running()) {
@@ -289,12 +283,9 @@ int main(int argc, char** argv) {
       obs_server->Stop().IgnoreError();
     }
     obs_server.reset();
-    if (scanner->running()) scanner->Stop().IgnoreError();
     return restart_port;
   };
   const auto after_facade_swap = [&](int restart_port) {
-    scanner = std::make_unique<server::AnomalyScanner>(
-        &dgms->telemetry());
     if (restart_port >= 0) start_server(restart_port);
   };
   if (serve_port >= 0) start_server(serve_port);
@@ -401,31 +392,6 @@ int main(int argc, char** argv) {
         }
       } else {
         std::printf("%s", log.ToString().c_str());
-      }
-      continue;
-    }
-    if (trimmed == "telemetry" || StartsWith(trimmed, "telemetry ")) {
-      std::string mode(Trim(trimmed.substr(9)));
-      warehouse::TelemetrySampler& sampler = dgms->telemetry();
-      if (mode == "sample") {
-        auto sample = sampler.Sample();
-        if (sample.ok()) {
-          std::printf("%s\n", sample->ToString().c_str());
-        } else {
-          std::printf("error: %s\n",
-                      sample.status().ToString().c_str());
-        }
-      } else if (mode == "clear") {
-        sampler.Clear();
-        std::printf("telemetry cleared\n");
-      } else {
-        std::printf(
-            "telemetry: %lld samples, %zu staged fact rows "
-            "(metric %zu / span %zu / event %zu)\n",
-            static_cast<long long>(sampler.num_samples()),
-            sampler.num_rows(), sampler.metric_samples().num_rows(),
-            sampler.span_facts().num_rows(),
-            sampler.event_facts().num_rows());
       }
       continue;
     }
@@ -651,7 +617,7 @@ int main(int argc, char** argv) {
       if (mode == "json") {
         std::printf("{\"slo\":%s,\"anomaly\":%s}\n",
                     SloEngine::Global().ToJson().c_str(),
-                    scanner->ToJson().c_str());
+                    scanner.ToJson().c_str());
         continue;
       }
       size_t alerting = 0;
@@ -661,10 +627,10 @@ int main(int argc, char** argv) {
         std::printf("%s\n", s.ToString().c_str());
       }
       if (alerting == 0) std::printf("no slo alerts\n");
-      const auto findings = scanner->findings();
+      const auto findings = scanner.findings();
       if (findings.empty()) {
         std::printf("no anomaly findings (%llu scans)\n",
-                    static_cast<unsigned long long>(scanner->scans()));
+                    static_cast<unsigned long long>(scanner.scans()));
       } else {
         for (const server::AnomalyFinding& f : findings) {
           std::printf("%s\n", f.ToString().c_str());
@@ -675,27 +641,23 @@ int main(int argc, char** argv) {
     if (trimmed == "anomaly" || StartsWith(trimmed, "anomaly ")) {
       std::string mode(Trim(trimmed.substr(7)));
       if (mode == "scan") {
-        auto found = scanner->ScanOnce();
-        if (!found.ok()) {
-          std::printf("error: %s\n",
-                      found.status().ToString().c_str());
-        } else if (found->empty()) {
+        const std::vector<server::AnomalyFinding> found = scanner.ScanOnce();
+        if (found.empty()) {
           std::printf("scan complete, no new findings\n");
-        } else {
-          for (const server::AnomalyFinding& f : *found) {
-            std::printf("%s\n", f.ToString().c_str());
-          }
+        }
+        for (const server::AnomalyFinding& f : found) {
+          std::printf("%s\n", f.ToString().c_str());
         }
         continue;
       }
       if (mode == "json") {
-        std::printf("%s\n", scanner->ToJson().c_str());
+        std::printf("%s\n", scanner.ToJson().c_str());
         continue;
       }
       std::printf("scanner %s, %llu scans, %zu recent findings\n",
-                  scanner->running() ? "running" : "stopped",
-                  static_cast<unsigned long long>(scanner->scans()),
-                  scanner->findings().size());
+                  scanner.running() ? "running" : "stopped",
+                  static_cast<unsigned long long>(scanner.scans()),
+                  scanner.findings().size());
       continue;
     }
     if (StartsWith(trimmed, "slow ")) {

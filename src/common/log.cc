@@ -9,41 +9,6 @@ namespace ddgms {
 
 std::atomic<bool> EventLog::enabled_{false};
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 const char* LogLevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -222,20 +187,6 @@ std::vector<LogRecord> EventLog::Snapshot() const {
   for (size_t i = 0; i < n; ++i) {
     out.push_back(ring_[(head_ + i) % n]);
   }
-  return out;
-}
-
-std::vector<LogRecord> EventLog::Drain() {
-  MutexLock lock(mu_);
-  std::vector<LogRecord> out;
-  out.reserve(ring_.size());
-  const size_t n = ring_.size();
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(ring_[(head_ + i) % n]));
-  }
-  ring_.clear();
-  head_ = 0;
-  dropped_ = 0;
   return out;
 }
 

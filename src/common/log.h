@@ -165,11 +165,8 @@ class EventLog {
 
   /// Records in ring order (oldest first; seq strictly increasing).
   std::vector<LogRecord> Snapshot() const EXCLUDES(mu_);
-  /// Atomically snapshots and empties the ring (for the telemetry
-  /// sampler — no record emitted concurrently is lost or duplicated).
-  std::vector<LogRecord> Drain() EXCLUDES(mu_);
   size_t size() const EXCLUDES(mu_);
-  /// Records evicted from the ring since the last Clear()/Drain().
+  /// Records evicted from the ring since the last Clear().
   size_t dropped() const EXCLUDES(mu_);
 
   void Clear() EXCLUDES(mu_);

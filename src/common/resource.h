@@ -17,11 +17,10 @@ namespace ddgms {
 ///
 /// A process-wide registry of named, hierarchical byte-accounting
 /// pools: every layer that materializes data (ETL output, warehouse
-/// tables, OLAP cubes, the cube cache, MDX results, telemetry staging)
-/// charges the bytes it allocates — and releases what it retires — to
-/// a pool, so "where does memory go per query?" has a first-class
-/// answer that EXPLAIN ANALYZE, the metrics registry and the
-/// [Telemetry] warehouse can all report.
+/// tables, OLAP cubes, the cube cache, MDX results) charges the bytes
+/// it allocates — and releases what it retires — to a pool, so "where
+/// does memory go per query?" has a first-class answer that EXPLAIN
+/// ANALYZE and the metrics registry can both report.
 ///
 /// Pools form a hierarchy by dotted name: charging "olap.cube.cache"
 /// also charges its ancestors "olap.cube" and "olap", plus the
@@ -32,7 +31,7 @@ namespace ddgms {
 /// the pool that anonymous charge sites (column appends, generic
 /// table code) should bill while the guard is the innermost one on
 /// the thread. Subsystem entry points open a guard for their pool
-/// ("etl", "warehouse", "olap.cube", "mdx", "telemetry"); charges
+/// ("etl", "warehouse", "olap.cube", "mdx"); charges
 /// outside any guard land in "other".
 ///
 /// Semantics: pools account *charge events*, not live objects. A
@@ -157,9 +156,9 @@ class ResourceMeter {
 
   /// Publishes every pool's live/peak bytes as metrics-registry gauges
   /// ("ddgms.resource.bytes_current:<pool>" /
-  /// "ddgms.resource.bytes_peak:<pool>") so dashboards and the
-  /// [Telemetry] warehouse see resource attribution alongside every
-  /// other instrument. No-op while the metrics registry is disabled.
+  /// "ddgms.resource.bytes_peak:<pool>") so dashboards and the anomaly
+  /// scanner see resource attribution alongside every other
+  /// instrument. No-op while the metrics registry is disabled.
   void PublishToMetrics() const EXCLUDES(mu_);
 
   /// Zeroes every pool's counters. Registrations (and outstanding

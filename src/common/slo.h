@@ -34,11 +34,11 @@ namespace ddgms {
 /// Per-SLO state machine: ok → warning → firing → resolved → ok.
 /// Every transition emits a structured `slo.<state>` flight-recorder
 /// event and the engine maintains ddgms.slo.* gauges (state, fast and
-/// slow burn per SLO) so scrapers and the `[Telemetry]` warehouse see
-/// alert history. Like the other subsystems the engine is inert
-/// behind one relaxed atomic gate; evaluation is driven either by the
-/// background evaluator thread (StartEvaluator) or explicitly with
-/// EvaluateAt() for deterministic tests.
+/// slow burn per SLO) so scrapers see alert history. Like the other
+/// subsystems the engine is inert behind one relaxed atomic gate;
+/// evaluation is driven either by the background evaluator thread
+/// (StartEvaluator) or explicitly with EvaluateAt() for deterministic
+/// tests.
 /// -------------------------------------------------------------------
 
 enum class SloKind {

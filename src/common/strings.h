@@ -72,6 +72,11 @@ std::string FormatDouble(double value, int precision = 6);
 /// Appends FormatDouble(value, precision) to `out`.
 void AppendDouble(std::string* out, double value, int precision = 6);
 
+/// `text` escaped for the inside of a JSON string literal: `"` and `\`
+/// get a backslash, \n, \r and \t their short escapes, and every other
+/// byte below 0x20 a \u00XX escape. Other bytes pass through.
+std::string JsonEscape(std::string_view text);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -30,34 +30,6 @@ std::string FormatDuration(uint64_t micros) {
   return StrFormat("%.2f s", static_cast<double>(micros) / 1e6);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 TraceCollector::TraceCollector()
@@ -122,20 +94,6 @@ std::vector<SpanRecord> TraceCollector::Snapshot() const {
   for (size_t i = 0; i < n; ++i) {
     out.push_back(ring_[(head_ + i) % n]);
   }
-  return out;
-}
-
-std::vector<SpanRecord> TraceCollector::Drain() {
-  MutexLock lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  const size_t n = ring_.size();
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(ring_[(head_ + i) % n]));
-  }
-  ring_.clear();
-  head_ = 0;
-  dropped_ = 0;
   return out;
 }
 

@@ -61,10 +61,6 @@ class TraceCollector {
 
   /// Finished spans in completion order (oldest first).
   std::vector<SpanRecord> Snapshot() const EXCLUDES(mu_);
-  /// Atomically snapshots and empties the ring (one lock, so no span
-  /// recorded concurrently is lost between the read and the clear).
-  /// This is how the telemetry sampler consumes finished spans.
-  std::vector<SpanRecord> Drain() EXCLUDES(mu_);
   size_t size() const EXCLUDES(mu_);
   /// Spans evicted from the ring since the last Clear().
   size_t dropped() const EXCLUDES(mu_);

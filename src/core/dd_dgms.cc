@@ -7,7 +7,6 @@
 #include "common/faults.h"
 #include "common/log.h"
 #include "common/query_registry.h"
-#include "common/strings.h"
 #include "common/trace.h"
 #include "table/sql.h"
 
@@ -121,41 +120,13 @@ Result<olap::Cube> DdDgms::Query(const olap::CubeQuery& query) const {
   return engine.Execute(query);
 }
 
-warehouse::TelemetrySampler& DdDgms::telemetry() const {
-  if (telemetry_ == nullptr) {
-    telemetry_ = std::make_unique<warehouse::TelemetrySampler>();
-  }
-  return *telemetry_;
-}
-
 Result<mdx::MdxResult> DdDgms::QueryMdx(const std::string& mdx_text) const {
   // Live-registered for /queryz and the stall watchdog. ExplainMdx
   // delegates here, so one registration covers both entry points; the
   // executor's stages report parse/compile/execute through the
   // thread-local channel this record opens.
   ScopedQueryRecord inflight("mdx", mdx_text);
-  // The FROM clause routes the query: [Telemetry] goes to a warehouse
-  // built from the sampler's accumulated history, every other cube to
-  // the clinical warehouse.
-  mdx::MdxExecutor executor(
-      [this](const std::string& cube) -> Result<const warehouse::Warehouse*> {
-        if (EqualsIgnoreCase(cube, warehouse_->def().fact_name) ||
-            !EqualsIgnoreCase(cube, "Telemetry")) {
-          return warehouse_.get();
-        }
-        DDGMS_ASSIGN_OR_RETURN(warehouse::Warehouse wh,
-                               telemetry().BuildWarehouse());
-        if (telemetry_warehouse_ == nullptr) {
-          telemetry_warehouse_ =
-              std::make_unique<warehouse::Warehouse>(std::move(wh));
-        } else {
-          *telemetry_warehouse_ = std::move(wh);
-        }
-        return telemetry_warehouse_.get();
-      });
-  // Clinical queries share the facade's cube cache. [Telemetry] queries
-  // bypass it: their warehouse is rebuilt per query, so its new lineage
-  // would invalidate every entry anyway.
+  mdx::MdxExecutor executor(warehouse_.get());
   if (cube_cache_ == nullptr) {
     cube_cache_ = std::make_unique<olap::CachingCubeEngine>(warehouse_.get());
   }

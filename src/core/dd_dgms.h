@@ -1,6 +1,7 @@
 #ifndef DDGMS_CORE_DD_DGMS_H_
 #define DDGMS_CORE_DD_DGMS_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +15,6 @@
 #include "olap/cube.h"
 #include "table/table.h"
 #include "warehouse/persist.h"
-#include "warehouse/telemetry.h"
 #include "warehouse/warehouse.h"
 
 namespace ddgms::core {
@@ -78,10 +78,8 @@ class DdDgms {
   /// OLAP entry point.
   Result<olap::Cube> Query(const olap::CubeQuery& query) const;
 
-  /// MDX entry point. Queries addressing the medical cube run against
-  /// the clinical warehouse; `SELECT ... FROM [Telemetry]` runs against
-  /// a warehouse built from the telemetry sampler's history, so the
-  /// platform analyses its own observability data with the same engine.
+  /// MDX entry point over the clinical warehouse, through the facade's
+  /// cube cache. A FROM clause naming another cube fails NotFound.
   Result<mdx::MdxResult> QueryMdx(const std::string& mdx_text) const;
 
   /// EXPLAIN ANALYZE: executes `mdx_text` and returns the per-operator
@@ -89,11 +87,6 @@ class DdDgms {
   /// bytes). The query genuinely runs — cardinalities and timings are
   /// measured, not estimated.
   Result<olap::PlanNode> ExplainMdx(const std::string& mdx_text) const;
-
-  /// The flight recorder's telemetry sampler (lazily created). Call
-  /// telemetry().Sample() to snapshot metrics and drain spans/events;
-  /// QueryMdx over [Telemetry] then sees the accumulated history.
-  warehouse::TelemetrySampler& telemetry() const;
 
   /// SQL entry point over the OLTP layer: the transformed extract is
   /// registered as `extract`, the fact table as `fact`, and each
@@ -225,12 +218,6 @@ class DdDgms {
   Table transformed_;
   etl::TransformReport report_;
   std::unique_ptr<warehouse::Warehouse> warehouse_;
-  /// Lazily created by telemetry(); mutable so const query paths can
-  /// sample and (re)build the self-observation warehouse.
-  mutable std::unique_ptr<warehouse::TelemetrySampler> telemetry_;
-  /// Rebuilt in place on every [Telemetry] query so pointers held by
-  /// in-flight executors stay valid, mirroring warehouse_.
-  mutable std::unique_ptr<warehouse::Warehouse> telemetry_warehouse_;
   /// Created by the first QueryMdx, for clinical-cube queries. Safe across
   /// AcquireData rebuilds because Rebuild assigns the warehouse in
   /// place (pointer stable) and the cache checks each entry against the

@@ -327,11 +327,6 @@ Result<Table> MdxResult::ToGrid() const {
   return cube.ToTable();
 }
 
-MdxExecutor::MdxExecutor(const Warehouse* wh)
-    : resolve_cube_([wh](const std::string&) -> Result<const Warehouse*> {
-        return wh;
-      }) {}
-
 Result<MdxResult> MdxExecutor::Execute(const std::string& query_text) const {
   ScopedAccounting accounting("mdx");
   // The root is a Stage like its children: the one child of `top`
@@ -345,8 +340,7 @@ Result<MdxResult> MdxExecutor::Execute(const std::string& query_text) const {
     DDGMS_ASSIGN_OR_RETURN(query, Parse(query_text));
     parse_us = parse.Stop();
   }
-  DDGMS_ASSIGN_OR_RETURN(const Warehouse* wh,
-                         resolve_cube_(query.cube_name));
+  const Warehouse* wh = wh_;
   if (wh == nullptr) {
     return Status::InvalidArgument("MdxExecutor has no warehouse");
   }

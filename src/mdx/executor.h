@@ -1,7 +1,6 @@
 #ifndef DDGMS_MDX_EXECUTOR_H_
 #define DDGMS_MDX_EXECUTOR_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,25 +80,17 @@ struct MdxResult {
 /// When no measure is named anywhere, Count is used.
 class MdxExecutor {
  public:
-  /// Maps a query's FROM cube name to the warehouse that answers it;
-  /// the query then fails NotFound unless the warehouse's fact table
-  /// has that name.
-  using CubeResolver = std::function<Result<const warehouse::Warehouse*>(
-      const std::string& cube_name)>;
-
-  /// Answers every query from `wh`.
-  explicit MdxExecutor(const warehouse::Warehouse* wh);
-  explicit MdxExecutor(CubeResolver resolve_cube)
-      : resolve_cube_(std::move(resolve_cube)) {}
+  /// Answers queries from `wh`; a query whose FROM cube is not the
+  /// warehouse's fact table fails NotFound.
+  explicit MdxExecutor(const warehouse::Warehouse* wh) : wh_(wh) {}
 
   /// Parses and executes under one "mdx.execute" Stage, whose children
   /// are mdx.parse, mdx.compile and the cube's stage.
   Result<MdxResult> Execute(const std::string& query_text) const;
 
   /// Routes cube execution through `cache` (non-owning; may be null to
-  /// detach). Ignored unless the cache was built over the warehouse a
-  /// query resolves to. Hits and misses appear in the profile's plan
-  /// tree.
+  /// detach). Ignored unless the cache was built over the executor's
+  /// warehouse. Hits and misses appear in the profile's plan tree.
   void set_cube_cache(olap::CachingCubeEngine* cache) { cache_ = cache; }
 
   /// Slow-query log: an execution whose profiled time meets or exceeds
@@ -117,7 +108,7 @@ class MdxExecutor {
   static uint64_t ExecuteDelayMicrosForTesting();
 
  private:
-  CubeResolver resolve_cube_;
+  const warehouse::Warehouse* wh_;
   olap::CachingCubeEngine* cache_ = nullptr;
 };
 

@@ -80,8 +80,9 @@ bool Admits(const std::vector<Value>& restriction, const Value& v) {
 
 /// Above this many cells (the product of the axis member counts) a
 /// cell is found through a hash of its packed index instead of a dense
-/// int32 array: 64Ki slots is a 256 KiB array, and the [Telemetry]
-/// cube's Snapshot axis grows for as long as the server runs.
+/// int32 array: 64Ki slots is a 256 KiB array, and MDX CROSSJOIN puts
+/// any number of attributes on the axes, so outside input can push the
+/// cell space far past 2^16.
 constexpr uint64_t kDenseSlotLimit = uint64_t{1} << 16;
 
 /// Fact rows the scan takes per block. A block's buffers (a cell index,

@@ -1,12 +1,15 @@
 #include "server/anomaly.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "common/log.h"
 #include "common/metrics.h"
+#include "common/resource.h"
 #include "common/strings.h"
-#include "mdx/executor.h"
 
 namespace ddgms::server {
 
@@ -26,63 +29,106 @@ double Median(std::vector<double> values) {
   return (values[mid - 1] + upper) / 2.0;
 }
 
-std::string SeriesMdx(const std::string& where_tuple) {
-  return "SELECT { [Measures].[Value] } ON COLUMNS, "
-         "{ [SampleTime].[Snapshot].Members } ON ROWS "
-         "FROM [Telemetry] WHERE ( " +
-         where_tuple + " )";
+/// An instrument's value in one registry snapshot: a counter's or
+/// gauge's value, or a histogram's sum and observation count.
+struct Reading {
+  enum class Kind { kCounter, kGauge, kHistogram } kind;
+  double value = 0.0;
+  uint64_t count = 0;
+};
+
+std::optional<Reading> Read(const MetricsSnapshot& snapshot,
+                            const std::string& instrument) {
+  if (const HistogramSnapshot* h = snapshot.histogram(instrument)) {
+    return Reading{Reading::Kind::kHistogram, h->sum, h->count};
+  }
+  for (const MetricsSnapshot::CounterValue& c : snapshot.counters) {
+    if (c.name == instrument) {
+      return Reading{Reading::Kind::kCounter, static_cast<double>(c.value)};
+    }
+  }
+  for (const MetricsSnapshot::GaugeValue& g : snapshot.gauges) {
+    if (g.name == instrument) return Reading{Reading::Kind::kGauge, g.value};
+  }
+  return std::nullopt;
+}
+
+/// The point `now` makes after the last reading: a histogram's mean of
+/// the observations between the two, a counter's or gauge's change.
+/// None when a histogram observed nothing, or when a counter or
+/// histogram went backwards (the registry was reset).
+std::optional<double> PointSince(double last_value, uint64_t last_count,
+                                 const Reading& now) {
+  switch (now.kind) {
+    case Reading::Kind::kHistogram:
+      if (now.count <= last_count) return std::nullopt;
+      return (now.value - last_value) /
+             static_cast<double>(now.count - last_count);
+    case Reading::Kind::kCounter:
+      if (now.value < last_value) return std::nullopt;
+      return now.value - last_value;
+    case Reading::Kind::kGauge:
+      return now.value - last_value;
+  }
+  return std::nullopt;
+}
+
+/// Scores the newest of `history`'s points; a finding (target and scan
+/// left for the caller) when its |robust z| reaches the threshold.
+std::optional<AnomalyFinding> Score(const std::vector<double>& history,
+                                    double newest) {
+  if (history.size() < AnomalyScanner::kMinPoints) return std::nullopt;
+  const double median = Median(history);
+  std::vector<double> deviations(history.size());
+  for (size_t i = 0; i < history.size(); ++i) {
+    deviations[i] = std::fabs(history[i] - median);
+  }
+  const double mad = Median(std::move(deviations));
+  if (mad <= 0.0) return std::nullopt;  // a flat series has no spread
+  const double z = kMadToSigma * (newest - median) / mad;
+  if (std::fabs(z) < AnomalyScanner::kZThreshold) return std::nullopt;
+  AnomalyFinding finding;
+  finding.value = newest;
+  finding.median = median;
+  finding.mad = mad;
+  finding.robust_z = z;
+  return finding;
 }
 
 }  // namespace
 
 std::string AnomalyFinding::ToString() const {
   return StrFormat(
-      "%-24s snapshot=%lld value=%s median=%s mad=%s z=%s", target.c_str(),
-      static_cast<long long>(snapshot), FormatDouble(value, 4).c_str(),
+      "%-24s scan=%lld value=%s median=%s mad=%s z=%s", target.c_str(),
+      static_cast<long long>(scan), FormatDouble(value, 4).c_str(),
       FormatDouble(median, 4).c_str(), FormatDouble(mad, 4).c_str(),
       FormatDouble(robust_z, 3).c_str());
 }
 
 std::string AnomalyFinding::ToJson() const {
   return StrFormat(
-      "{\"target\":\"%s\",\"snapshot\":%lld,\"value\":%s,"
+      "{\"target\":\"%s\",\"scan\":%lld,\"value\":%s,"
       "\"median\":%s,\"mad\":%s,\"robust_z\":%s}",
-      target.c_str(), static_cast<long long>(snapshot),
+      JsonEscape(target).c_str(), static_cast<long long>(scan),
       FormatDouble(value, 6).c_str(), FormatDouble(median, 6).c_str(),
       FormatDouble(mad, 6).c_str(), FormatDouble(robust_z, 4).c_str());
 }
 
-AnomalyScanner::AnomalyScanner(warehouse::TelemetrySampler* sampler,
-                               AnomalyScannerOptions options)
-    : sampler_(sampler), options_([&options] {
+AnomalyScanner::AnomalyScanner(AnomalyScannerOptions options)
+    : options_([&options] {
         if (options.targets.empty()) options.targets = DefaultTargets();
         return std::move(options);
-      }()) {}
+      }()),
+      series_(options_.targets.size()) {}
 
 AnomalyScanner::~AnomalyScanner() {
   if (running()) Stop().IgnoreError();
 }
 
 std::vector<AnomalyTarget> AnomalyScanner::DefaultTargets() {
-  std::vector<AnomalyTarget> targets;
-  targets.push_back(
-      {"mdx_latency_spike",
-       "avg mdx.execute span duration per snapshot jumped",
-       SeriesMdx("[Instrument].[Name].[mdx.execute], [Kind].[Kind].[span]"),
-       /*difference=*/false});
-  targets.push_back(
-      {"quarantine_rate",
-       "rows quarantined between snapshots jumped",
-       SeriesMdx("[Instrument].[Name].[ddgms.quarantine.rows], "
-                 "[Kind].[Kind].[counter]"),
-       /*difference=*/true});
-  targets.push_back(
-      {"resource_growth",
-       "root resource-pool bytes grew abnormally between snapshots",
-       SeriesMdx("[Instrument].[Name].[ddgms.resource.bytes_current:total], "
-                 "[Kind].[Kind].[gauge]"),
-       /*difference=*/true});
-  return targets;
+  return {{"mdx_latency_spike", "ddgms.mdx.execute_latency_us"},
+          {"quarantine_rate", "ddgms.quarantine.rows"},
+          {"resource_growth", "ddgms.resource.bytes_current:total"}};
 }
 
 Status AnomalyScanner::Start() {
@@ -102,8 +148,10 @@ Status AnomalyScanner::Stop() {
     if (!running_) {
       return Status::FailedPrecondition("anomaly: scanner not running");
     }
+    // Set under the lock, so the loop cannot miss it between its
+    // predicate check and its wait.
+    stop_.store(true, std::memory_order_relaxed);
   }
-  stop_.store(true, std::memory_order_relaxed);
   cv_.NotifyAll();
   thread_.join();
   MutexLock lock(mu_);
@@ -116,6 +164,11 @@ bool AnomalyScanner::running() const {
   return running_;
 }
 
+uint64_t AnomalyScanner::scans() const {
+  MutexLock lock(mu_);
+  return scans_;
+}
+
 void AnomalyScanner::ScanLoop() {
   for (;;) {
     {
@@ -124,98 +177,62 @@ void AnomalyScanner::ScanLoop() {
                   [this] { return stop_.load(std::memory_order_relaxed); });
     }
     if (stop_.load(std::memory_order_relaxed)) return;
-    ScanOnce().status().IgnoreError();
+    ScanOnce();
   }
 }
 
-void AnomalyScanner::ScoreSeries(const AnomalyTarget& target,
-                                 const std::vector<int64_t>& snapshots,
-                                 const std::vector<double>& raw,
-                                 std::vector<AnomalyFinding>* found) {
-  std::vector<int64_t> ids = snapshots;
-  std::vector<double> values = raw;
-  if (target.difference) {
-    if (values.size() < 2) return;
-    std::vector<double> deltas(values.size() - 1);
-    for (size_t i = 1; i < values.size(); ++i) {
-      deltas[i - 1] = values[i] - values[i - 1];
-    }
-    values = std::move(deltas);
-    ids.erase(ids.begin());
-  }
-  if (values.size() < options_.min_samples) return;
-
-  const double median = Median(values);
-  std::vector<double> deviations(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    deviations[i] = std::fabs(values[i] - median);
-  }
-  const double mad = Median(deviations);
-  if (mad <= 0.0) return;  // a flat series has no meaningful spread
-
-  const double newest = values.back();
-  const double z = kMadToSigma * (newest - median) / mad;
-  if (std::fabs(z) < options_.z_threshold) return;
-
-  AnomalyFinding finding;
-  finding.target = target.name;
-  finding.snapshot = ids.back();
-  finding.value = newest;
-  finding.median = median;
-  finding.mad = mad;
-  finding.robust_z = z;
-
-  {
-    MutexLock lock(mu_);
-    auto it = last_flagged_.find(target.name);
-    if (it != last_flagged_.end() && it->second >= finding.snapshot) {
-      return;  // already reported this (or a newer) snapshot
-    }
-    last_flagged_[target.name] = finding.snapshot;
-    findings_.push_back(finding);
-    while (findings_.size() > options_.max_findings) findings_.pop_front();
-  }
-
-  DDGMS_METRIC_INC("ddgms.anomaly.detections");
-  DDGMS_LOG_WARN("anomaly.detected")
-      .With("target", finding.target)
-      .With("snapshot", finding.snapshot)
-      .With("value", finding.value)
-      .With("median", finding.median)
-      .With("mad", finding.mad)
-      .With("robust_z", finding.robust_z);
-  found->push_back(std::move(finding));
-}
-
-Result<std::vector<AnomalyFinding>> AnomalyScanner::ScanOnce() {
-  DDGMS_RETURN_IF_ERROR(sampler_->Sample().status());
-  DDGMS_ASSIGN_OR_RETURN(warehouse::Warehouse wh,
-                         sampler_->BuildWarehouse());
-  mdx::MdxExecutor executor(&wh);
+std::vector<AnomalyFinding> AnomalyScanner::ScanOnce() {
+  // Refresh the resource-pool gauges so the snapshot reads current
+  // bytes.
+  if (ResourceMeter::Enabled()) ResourceMeter::Global().PublishToMetrics();
 
   std::vector<AnomalyFinding> found;
-  for (const AnomalyTarget& target : options_.targets) {
-    DDGMS_ASSIGN_OR_RETURN(mdx::MdxResult result,
-                           executor.Execute(target.mdx));
-    // One ROWS axis of snapshot ids, one Value measure. AxisMembers is
-    // sorted and snapshot ids are integers, so the series comes back
-    // in chronological order.
-    std::vector<int64_t> snapshots;
-    std::vector<double> values;
-    for (const Value& member : result.cube.AxisMembers(0)) {
-      const Value cell = result.cube.CellValue({member});
-      if (cell.is_null()) continue;
-      Result<double> as_double = cell.AsDouble();
-      if (!as_double.ok()) continue;
-      Result<double> id = member.AsDouble();
-      if (!id.ok()) continue;
-      snapshots.push_back(static_cast<int64_t>(*id));
-      values.push_back(*as_double);
+  {
+    MutexLock lock(mu_);
+    // Snapshot under the lock, so concurrent scans (the thread and the
+    // shell's `anomaly scan`) apply their readings in order.
+    const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+    const int64_t scan = static_cast<int64_t>(++scans_);
+    for (size_t t = 0; t < options_.targets.size(); ++t) {
+      const std::optional<Reading> now =
+          Read(snapshot, options_.targets[t].instrument);
+      if (!now.has_value()) continue;
+      Series& series = series_[t];
+      const std::optional<double> point =
+          series.seen ? PointSince(series.last_value, series.last_count, *now)
+                      : std::nullopt;
+      series.seen = true;
+      series.last_value = now->value;
+      series.last_count = now->count;
+      if (!point.has_value()) continue;
+
+      series.points[series.next] = *point;
+      series.next = (series.next + 1) % kHistoryPoints;
+      series.size = std::min(series.size + 1, kHistoryPoints);
+      std::optional<AnomalyFinding> finding =
+          Score(std::vector<double>(series.points.begin(),
+                                    series.points.begin() + series.size),
+                *point);
+      if (!finding.has_value()) continue;
+      finding->target = options_.targets[t].name;
+      finding->scan = scan;
+      found.push_back(std::move(*finding));
     }
-    ScoreSeries(target, snapshots, values, &found);
+    findings_.insert(findings_.end(), found.begin(), found.end());
+    while (findings_.size() > kMaxFindings) findings_.pop_front();
   }
-  scans_.fetch_add(1, std::memory_order_relaxed);
+
   DDGMS_METRIC_INC("ddgms.anomaly.scans");
+  for (const AnomalyFinding& finding : found) {
+    DDGMS_METRIC_INC("ddgms.anomaly.detections");
+    DDGMS_LOG_WARN("anomaly.detected")
+        .With("target", finding.target)
+        .With("scan", finding.scan)
+        .With("value", finding.value)
+        .With("median", finding.median)
+        .With("mad", finding.mad)
+        .With("robust_z", finding.robust_z);
+  }
   return found;
 }
 
@@ -229,7 +246,7 @@ std::string AnomalyScanner::ToJson() const {
   out += running() ? "true" : "false";
   out += StrFormat(",\"scans\":%llu,\"z_threshold\":%s,\"findings\":[",
                    static_cast<unsigned long long>(scans()),
-                   FormatDouble(options_.z_threshold, 2).c_str());
+                   FormatDouble(kZThreshold, 2).c_str());
   const std::vector<AnomalyFinding> all = findings();
   for (size_t i = 0; i < all.size(); ++i) {
     if (i > 0) out += ",";

@@ -55,9 +55,8 @@ ObservabilityServer::ObservabilityServer(ObservabilityOptions options,
       server_(options_.http),
       started_at_(std::chrono::steady_clock::now()) {
   scanner_ = options_.anomaly_scanner;
-  if (scanner_ == nullptr && dgms_ != nullptr) {
-    owned_scanner_ = std::make_unique<AnomalyScanner>(&dgms_->telemetry(),
-                                                      options_.anomaly);
+  if (scanner_ == nullptr) {
+    owned_scanner_ = std::make_unique<AnomalyScanner>(options_.anomaly);
     scanner_ = owned_scanner_.get();
   }
   RegisterRoutes();
@@ -90,8 +89,7 @@ Status ObservabilityServer::Start() {
     }
     owns_evaluator_ = true;
   }
-  if (options_.start_anomaly_scanner && scanner_ != nullptr &&
-      !scanner_->running()) {
+  if (options_.start_anomaly_scanner && !scanner_->running()) {
     const Status scan = scanner_->Start();
     if (!scan.ok()) {
       Stop().IgnoreError();
@@ -343,9 +341,7 @@ HttpResponse ObservabilityServer::HandleAlertz(const HttpRequest&) const {
       firing, warning,
       SloEngine::Global().evaluator_running() ? "true" : "false",
       alerts.c_str());
-  body += scanner_ != nullptr ? scanner_->ToJson()
-                              : std::string("{\"running\":false,"
-                                            "\"scans\":0,\"findings\":[]}");
+  body += scanner_->ToJson();
   body += "}";
   return HttpResponse::Json(std::move(body));
 }
@@ -428,31 +424,29 @@ HttpResponse ObservabilityServer::HandleStatusz(
     }
     html += "</table>";
   }
-  if (scanner_ != nullptr) {
-    const std::vector<AnomalyFinding> findings = scanner_->findings();
-    html += StrFormat(
-        "<h2>anomaly scanner</h2><p>%s &middot; %llu scans &middot; "
-        "%zu recent findings</p>",
-        scanner_->running() ? "running" : "off",
-        static_cast<unsigned long long>(scanner_->scans()),
-        findings.size());
-    if (!findings.empty()) {
-      html += "<table><tr><th>target</th><th>snapshot</th>"
-              "<th>value</th><th>median</th><th>robust z</th></tr>";
-      const size_t shown = std::min<size_t>(findings.size(), 10);
-      for (size_t i = findings.size() - shown; i < findings.size(); ++i) {
-        const AnomalyFinding& f = findings[i];
-        html += StrFormat(
-            "<tr><td>%s</td><td>%lld</td><td>%s</td><td>%s</td>"
-            "<td>%s</td></tr>",
-            HtmlEscape(f.target).c_str(),
-            static_cast<long long>(f.snapshot),
-            FormatDouble(f.value, 4).c_str(),
-            FormatDouble(f.median, 4).c_str(),
-            FormatDouble(f.robust_z, 3).c_str());
-      }
-      html += "</table>";
+  const std::vector<AnomalyFinding> findings = scanner_->findings();
+  html += StrFormat(
+      "<h2>anomaly scanner</h2><p>%s &middot; %llu scans &middot; "
+      "%zu recent findings</p>",
+      scanner_->running() ? "running" : "off",
+      static_cast<unsigned long long>(scanner_->scans()),
+      findings.size());
+  if (!findings.empty()) {
+    html += "<table><tr><th>target</th><th>scan</th>"
+            "<th>value</th><th>median</th><th>robust z</th></tr>";
+    const size_t shown = std::min<size_t>(findings.size(), 10);
+    for (size_t i = findings.size() - shown; i < findings.size(); ++i) {
+      const AnomalyFinding& f = findings[i];
+      html += StrFormat(
+          "<tr><td>%s</td><td>%lld</td><td>%s</td><td>%s</td>"
+          "<td>%s</td></tr>",
+          HtmlEscape(f.target).c_str(),
+          static_cast<long long>(f.scan),
+          FormatDouble(f.value, 4).c_str(),
+          FormatDouble(f.median, 4).c_str(),
+          FormatDouble(f.robust_z, 3).c_str());
     }
+    html += "</table>";
   }
   html += "</body></html>";
   return HttpResponse::Html(std::move(html));

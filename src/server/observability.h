@@ -63,8 +63,8 @@ struct ObservabilityOptions {
   bool start_anomaly_scanner = true;
   AnomalyScannerOptions anomaly;
   /// Non-owning; the shell passes its scanner so /alertz and the
-  /// `alerts` command agree. When null and a facade is attached, the
-  /// server owns a scanner over the facade's telemetry sampler.
+  /// `alerts` command agree. When null, the server owns a scanner
+  /// built from `anomaly`.
   AnomalyScanner* anomaly_scanner = nullptr;
 };
 
@@ -123,7 +123,7 @@ class ObservabilityServer {
   bool owns_evaluator_ = false;
   /// Server-owned scanner when none was provided via options.
   std::unique_ptr<AnomalyScanner> owned_scanner_;
-  /// The scanner /alertz reads (provided or owned); may be null.
+  /// The scanner /alertz reads: the provided one, or owned_scanner_.
   AnomalyScanner* scanner_ = nullptr;
   /// True when Start() started the scanner thread.
   bool owns_scanner_run_ = false;

@@ -1,8 +1,8 @@
-// AnomalyScanner tests: robust-z scoring of series extracted with MDX
-// from the [Telemetry] warehouse — injected gauge spikes, difference
-// mode for cumulative counters, flat/short series guards, the
-// end-to-end "injected MDX latency spike is flagged" acceptance path,
-// and the scan-thread lifecycle.
+// AnomalyScanner tests: robust-z scoring of series read from the
+// metrics registry, one point per scan — injected gauge and histogram
+// spikes, counter growth, flat/short series guards, the bounded
+// history, the end-to-end "injected MDX latency spike is flagged"
+// acceptance path, and the scan-thread lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "discri/model.h"
 #include "mdx/executor.h"
 #include "server/anomaly.h"
-#include "warehouse/telemetry.h"
 
 namespace ddgms {
 namespace {
@@ -26,17 +25,6 @@ namespace {
 using server::AnomalyFinding;
 using server::AnomalyScanner;
 using server::AnomalyScannerOptions;
-using server::AnomalyTarget;
-using warehouse::TelemetrySampler;
-
-/// The series-per-snapshot MDX shape the scanner issues (mirrors the
-/// scanner's internal query builder).
-std::string SeriesMdx(const std::string& where_tuple) {
-  return "SELECT { [Measures].[Value] } ON COLUMNS, "
-         "{ [SampleTime].[Snapshot].Members } ON ROWS "
-         "FROM [Telemetry] WHERE ( " +
-         where_tuple + " )";
-}
 
 class AnomalyTest : public ::testing::Test {
  protected:
@@ -58,117 +46,143 @@ class AnomalyTest : public ::testing::Test {
     MetricsRegistry::Global().ResetValues();
   }
 
-  /// Options watching one gauge's level per snapshot.
-  static AnomalyScannerOptions GaugeOptions(const std::string& gauge) {
+  /// Options watching one instrument as target "t_signal".
+  static AnomalyScannerOptions Watch(const std::string& instrument) {
     AnomalyScannerOptions options;
-    options.targets.push_back(
-        {"t_gauge_spike", "test gauge level jumped",
-         SeriesMdx("[Instrument].[Name].[" + gauge +
-                   "], [Kind].[Kind].[gauge]"),
-         /*difference=*/false});
+    options.targets.push_back({"t_signal", instrument});
     return options;
   }
 
-  /// Eight baseline snapshots of `gauge` with mild jitter around 100.
-  static void SampleBaseline(TelemetrySampler* sampler,
-                             const std::string& gauge) {
+  /// Observes `value` into histogram `name`, then scans.
+  static std::vector<AnomalyFinding> ObserveAndScan(
+      AnomalyScanner* scanner, const std::string& name, double value) {
+    MetricsRegistry::Global().GetHistogram(name).Observe(value);
+    return scanner->ScanOnce();
+  }
+
+  /// Eight scans of histogram `name`, one observation each, with mild
+  /// jitter around 100: the first scan records the reading, the other
+  /// seven add points.
+  static void ScanBaseline(AnomalyScanner* scanner,
+                           const std::string& name) {
     const double levels[] = {100, 102, 98, 101, 99, 103, 97, 100};
     for (double level : levels) {
-      DDGMS_METRIC_GAUGE_SET(gauge, level);
-      ASSERT_TRUE(sampler->Sample().ok());
+      EXPECT_TRUE(ObserveAndScan(scanner, name, level).empty());
     }
   }
 };
 
 TEST_F(AnomalyTest, InjectedGaugeSpikeIsFlagged) {
-  TelemetrySampler sampler;
-  SampleBaseline(&sampler, "t.anomaly.signal");
-  AnomalyScanner scanner(&sampler, GaugeOptions("t.anomaly.signal"));
+  AnomalyScanner scanner(Watch("t.anomaly.signal"));
+  // A gauge's point is its change since the last scan.
+  const double levels[] = {100, 102, 98, 101, 99, 103, 97, 100};
+  for (double level : levels) {
+    DDGMS_METRIC_GAUGE_SET("t.anomaly.signal", level);
+    ASSERT_TRUE(scanner.ScanOnce().empty());
+  }
 
   DDGMS_METRIC_GAUGE_SET("t.anomaly.signal", 1000.0);
-  auto found = scanner.ScanOnce();
-  ASSERT_TRUE(found.ok());
-  ASSERT_EQ(found->size(), 1u);
-  const AnomalyFinding& f = (*found)[0];
-  EXPECT_EQ(f.target, "t_gauge_spike");
-  EXPECT_DOUBLE_EQ(f.value, 1000.0);
-  EXPECT_NEAR(f.median, 100.0, 5.0);
+  const std::vector<AnomalyFinding> found = scanner.ScanOnce();
+  ASSERT_EQ(found.size(), 1u);
+  const AnomalyFinding& f = found[0];
+  EXPECT_EQ(f.target, "t_signal");
+  EXPECT_DOUBLE_EQ(f.value, 900.0);  // the change, not the level
+  EXPECT_NEAR(f.median, 0.0, 5.0);
   EXPECT_GT(f.mad, 0.0);
-  EXPECT_GE(f.robust_z, 3.5);
-  EXPECT_EQ(f.snapshot, sampler.num_samples());
+  EXPECT_GE(f.robust_z, AnomalyScanner::kZThreshold);
+  EXPECT_EQ(static_cast<uint64_t>(f.scan), scanner.scans());
 
   // Surfaced everywhere: the recent list, /alertz JSON, the flight
   // recorder and the detections counter.
   EXPECT_EQ(scanner.findings().size(), 1u);
-  EXPECT_NE(scanner.ToJson().find("t_gauge_spike"), std::string::npos);
+  EXPECT_NE(scanner.ToJson().find("t_signal"), std::string::npos);
   EXPECT_NE(EventLog::Global().ToJsonl().find("anomaly.detected"),
             std::string::npos);
-  EXPECT_EQ(scanner.scans(), 1u);
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().counter(
+                "ddgms.anomaly.detections"),
+            1u);
+  EXPECT_EQ(scanner.scans(), 9u);
 }
 
 TEST_F(AnomalyTest, RecoveredSignalStopsFlagging) {
-  TelemetrySampler sampler;
-  SampleBaseline(&sampler, "t.anomaly.recover");
-  AnomalyScanner scanner(&sampler, GaugeOptions("t.anomaly.recover"));
+  AnomalyScanner scanner(Watch("t.anomaly.recover_us"));
+  ScanBaseline(&scanner, "t.anomaly.recover_us");
 
-  DDGMS_METRIC_GAUGE_SET("t.anomaly.recover", 1000.0);
-  auto spike = scanner.ScanOnce();
-  ASSERT_TRUE(spike.ok());
-  ASSERT_EQ(spike->size(), 1u);
+  // A histogram's point is the mean of the observations since the last
+  // scan: the spike is flagged once, the recovered mean is not.
+  const std::vector<AnomalyFinding> spike =
+      ObserveAndScan(&scanner, "t.anomaly.recover_us", 1000.0);
+  ASSERT_EQ(spike.size(), 1u);
+  EXPECT_DOUBLE_EQ(spike[0].value, 1000.0);
 
-  DDGMS_METRIC_GAUGE_SET("t.anomaly.recover", 101.0);
-  auto calm = scanner.ScanOnce();
-  ASSERT_TRUE(calm.ok());
-  EXPECT_TRUE(calm->empty());
+  EXPECT_TRUE(
+      ObserveAndScan(&scanner, "t.anomaly.recover_us", 101.0).empty());
+  // A scan with no new observation adds no point, so nothing is
+  // scored again.
+  EXPECT_TRUE(scanner.ScanOnce().empty());
   EXPECT_EQ(scanner.findings().size(), 1u);
 }
 
 TEST_F(AnomalyTest, FlatSeriesIsNeverAnOutlier) {
-  TelemetrySampler sampler;
+  AnomalyScanner scanner(Watch("t.anomaly.flat_us"));
   for (int i = 0; i < 8; ++i) {
-    DDGMS_METRIC_GAUGE_SET("t.anomaly.flat", 42.0);
-    ASSERT_TRUE(sampler.Sample().ok());
+    EXPECT_TRUE(ObserveAndScan(&scanner, "t.anomaly.flat_us", 42.0).empty());
   }
-  AnomalyScanner scanner(&sampler, GaugeOptions("t.anomaly.flat"));
-  auto found = scanner.ScanOnce();
-  ASSERT_TRUE(found.ok());
-  EXPECT_TRUE(found->empty());
+  EXPECT_TRUE(scanner.findings().empty());
 }
 
 TEST_F(AnomalyTest, ShortSeriesIsNotScored) {
-  TelemetrySampler sampler;
-  DDGMS_METRIC_GAUGE_SET("t.anomaly.short", 100.0);
-  ASSERT_TRUE(sampler.Sample().ok());
-  AnomalyScanner scanner(&sampler, GaugeOptions("t.anomaly.short"));
-  DDGMS_METRIC_GAUGE_SET("t.anomaly.short", 1000.0);
-  auto found = scanner.ScanOnce();
-  ASSERT_TRUE(found.ok());
-  EXPECT_TRUE(found->empty());
+  AnomalyScanner scanner(Watch("t.anomaly.short_us"));
+  // The first scan records; the next four (kMinPoints - 1) add points,
+  // the last of them a spike that a longer history would flag.
+  const double levels[] = {100, 102, 98, 101, 1000};
+  for (double level : levels) {
+    EXPECT_TRUE(ObserveAndScan(&scanner, "t.anomaly.short_us", level).empty());
+  }
+  EXPECT_TRUE(scanner.findings().empty());
 }
 
 TEST_F(AnomalyTest, DifferenceModeFlagsGrowthSpike) {
-  TelemetrySampler sampler;
+  // A counter's point is its growth since the last scan.
+  AnomalyScanner scanner(Watch("t.anomaly.grow"));
   Counter& c = MetricsRegistry::Global().GetCounter("t.anomaly.grow");
+  ASSERT_TRUE(scanner.ScanOnce().empty());
   const uint64_t steps[] = {9, 11, 10, 12, 8, 10, 11, 9};
   for (uint64_t step : steps) {
     c.Increment(step);
-    ASSERT_TRUE(sampler.Sample().ok());
+    ASSERT_TRUE(scanner.ScanOnce().empty());
   }
-  AnomalyScannerOptions options;
-  options.targets.push_back(
-      {"t_growth", "test counter growth jumped",
-       SeriesMdx("[Instrument].[Name].[t.anomaly.grow], "
-                 "[Kind].[Kind].[counter]"),
-       /*difference=*/true});
-  AnomalyScanner scanner(&sampler, options);
 
   c.Increment(1000);
-  auto found = scanner.ScanOnce();
-  ASSERT_TRUE(found.ok());
-  ASSERT_EQ(found->size(), 1u);
-  EXPECT_EQ((*found)[0].target, "t_growth");
-  EXPECT_NEAR((*found)[0].value, 1000.0, 1.0);  // the delta, not the level
-  EXPECT_GE((*found)[0].robust_z, 3.5);
+  const std::vector<AnomalyFinding> found = scanner.ScanOnce();
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].target, "t_signal");
+  EXPECT_DOUBLE_EQ(found[0].value, 1000.0);  // the growth, not the level
+  EXPECT_GE(found[0].robust_z, AnomalyScanner::kZThreshold);
+}
+
+TEST_F(AnomalyTest, BoundedHistoryForgetsAnOldLevel) {
+  // kHistoryPoints points near 100, then as many near 1000, then 100
+  // again. The ring then holds only the 1000s, so the return is an
+  // outlier. An unbounded history would hold 121 points near 100 and
+  // 120 near 1000; its median and MAD would come from the 100s, and
+  // the return would not be flagged.
+  constexpr size_t kN = AnomalyScanner::kHistoryPoints;
+  AnomalyScanner scanner(Watch("t.anomaly.level_us"));
+  ObserveAndScan(&scanner, "t.anomaly.level_us", 100.0);  // records only
+  for (size_t i = 0; i < kN; ++i) {
+    ObserveAndScan(&scanner, "t.anomaly.level_us", 100.0 + i % 3);
+  }
+  for (size_t i = 0; i < kN; ++i) {
+    ObserveAndScan(&scanner, "t.anomaly.level_us", 1000.0 + i % 3);
+  }
+  const std::vector<AnomalyFinding> found =
+      ObserveAndScan(&scanner, "t.anomaly.level_us", 100.0);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_DOUBLE_EQ(found[0].value, 100.0);
+  EXPECT_NEAR(found[0].median, 1001.0, 1.0);
+  EXPECT_LE(found[0].robust_z, -AnomalyScanner::kZThreshold);
+  EXPECT_EQ(static_cast<uint64_t>(found[0].scan), 2 * kN + 2);
 }
 
 TEST_F(AnomalyTest, InjectedMdxLatencySpikeIsFlaggedViaDefaultTargets) {
@@ -185,40 +199,36 @@ TEST_F(AnomalyTest, InjectedMdxLatencySpikeIsFlaggedViaDefaultTargets) {
   const std::string query =
       "SELECT { [Measures].[Count] } ON COLUMNS "
       "FROM [MedicalMeasures]";
-  TelemetrySampler& sampler = dgms->telemetry();
+  AnomalyScanner scanner;  // stock targets
   // Pin the baseline at ~2ms per query so scheduler jitter on a loaded
   // test machine cannot inflate the series MAD enough to mask the spike.
   mdx::MdxExecutor::SetExecuteDelayMicrosForTesting(2000);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(dgms->QueryMdx(query).ok());
-    ASSERT_TRUE(sampler.Sample().ok());
+    scanner.ScanOnce();
   }
 
   // A 300ms injected execute delay dwarfs the ~2ms baseline spread of
-  // the avg mdx.execute span duration per snapshot.
+  // the mean ddgms.mdx.execute_latency_us per scan.
   mdx::MdxExecutor::SetExecuteDelayMicrosForTesting(300000);
   ASSERT_TRUE(dgms->QueryMdx(query).ok());
   mdx::MdxExecutor::SetExecuteDelayMicrosForTesting(0);
 
-  AnomalyScanner scanner(&sampler);  // stock targets
-  auto found = scanner.ScanOnce();
-  ASSERT_TRUE(found.ok());
   bool latency_flagged = false;
-  for (const AnomalyFinding& f : *found) {
+  for (const AnomalyFinding& f : scanner.ScanOnce()) {
     if (f.target == "mdx_latency_spike") {
       latency_flagged = true;
       EXPECT_GE(f.value, 300000.0);
-      EXPECT_GE(f.robust_z, 3.5);
+      EXPECT_GE(f.robust_z, AnomalyScanner::kZThreshold);
     }
   }
   EXPECT_TRUE(latency_flagged) << scanner.ToJson();
 }
 
 TEST_F(AnomalyTest, ScanThreadLifecycle) {
-  TelemetrySampler sampler;
-  AnomalyScannerOptions options = GaugeOptions("t.anomaly.thread");
+  AnomalyScannerOptions options = Watch("t.anomaly.thread");
   options.period_ms = 5;
-  AnomalyScanner scanner(&sampler, options);
+  AnomalyScanner scanner(options);
   EXPECT_FALSE(scanner.running());
   ASSERT_TRUE(scanner.Start().ok());
   EXPECT_TRUE(scanner.running());

@@ -406,6 +406,17 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.2345), "1.23");
 }
 
+TEST(StringsTest, JsonEscapeWritesValidJsonStringContent) {
+  EXPECT_EQ(JsonEscape("plain text: 37 mmol/L, ≥ 7"),
+            "plain text: 37 mmol/L, ≥ 7");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("C:\\dir"), "C:\\\\dir");
+  EXPECT_EQ(JsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+  EXPECT_EQ(JsonEscape(std::string_view("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
 // ------------------------------------------------------------------- CSV
 
 TEST(CsvTest, ParseSimpleLine) {

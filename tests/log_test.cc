@@ -171,16 +171,6 @@ TEST_F(LogTest, ShrinkingCapacityKeepsNewest) {
   EXPECT_EQ(records[2].fields[0].second.ToString(), "9");
 }
 
-TEST_F(LogTest, DrainEmptiesTheRing) {
-  for (int i = 0; i < 5; ++i) DDGMS_LOG_INFO("t.drain");
-  std::vector<LogRecord> drained = EventLog::Global().Drain();
-  EXPECT_EQ(drained.size(), 5u);
-  EXPECT_EQ(EventLog::Global().size(), 0u);
-  EXPECT_EQ(EventLog::Global().dropped(), 0u);
-  DDGMS_LOG_INFO("t.drain.after");
-  EXPECT_EQ(EventLog::Global().size(), 1u);
-}
-
 TEST_F(LogTest, SinksReceiveEveryRecord) {
   std::vector<LogRecord> seen;
   EventLog::Global().AddSink(std::make_unique<CapturingSink>(&seen));

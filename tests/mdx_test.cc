@@ -2,17 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/rng.h"
 #include "discri/cohort.h"
 #include "discri/model.h"
 #include "mdx/executor.h"
 #include "mdx/lexer.h"
 #include "mdx/parser.h"
+#include "mutate_text.h"
 #include "warehouse/warehouse.h"
 
 namespace ddgms::mdx {
@@ -332,7 +332,7 @@ const char* const kFuzzQueries[] = {
 
 // What an insertion splices in: MDX keywords, punctuation, names the
 // warehouse knows, and bytes a lexer must not trip over.
-const char* const kMdxTokens[] = {
+const std::string_view kMdxTokens[] = {
     "SELECT", "ON", "COLUMNS", "ROWS", "FROM", "WHERE", "NON", "EMPTY",
     "CROSSJOIN", "Members", "Children", ".Members", ".Children", "{", "}",
     "(", ")", "[", "]", "]]", ",", ".", " ", "[Measures]", "[Count]",
@@ -340,40 +340,6 @@ const char* const kMdxTokens[] = {
     "[PersonalInformation]", "[Gender]", "[AgeBand10]", "[70-80]", "[F]",
     "[MedicalCondition]", "[DiabetesStatus]", "0", "-1", "1e309", "\"",
     "\\", "\xff", "\t\n"};
-
-// One seeded mutant of `input`: one to four edits, each a byte delete,
-// an insertion from kMdxTokens, a truncation or a duplicated span.
-std::string MutateMdx(const std::string& input, uint64_t seed) {
-  Rng rng(seed);
-  std::string out = input;
-  auto pos = [&] {
-    return static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(out.size())));
-  };
-  const int64_t edits = rng.UniformInt(1, 4);
-  for (int64_t e = 0; e < edits; ++e) {
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        if (!out.empty()) out.erase(std::min(pos(), out.size() - 1), 1);
-        break;
-      case 1:
-        out.insert(pos(), kMdxTokens[rng.UniformInt(
-                              0, std::size(kMdxTokens) - 1)]);
-        break;
-      case 2:
-        out.resize(pos());
-        break;
-      default: {
-        const size_t begin = pos();
-        const size_t length = std::min<size_t>(
-            out.size() - begin, static_cast<size_t>(rng.UniformInt(1, 40)));
-        out.insert(begin, out.substr(begin, length));
-        break;
-      }
-    }
-  }
-  return out;
-}
 
 // A DiScRi warehouse of 300 patients: big enough for every member the
 // queries name, small enough that a mutant that compiles scans fast.
@@ -405,7 +371,8 @@ Warehouse* MdxFuzzTest::warehouse_ = nullptr;
 // Every mutant either fails with a Status or executes, and an executed
 // one renders its grid or fails with a Status; none crashes. About a
 // second in Release over all inputs. A failure names the input and the
-// mutant's Rng seed: MutateMdx(kFuzzQueries[input], seed) replays it.
+// mutant's seed: MutateText(kFuzzQueries[input], seed, kMdxTokens)
+// replays it.
 TEST_P(MdxFuzzTest, SeededMutantsReturnAStatus) {
   const size_t input = GetParam();
   MdxExecutor executor(warehouse_);
@@ -413,9 +380,10 @@ TEST_P(MdxFuzzTest, SeededMutantsReturnAStatus) {
   for (int i = 0; i < 40000; ++i) {
     const uint64_t seed = 20130408u + (uint64_t{input} << 32) +
                           static_cast<uint64_t>(i);
-    const std::string text = MutateMdx(kFuzzQueries[input], seed);
+    const std::string text =
+        MutateText(kFuzzQueries[input], seed, kMdxTokens);
     SCOPED_TRACE(testing::Message() << "replay: input " << input
-                                    << ", MutateMdx seed " << seed << ": "
+                                    << ", MutateText seed " << seed << ": "
                                     << text);
     auto result = executor.Execute(text);
     if (!result.ok()) {

@@ -1042,7 +1042,8 @@ class CubeNavigationTest : public ::testing::Test {
   // The `from` attribute of the last navigation span ("cube" or
   // "warehouse"); consumes the recorded spans.
   static std::string From() {
-    std::vector<SpanRecord> spans = TraceCollector::Global().Drain();
+    std::vector<SpanRecord> spans = TraceCollector::Global().Snapshot();
+    TraceCollector::Global().Clear();
     for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
       if (it->name != "olap.rollup" && it->name != "olap.slice" &&
           it->name != "olap.dice") {

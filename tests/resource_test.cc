@@ -199,13 +199,13 @@ TEST_F(ResourceTest, AttributionIsThreadScoped) {
   ScopedAccounting outer("mdx");
   std::thread worker([] {
     EXPECT_EQ(ScopedAccounting::Current(), nullptr);
-    ScopedAccounting inner("telemetry");
+    ScopedAccounting inner("etl");
     DDGMS_RESOURCE_CHARGE(11);
   });
   worker.join();
   DDGMS_RESOURCE_CHARGE(7);
   ResourceSnapshot snap = ResourceMeter::Global().Snapshot();
-  EXPECT_EQ(snap.pool("telemetry")->allocated, 11u);
+  EXPECT_EQ(snap.pool("etl")->allocated, 11u);
   EXPECT_EQ(snap.pool("mdx")->allocated, 7u);
 }
 

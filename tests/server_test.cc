@@ -2,12 +2,15 @@
 // listener's routing (404/405), fault-injected accept/read failures,
 // the live query registry + stall watchdog (fires exactly once per
 // query), the bounded completed-query history, /profilez input
-// validation, the /sloz + /alertz surface, and a concurrent
+// validation, the /sloz + /alertz surface, serving that leaves the
+// flight recorder and the latency histogram alone, and a concurrent
 // scrape-while-query stress run under the TSan lane.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -735,7 +738,7 @@ TEST_F(ObservabilityServerTest, SlozAndAlertzSurfaceSloState) {
   EXPECT_EQ(calm_status, 200);
   EXPECT_NE(calm_body.find("\"firing\":0"), std::string::npos);
   EXPECT_EQ(calm_body.find("t_server_latency"), std::string::npos);
-  // No facade: the scanner section is a stub, not an error.
+  // The server's own scanner, not started here, still reports.
   EXPECT_NE(calm_body.find("\"anomaly\":{\"running\":false"),
             std::string::npos);
 
@@ -784,7 +787,7 @@ TEST_F(ObservabilityServerTest, StartStopOwnsEvaluatorAndScanner) {
   ASSERT_TRUE(obs.Start().ok());
   EXPECT_TRUE(SloEngine::Global().evaluator_running());
 
-  // /alertz reads the server-owned scanner over the facade's sampler.
+  // /alertz reads the server-owned scanner.
   auto [status, body, raw_response] = Get(obs.port(), "/alertz");
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"anomaly\":{\"running\":true"),
@@ -792,6 +795,101 @@ TEST_F(ObservabilityServerTest, StartStopOwnsEvaluatorAndScanner) {
 
   ASSERT_TRUE(obs.Stop().ok());
   EXPECT_FALSE(SloEngine::Global().evaluator_running());
+}
+
+// Serving must not disturb what it serves: the scanner's scans leave
+// every span and event recorded before Start() on /tracez and /logz,
+// add no mdx.execute span, and add no observation to the latency
+// histogram the mdx_latency SLO judges.
+TEST_F(ObservabilityServerTest, ServingLeavesFlightRecorderAndLatencySlo) {
+  TraceCollector::Global().Clear();
+  EventLog::Global().Clear();
+  discri::CohortOptions cohort;
+  cohort.num_patients = 40;
+  cohort.seed = 20130408;
+  auto raw = discri::GenerateCohort(cohort);
+  ASSERT_TRUE(raw.ok());
+  auto dgms = core::DdDgms::Build(std::move(raw).value(),
+                                  discri::MakeDiscriPipeline(),
+                                  discri::MakeDiscriSchemaDef());
+  ASSERT_TRUE(dgms.ok()) << dgms.status().ToString();
+
+  // The paper's Fig 4-6 queries, Fig 5's drill-down and a count.
+  const char* const kClinicalQueries[] = {
+      "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+      "CROSSJOIN( { [PersonalInformation].[AgeBand].Members }, "
+      "{ [PersonalInformation].[FamilyHistoryDiabetes].Members } ) "
+      "ON ROWS FROM [MedicalMeasures]",
+      "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+      "{ [PersonalInformation].[AgeBand10].Members } ON ROWS "
+      "FROM [MedicalMeasures] "
+      "WHERE ( [MedicalCondition].[DiabetesStatus].[Type2] )",
+      "SELECT { [PersonalInformation].[Gender].Members } ON COLUMNS, "
+      "{ [PersonalInformation].[AgeBand10].[70-80].Children } ON ROWS "
+      "FROM [MedicalMeasures] "
+      "WHERE ( [MedicalCondition].[DiabetesStatus].[Type2] )",
+      "SELECT { [MedicalCondition].[DiagnosticHTYearsBand].Members } "
+      "ON COLUMNS, { [PersonalInformation].[AgeBand5].Members } ON ROWS "
+      "FROM [MedicalMeasures] "
+      "WHERE ( [MedicalCondition].[HypertensionStatus].[Yes] )",
+      "SELECT { [Measures].[Count] } ON COLUMNS FROM [MedicalMeasures]",
+  };
+  for (const char* query : kClinicalQueries) {
+    ASSERT_TRUE(dgms->QueryMdx(query).ok()) << query;
+  }
+  const std::vector<SpanRecord> spans = TraceCollector::Global().Snapshot();
+  const std::vector<LogRecord> events = EventLog::Global().Snapshot();
+  ASSERT_FALSE(spans.empty());
+  ASSERT_FALSE(events.empty());
+
+  server::ObservabilityOptions options;
+  options.anomaly.period_ms = 5;
+  server::ObservabilityServer obs(options, &*dgms);
+  ASSERT_TRUE(obs.Start().ok());
+
+  unsigned long long scans = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (scans < 3 && std::chrono::steady_clock::now() < deadline) {
+    const std::string alertz = std::get<1>(Get(obs.port(), "/alertz"));
+    const size_t anomaly = alertz.find("\"anomaly\":");
+    const size_t at = alertz.find("\"scans\":", anomaly);
+    if (anomaly != std::string::npos && at != std::string::npos) {
+      scans = std::strtoull(alertz.c_str() + at + 8, nullptr, 10);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::string tracez =
+      std::get<1>(Get(obs.port(), "/tracez?format=json"));
+  const std::string logz =
+      std::get<1>(Get(obs.port(), "/logz?format=json&tail=100000"));
+  ASSERT_TRUE(obs.Stop().ok());
+  ASSERT_GE(scans, 3u);
+
+  for (const SpanRecord& span : spans) {
+    EXPECT_NE(tracez.find(StrFormat("{\"id\":%llu,",
+                                    static_cast<unsigned long long>(span.id))),
+              std::string::npos)
+        << "span " << span.name << " left /tracez";
+  }
+  for (const LogRecord& event : events) {
+    EXPECT_NE(logz.find(StrFormat("{\"seq\":%llu,",
+                                  static_cast<unsigned long long>(event.seq))),
+              std::string::npos)
+        << "event " << event.event << " left /logz";
+  }
+  size_t mdx_spans = 0;
+  for (size_t at = tracez.find("\"name\":\"mdx.execute\"");
+       at != std::string::npos;
+       at = tracez.find("\"name\":\"mdx.execute\"", at + 1)) {
+    ++mdx_spans;
+  }
+  EXPECT_EQ(mdx_spans, std::size(kClinicalQueries));
+  const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+  const HistogramSnapshot* latency =
+      metrics.histogram("ddgms.mdx.execute_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, std::size(kClinicalQueries));
 }
 
 TEST_F(ObservabilityServerTest, ConcurrentScrapeWhileQueryStress) {

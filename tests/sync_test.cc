@@ -1,8 +1,8 @@
 // Tests for common/sync.h plus concurrency stress for the subsystems
-// it retrofitted (metrics, event log, telemetry sampler). The stress
-// tests are deliberately contention-heavy: they are the workload the
-// TSan CI lane runs under -fsanitize=thread to catch data races that
-// single-threaded unit tests cannot.
+// it retrofitted (metrics, event log) and the anomaly scanner that
+// reads them. The stress tests are deliberately contention-heavy: they
+// are the workload the TSan CI lane runs under -fsanitize=thread to
+// catch data races that single-threaded unit tests cannot.
 
 #include "common/sync.h"
 
@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +18,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
-#include "warehouse/telemetry.h"
+#include "server/anomaly.h"
 
 namespace ddgms {
 namespace {
@@ -258,82 +257,55 @@ TEST_F(SubsystemStressTest, EventLogRingEvictionUnderContention) {
             static_cast<size_t>(kThreads) * kIters);
 }
 
-TEST_F(SubsystemStressTest, DrainNeverLosesOrDuplicatesRecords) {
-  constexpr int kThreads = 4;
-  constexpr int kIters = 2000;
-  // Capacity large enough that nothing is evicted: drained seqs must
-  // then form an exact partition of all emitted seqs.
-  EventLog::Global().set_capacity(static_cast<size_t>(kThreads) * kIters +
-                                  16);
-
-  std::atomic<bool> done{false};
-  std::set<uint64_t> seen;
-  std::thread drainer([&] {
-    for (;;) {
-      const bool finished = done.load(std::memory_order_acquire);
-      for (LogRecord& record : EventLog::Global().Drain()) {
-        const bool inserted = seen.insert(record.seq).second;
-        ASSERT_TRUE(inserted) << "seq " << record.seq << " drained twice";
-      }
-      if (finished) break;
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([t] {
-      for (int i = 0; i < kIters; ++i) {
-        DDGMS_LOG_WARN("test.sync_drain").With("thread", t);
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  done.store(true, std::memory_order_release);
-  drainer.join();
-
-  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads) * kIters);
-  EXPECT_EQ(EventLog::Global().dropped(), 0u);
-}
-
-TEST_F(SubsystemStressTest, TelemetrySamplerRacesEmitters) {
-  constexpr int kSamples = 40;
+TEST_F(SubsystemStressTest, AnomalyScanRacesEmitters) {
+  constexpr int kScans = 40;
   constexpr int kEmitters = 4;
   constexpr int kIters = 1500;
 
-  warehouse::TelemetrySampler sampler;
-  std::atomic<bool> stop{false};
+  // One target of each kind; the scan thread (1 ms period) and the
+  // synchronous scans below race each other and the emitters.
+  server::AnomalyScannerOptions options;
+  options.period_ms = 1;
+  options.targets = {{"t_count", "ddgms.test.anomaly_stress"},
+                     {"t_latency", "ddgms.test.anomaly_stress_us"},
+                     {"t_level", "ddgms.test.anomaly_stress_level"}};
+  server::AnomalyScanner scanner(options);
+  ASSERT_TRUE(scanner.Start().ok());
 
+  std::atomic<bool> stop{false};
   std::vector<std::thread> emitters;
   emitters.reserve(kEmitters);
   for (int t = 0; t < kEmitters; ++t) {
     emitters.emplace_back([&stop, t] {
       for (int i = 0; i < kIters && !stop.load(std::memory_order_relaxed);
            ++i) {
-        DDGMS_METRIC_INC("ddgms.test.telemetry_stress");
-        DDGMS_LOG_INFO("test.telemetry_stress").With("thread", t);
-        TraceSpan span("test.telemetry_stress.span");
+        DDGMS_METRIC_INC("ddgms.test.anomaly_stress");
+        DDGMS_METRIC_OBSERVE("ddgms.test.anomaly_stress_us", i % 100);
+        DDGMS_METRIC_GAUGE_SET("ddgms.test.anomaly_stress_level", t + i);
       }
     });
   }
 
-  int64_t last_snapshot = 0;
-  for (int s = 0; s < kSamples; ++s) {
-    Result<warehouse::TelemetrySampleStats> stats = sampler.Sample();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_GT(stats.value().snapshot, last_snapshot);
-    last_snapshot = stats.value().snapshot;
+  uint64_t last_scans = 0;
+  for (int s = 0; s < kScans; ++s) {
+    scanner.ScanOnce();
+    const uint64_t scans = scanner.scans();
+    EXPECT_GT(scans, last_scans);
+    last_scans = scans;
+    EXPECT_NE(scanner.ToJson().find("\"findings\":["), std::string::npos);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : emitters) t.join();
+  ASSERT_TRUE(scanner.Stop().ok());
 
-  EXPECT_EQ(sampler.num_samples(), kSamples);
-  // Rows staged under contention must be readable as coherent tables.
-  EXPECT_EQ(sampler.metric_samples().num_rows() +
-                sampler.span_facts().num_rows() +
-                sampler.event_facts().num_rows(),
-            sampler.num_rows());
+  // Every finding names a scan that completed, and the recent list
+  // stays bounded.
+  const std::vector<server::AnomalyFinding> findings = scanner.findings();
+  EXPECT_LE(findings.size(), server::AnomalyScanner::kMaxFindings);
+  for (const server::AnomalyFinding& f : findings) {
+    EXPECT_GE(f.scan, 1);
+    EXPECT_LE(static_cast<uint64_t>(f.scan), scanner.scans());
+  }
 }
 
 }  // namespace

@@ -673,7 +673,7 @@ const LayerGraph& RepoLayerGraph() {
       {"optimize", {"common", "table", "olap", "warehouse"}},
       {"core",
        {"common", "table", "etl", "kb", "mdx", "olap", "warehouse"}},
-      {"server", {"common", "core", "mdx", "table", "warehouse"}},
+      {"server", {"common", "core"}},
   };
   return *kGraph;
 }

@@ -309,7 +309,7 @@ const char* const kInstrumentLayers[] = {
     "io",      "journal",  "kb",       "mdx",        "olap",
     "other",   "persist",  "profiler", "quarantine", "queries",
     "resource", "retry",   "server",   "slo",        "snapshot",
-    "store",   "table",    "telemetry", "warehouse",
+    "store",   "table",    "warehouse",
 };
 
 bool IsRegisteredLayer(const std::string& s) {
